@@ -30,8 +30,6 @@ from .richness import find_side_good_copy
 from .sampling import derive_seed, philox_generator
 from .tilings import Tiling, tiling_errors
 
-ROUNDING_TABLE_VERSION = "1"
-
 
 class InvariantViolation(RuntimeError):
     """An internal accounting identity failed; indicates a bug or a rounding corner."""

@@ -1,10 +1,13 @@
-"""Backtracking search for monochromatic embedded copies of a pattern graph.
+"""Monochromatic copy search behind one mask-only entry point, :func:`first_copy`.
 
-The matcher embeds a pattern into a host by ordered backtracking over an
-adjacency relation given as per-vertex bitmasks.  Passing one colour class's
-adjacency yields monochromatic copies of that colour.  The pattern vertex
-order is fixed (connected expansion, highest degree first) and host
-candidates are tried in ascending vertex order, so results are deterministic.
+Searches take one colour class's per-vertex adjacency bitmasks and a universe
+bitmask.  The generic matcher backtracks over a fixed pattern vertex order
+(connected expansion, highest degree first), trying host candidates in
+ascending order, so the first copy is the lexicographically first embedding.
+Triangles dispatch to a bitset search (Chiba-Nishizeki style) returning the
+same copy; with a side requirement it seeds only from side vertices.  Greedy
+packings on a shrinking free set pass a ``start`` cursor so each scan resumes
+where the previous copy began.
 
 Copies are counted as subgraphs: distinct vertex images up to pattern
 automorphism, i.e. the labelled embedding count divided by ``|Aut(H)|``.
@@ -83,11 +86,13 @@ def iter_embeddings(
     universe_mask: int,
     side_mask: int = 0,
     min_side: int = 0,
+    start: int = 0,
 ) -> Iterator[tuple[int, ...]]:
     """Yield injective maps sending every pattern edge into ``adjacency``.
 
     ``side_mask``/``min_side`` restrict output to embeddings whose image meets
     the side set in at least ``min_side`` vertices (pruned during search).
+    The first-position vertex is at least ``start``.
     """
     k = pattern.n
     order, parents = _cached_order(pattern)
@@ -100,7 +105,7 @@ def iter_embeddings(
                 vm[pv] = assign[i]
             yield tuple(vm)
             return
-        cand = universe_mask & ~used
+        cand = universe_mask & ~used if pos else universe_mask & ~((1 << start) - 1)
         for j in parents[pos]:
             cand &= adjacency[assign[j]]
         slack = k - pos - 1
@@ -121,35 +126,42 @@ def automorphism_count(pattern: Graph) -> int:
     return sum(1 for _ in iter_embeddings(pattern.adjacency, pattern, full))
 
 
-def _resolve_universe(n: int, allowed_vertices: Iterable[int] | None) -> int:
+def _resolve_universe(n: int, allowed_vertices: Iterable[int] | int | None) -> int:
     full = (1 << n) - 1
     if allowed_vertices is None:
         return full
+    if isinstance(allowed_vertices, int):
+        return allowed_vertices & full
     return mask_of(allowed_vertices) & full
 
 
 def find_mono_copy(
     G: ColouredGraph,
     H: PatternStats,
-    allowed_vertices: Iterable[int] | None = None,
+    allowed_vertices: Iterable[int] | int | None = None,
     colour_filter: Colour | None = None,
+    cursors: dict[Colour, int | None] | None = None,
 ) -> EmbeddedCopy | None:
     """First monochromatic copy of ``H`` inside ``G[allowed_vertices]``, or ``None``.
 
-    With no colour filter, red is searched before blue.
+    With no colour filter, red is searched before blue.  ``cursors``, updated
+    in place, carries a greedy scan across calls on a shrinking universe: per
+    colour, the first-position vertex of its last copy, or ``None`` once it
+    found nothing.  Clear it whenever the universe grows.
     """
     if H.ell == 0:
         raise ValueError("monochromatic copy search needs a pattern with at least one edge")
     universe = _resolve_universe(G.n, allowed_vertices)
     colours = (colour_filter,) if colour_filter else (Colour.RED, Colour.BLUE)
+    lead = _cached_order(H.pattern)[0][0]
     for colour in colours:
-        adj = G.adjacency_for(colour)
-        if H.is_triangle():
-            tri = find_triangle(adj, universe)
-            if tri is not None:
-                return EmbeddedCopy(tri, colour)
+        start = 0 if cursors is None else cursors.get(colour, 0)
+        if start is None:
             continue
-        for vm in iter_embeddings(adj, H.pattern, universe):
+        vm = first_copy(G.adjacency_for(colour), H.pattern, universe, start=start)
+        if cursors is not None:
+            cursors[colour] = None if vm is None else vm[lead]
+        if vm is not None:
             return EmbeddedCopy(vm, colour)
     return None
 
@@ -184,42 +196,55 @@ def count_mono_copies(
     return labelled // aut
 
 
-def iter_copy_vertex_masks(
+def first_copy(
+    adjacency: Sequence[int],
+    pattern: Graph,
+    universe_mask: int,
+    side_mask: int = 0,
+    min_side: int = 0,
+    start: int = 0,
+) -> tuple[int, ...] | None:
+    """The first embedding :func:`iter_embeddings` yields, or ``None``; triangles take the fast path.
+
+    ``start`` is a resume point: the caller promises no copy has its
+    first-position vertex (for K3, its least vertex) below it.
+    """
+    if pattern.n == 3 and pattern.num_edges == 3:
+        return find_triangle(adjacency, universe_mask & ~((1 << start) - 1), side_mask, min_side)
+    return next(iter_embeddings(adjacency, pattern, universe_mask, side_mask, min_side, start), None)
+
+
+def iter_copies(
     adjacency: Sequence[int], pattern: Graph, universe_mask: int
-) -> Iterator[int]:
-    """Vertex masks of copies, deduplicated (several copies may share a mask)."""
+) -> Iterator[tuple[int, ...]]:
+    """One embedding per copy vertex set, the first found, in scan order."""
+    if pattern.n == 3 and pattern.num_edges == 3:
+        yield from iter_triangles(adjacency, universe_mask)
+        return
     seen: set[int] = set()
     for vm in iter_embeddings(adjacency, pattern, universe_mask):
         m = mask_of(vm)
         if m not in seen:
             seen.add(m)
-            yield m
+            yield vm
 
 
 # ---------------------------------------------------------------------------
 # Triangle fast path.  Cluster extraction and richness sweeps probe triangles
-# millions of times, so K3 avoids the generic machinery.  Equivalence with
-# the generic matcher is property-tested.
+# millions of times, so K3 avoids the generic machinery.  Triangles come out
+# as ascending tuples in lexicographic order, which is also the generic
+# matcher's order for K3; equivalence is property-tested.
 # ---------------------------------------------------------------------------
 
 def iter_triangles(
-    adjacency: Sequence[int],
-    universe_mask: int,
-    side_mask: int = 0,
-    min_side: int = 0,
+    adjacency: Sequence[int], universe_mask: int
 ) -> Iterator[tuple[int, int, int]]:
     """All triangles in ``adjacency`` within the universe, ascending, each once."""
     for a in iter_bits(universe_mask):
-        na = adjacency[a] & universe_mask
         # Only scan pairs above a, so each triangle is seen once, ordered.
-        higher = na & ~((1 << (a + 1)) - 1)
+        higher = adjacency[a] & universe_mask & ~((1 << (a + 1)) - 1)
         for b in iter_bits(higher):
-            common = higher & adjacency[b]
-            for c in iter_bits(common & ~((1 << (b + 1)) - 1)):
-                if min_side:
-                    hits = ((side_mask >> a) & 1) + ((side_mask >> b) & 1) + ((side_mask >> c) & 1)
-                    if hits < min_side:
-                        continue
+            for c in iter_bits(higher & adjacency[b] & ~((1 << (b + 1)) - 1)):
                 yield (a, b, c)
 
 
@@ -229,4 +254,27 @@ def find_triangle(
     side_mask: int = 0,
     min_side: int = 0,
 ) -> tuple[int, int, int] | None:
-    return next(iter_triangles(adjacency, universe_mask, side_mask, min_side), None)
+    """Lexicographically first triangle meeting the side set in >= ``min_side`` vertices.
+
+    Every such triangle passes through a side vertex ``s``, so the search
+    seeds from side vertices only and keeps the least first triangle per ``s``.
+    """
+    if min_side <= 0:
+        return next(iter_triangles(adjacency, universe_mask), None)
+    best = None
+    for s in iter_bits(side_mask & universe_mask):
+        ns = adjacency[s] & universe_mask
+        # The least neighbour v closing a triangle above v gives s's first one.
+        for v in iter_bits(ns):
+            if best is not None and v > best[0]:
+                break  # best[0] lies below s too, so nothing here can beat it
+            need = min_side - 1 - ((side_mask >> v) & 1)  # side hits owed by the third
+            closing = ns & adjacency[v] & ~((1 << (v + 1)) - 1)
+            if need == 1:
+                closing &= side_mask
+            if closing and need <= 1:
+                tri = tuple(sorted((s, v, (closing & -closing).bit_length() - 1)))
+                if best is None or tri < best:
+                    best = tri
+                break
+    return best

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .clusters import ClusterCertificate, FailureReport, cluster_process
-from .embeddings import EmbeddedCopy, find_mono_copy, iter_copy_vertex_masks
-from .graphs import Colour, ColouredGraph, Graph, exact_ratio, iter_bits, mask_of
+from .embeddings import EmbeddedCopy, find_mono_copy, iter_copies
+from .graphs import Colour, ColouredGraph, Graph, exact_ratio, mask_of
 from .patterns import PatternStats
 from .richness import find_side_good_copy
 from .sampling import derive_seed
@@ -98,25 +98,16 @@ def _find_tie(
     Their union spans at most ``2k - alpha`` vertices, so the pair is a
     one-copy-per-colour cluster at any slack.
     """
-    if find_mono_copy(G, H, iter_bits(free_mask), Colour.BLUE) is None:
+    if find_mono_copy(G, H, free_mask, Colour.BLUE) is None:
         return None
-    red_adj = G.red_adjacency
-    for red_mask in iter_copy_vertex_masks(red_adj, H.pattern, free_mask):
+    for red_map in iter_copies(G.red_adjacency, H.pattern, free_mask):
         if budget[0] <= 0:
             return None
         budget[0] -= 1
-        blue = find_side_good_copy(G, H, Colour.BLUE, free_mask, red_mask, H.alpha)
+        blue = find_side_good_copy(G, H, Colour.BLUE, free_mask, mask_of(red_map), H.alpha)
         if blue is not None:
-            red = _copy_from_mask(G, H, red_mask, Colour.RED)
-            return red, blue
+            return EmbeddedCopy(red_map, Colour.RED), blue
     return None
-
-
-def _copy_from_mask(G: ColouredGraph, H: PatternStats, vmask: int, colour: Colour) -> EmbeddedCopy:
-    found = find_side_good_copy(G, H, colour, vmask, vmask, H.k)
-    if found is None:
-        raise AssertionError("vertex mask no longer hosts the copy it came from")
-    return found
 
 
 def _tie_certificate(
@@ -203,9 +194,8 @@ def maximal_cluster_family(
         if tie is None:
             break
         red, blue = tie
-        cert = _tie_certificate(red, blue, eta)
-        certs.append(cert)
-        free_mask &= ~mask_of(cert.vertices)
+        certs.append(_tie_certificate(red, blue, eta))
+        free_mask &= ~(red.vertex_mask | blue.vertex_mask)
 
     # Process folds on whatever copy piles remain.  Needs positive slack:
     # probe windows are empty at eta == 0.
@@ -213,8 +203,9 @@ def maximal_cluster_family(
         blues: list[EmbeddedCopy] = []
         reds: list[EmbeddedCopy] = []
         fold_round = 0
+        cursors: dict[Colour, int | None] = {}
         while True:
-            copy = find_mono_copy(G, H, iter_bits(free_mask))
+            copy = find_mono_copy(G, H, free_mask, cursors=cursors)
             if copy is not None:
                 free_mask &= ~copy.vertex_mask
                 (blues if copy.colour is Colour.BLUE else reds).append(copy)
@@ -233,6 +224,7 @@ def maximal_cluster_family(
                 break
             certs.append(outcome)
             free_mask = _apply_fold(outcome, blues, reds, count, free_mask)
+            cursors.clear()  # the free set grew
 
     return ClusterFamily(tuple(certs), truncated=budget[0] <= 0, probe_failures=probe_failures, attempts=attempts)
 
@@ -295,6 +287,7 @@ def extract_tiling(
     blues: list[EmbeddedCopy] = []
     reds: list[EmbeddedCopy] = []
     fold_round = 0
+    cursors: dict[Colour, int | None] = {}
     while True:
         if fold_enabled and len(blues) >= trigger and len(reds) >= trigger:
             fold_round += 1
@@ -307,8 +300,9 @@ def extract_tiling(
             else:
                 certs.append(outcome)
                 free_mask = _apply_fold(outcome, blues, reds, trigger, free_mask)
+                cursors.clear()  # the free set grew
             continue
-        copy = find_mono_copy(G, H, iter_bits(free_mask))
+        copy = find_mono_copy(G, H, free_mask, cursors=cursors)
         if copy is None:
             break
         free_mask &= ~copy.vertex_mask
@@ -328,8 +322,9 @@ def extract_tiling(
     # fair game for a final same-colour top-up.
     for copy in blues if best is Colour.RED else reds:
         free_mask |= copy.vertex_mask
+    cursors.clear()  # the free set grew
     while True:
-        extra = find_mono_copy(G, H, iter_bits(free_mask), best)
+        extra = find_mono_copy(G, H, free_mask, best, cursors)
         if extra is None:
             break
         free_mask &= ~extra.vertex_mask

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
 
-from .embeddings import EmbeddedCopy, find_triangle, iter_embeddings, iter_triangles
+from .embeddings import EmbeddedCopy, find_triangle, first_copy, iter_triangles
 from .graphs import Colour, ColouredGraph, mask_of
 from .patterns import PatternStats
 
@@ -35,23 +35,13 @@ def find_side_good_copy(
     G: ColouredGraph,
     H: PatternStats,
     colour: Colour,
-    universe: Iterable[int] | int,
-    side: Iterable[int] | int,
+    universe_mask: int,
+    side_mask: int,
     min_side: int,
 ) -> EmbeddedCopy | None:
-    """First ``colour``-monochromatic copy inside ``universe`` meeting ``side``.
-
-    ``universe`` and ``side`` may be vertex iterables or prebuilt bitmasks.
-    """
-    universe_mask = universe if isinstance(universe, int) else mask_of(universe)
-    side_mask = side if isinstance(side, int) else mask_of(side)
-    adj = G.adjacency_for(colour)
-    if H.is_triangle():
-        tri = find_triangle(adj, universe_mask, side_mask, min_side)
-        return None if tri is None else EmbeddedCopy(tri, colour)
-    for vm in iter_embeddings(adj, H.pattern, universe_mask, side_mask, min_side):
-        return EmbeddedCopy(vm, colour)
-    return None
+    """First ``colour``-monochromatic copy in the universe with >= ``min_side`` side vertices."""
+    vm = first_copy(G.adjacency_for(colour), H.pattern, universe_mask, side_mask, min_side)
+    return None if vm is None else EmbeddedCopy(vm, colour)
 
 
 def richness_probe(

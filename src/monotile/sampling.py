@@ -35,14 +35,13 @@ def sample_gnp(n: int, p: float, seed: int) -> Graph:
         raise ValueError("need at least one vertex")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability {p} outside [0, 1]")
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    if p == 0.0 or not pairs:
+    if p == 0.0 or n < 2:
         return Graph.empty(n)
     if p == 1.0:
         return Graph.complete(n)
-    draws = philox_generator(seed).random(len(pairs))
-    keep = draws < p
-    return Graph(n, frozenset(e for e, k in zip(pairs, keep) if k))
+    us, vs = np.triu_indices(n, 1)  # row-major: pairs in lexicographic order
+    keep = philox_generator(seed).random(len(us)) < p
+    return Graph(n, frozenset(zip(us[keep].tolist(), vs[keep].tolist())))
 
 
 def threshold_probability(n: int, C: float, pattern: PatternStats) -> float:

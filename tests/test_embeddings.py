@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,12 +10,14 @@ from monotile.embeddings import (
     count_mono_copies,
     find_mono_copy,
     find_triangle,
+    first_copy,
     iter_embeddings,
     iter_triangles,
 )
-from monotile.graphs import Colour, Graph, colour_all, mask_of
+from monotile.graphs import Colour, Graph, colour_all, mask_of, pattern_by_name
 from monotile.oracles import mono_copy_count_bruteforce
 from monotile.patterns import PatternStats
+from monotile.sampling import philox_generator
 
 from .conftest import all_colourings, coloured_graphs
 
@@ -116,16 +120,73 @@ def test_triangle_fast_path_matches_generic_matcher(cg, data):
     side_verts = data.draw(
         st.lists(st.integers(0, cg.n - 1), unique=True, min_size=0, max_size=cg.n)
     )
-    min_side = data.draw(st.integers(0, 3))
     universe = mask_of(universe_verts)
     side = mask_of(side_verts)
     pattern = Graph.complete(3)
     for adj in (cg.red_adjacency, cg.blue_adjacency):
-        fast = set(iter_triangles(adj, universe, side, min_side))
-        slow = {
-            tuple(sorted(vm))
-            for vm in iter_embeddings(adj, pattern, universe, side, min_side)
+        listed = list(iter_triangles(adj, universe))
+        assert listed == sorted(set(listed))
+        assert set(listed) == {
+            tuple(sorted(vm)) for vm in iter_embeddings(adj, pattern, universe)
         }
-        assert fast == slow
-        first = find_triangle(adj, universe, side, min_side)
-        assert (first is None) == (not slow)
+        for min_side in range(4):
+            fast = [t for t in listed if sum((side >> v) & 1 for v in t) >= min_side]
+            slow = {
+                tuple(sorted(vm))
+                for vm in iter_embeddings(adj, pattern, universe, side, min_side)
+            }
+            assert set(fast) == slow
+            # The lexicographically first triangle, also the generic matcher's first copy.
+            first = find_triangle(adj, universe, side, min_side)
+            assert first == (min(fast) if fast else None)
+            generic = next(iter_embeddings(adj, pattern, universe, side, min_side), None)
+            assert generic == first
+            # Any resume point at or below the first copy's lead vertex is sound.
+            start = data.draw(st.integers(0, cg.n if first is None else first[0]))
+            assert first_copy(adj, pattern, universe, side, min_side, start) == first
+
+
+def test_side_seeded_triangle_search_matches_brute_force():
+    rng = philox_generator(2024)
+    for _ in range(600):
+        n = int(rng.integers(3, 10))
+        adj = [0] * n
+        for u, v in combinations(range(n), 2):
+            if rng.random() < 0.6:
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+        universe = int(rng.integers(0, 1 << n))
+        side = int(rng.integers(0, 1 << n))
+        triangles = [
+            t for t in combinations(range(n), 3)
+            if all((universe >> v) & 1 for v in t)
+            and (adj[t[0]] >> t[1]) & 1 and (adj[t[0]] >> t[2]) & 1 and (adj[t[1]] >> t[2]) & 1
+        ]
+        for min_side in range(4):
+            valid = [t for t in triangles if sum((side >> v) & 1 for v in t) >= min_side]
+            assert find_triangle(adj, universe, side, min_side) == min(valid, default=None)
+
+
+def _greedy_packing(cg, H, resume):
+    """Disjoint copies taken first-found; ``resume`` keeps per-colour cursors."""
+    free = (1 << cg.n) - 1
+    cursors = {} if resume else None
+    out = []
+    while (copy := find_mono_copy(cg, H, free, cursors=cursors)) is not None:
+        assert copy.vertex_mask & free == copy.vertex_mask
+        free &= ~copy.vertex_mask
+        out.append(copy)
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(coloured_graphs(min_n=3, max_n=9), st.sampled_from(["k3", "c4", "p4"]))
+def test_cursor_resumed_greedy_matches_restarts(cg, name):
+    H = PatternStats.from_graph(pattern_by_name(name))
+    assert _greedy_packing(cg, H, resume=True) == _greedy_packing(cg, H, resume=False)
+
+
+def test_mask_and_iterable_universes_agree(k3):
+    g = colour_all(Graph.complete(6), Colour.RED)
+    assert find_mono_copy(g, k3, 0b111100) == find_mono_copy(g, k3, [2, 3, 4, 5])
+    assert find_mono_copy(g, k3, 0b111100).vertex_map == (2, 3, 4)

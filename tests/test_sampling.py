@@ -6,6 +6,7 @@ from monotile.graphs import Graph
 from monotile.sampling import (
     ExperimentConfig,
     derive_seed,
+    philox_generator,
     sample_gnp,
     threshold_probability,
 )
@@ -14,6 +15,28 @@ from monotile.sampling import (
 def test_p_zero_and_one():
     assert sample_gnp(5, 0.0, 1) == Graph.empty(5)
     assert sample_gnp(5, 1.0, 1) == Graph.complete(5)
+
+
+def _pair_list_gnp(n, p, seed):
+    """The loop construction sample_gnp replaced: one draw per pair, lexicographic."""
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    if p == 0.0 or not pairs:
+        return Graph.empty(n)
+    if p == 1.0:
+        return Graph.complete(n)
+    keep = philox_generator(seed).random(len(pairs)) < p
+    return Graph(n, frozenset(e for e, k in zip(pairs, keep) if k))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 50])
+@pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+def test_matches_pair_list_construction(n, p):
+    for seed in (0, 7, 2**63 + 5):
+        fast, slow = sample_gnp(n, p, seed), _pair_list_gnp(n, p, seed)
+        assert fast == slow
+        # Same insertion order, so edge iteration order (and everything
+        # downstream that iterates the edge set) is unchanged too.
+        assert list(fast.edges) == list(slow.edges)
 
 
 def test_rejects_bad_probability():
