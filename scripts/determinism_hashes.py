@@ -51,7 +51,9 @@ def main() -> int:
     parser.add_argument("--n-list", type=str, default="60,150,300")
     parser.add_argument("--c-list", type=str, default="0.5,1,5")
     parser.add_argument(
-        "--adversaries", type=str, default="uniform-random,planted-partition,majority-degree"
+        "--adversaries",
+        type=str,
+        default="uniform-random,planted-partition,majority-degree,copy-avoider-greedy",
     )
     parser.add_argument("--seeds", type=str, default="0,1,2")
     parser.add_argument("--epsilon", type=float, default=0.15)

@@ -29,7 +29,6 @@ from .extraction import (
 )
 from .oracles import (
     RtResult,
-    SupersatParams,
     clique_supersat_count,
     exact_rt,
     good_copy_count,

@@ -9,8 +9,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
+from .budget import require_budget
 from .embeddings import iter_embeddings
-from .graphs import Colour, ColouredGraph, Edge, Graph, normalize_edge, pattern_by_name
+from .graphs import Colour, ColouredGraph, Edge, Graph, iter_bits, normalize_edge, pattern_by_name
 from .sampling import derive_seed, philox_generator
 
 ADVERSARY_NAMES = (
@@ -35,7 +36,7 @@ class AdversarySpec:
 def _edge_order(G: Graph, seed: int) -> list[Edge]:
     edges = sorted(G.edges)
     rng = philox_generator(derive_seed("adversary-order", seed))
-    return [edges[i] for i in rng.permutation(len(edges))]
+    return [edges[i] for i in rng.permutation(len(edges)).tolist()]
 
 
 def _uniform_random(G: Graph, spec: AdversarySpec) -> dict[Edge, Colour]:
@@ -65,45 +66,65 @@ def _resolve_pattern(spec: AdversarySpec) -> Graph:
     return pattern_by_name(str(pattern))
 
 
-def _copies_by_edge(G: Graph, pattern: Graph) -> dict[Edge, list[tuple[Edge, ...]]]:
-    """For each host edge, the edge sets of all pattern copies through it."""
+def _is_connected(g: Graph) -> bool:
+    reach = 1
+    for _ in range(g.n):  # each round reaches one edge further from vertex 0
+        for x in iter_bits(reach):
+            reach |= g.adjacency[x]
+    return reach == (1 << g.n) - 1
+
+
+def _closing_counter(G: Graph, pattern: Graph, budget: float | None):
+    """``count(adj, u, v)``: copies of ``pattern`` through edge (u, v) in ``adj``, which holds it.
+
+    Triangles are common neighbours; other patterns pin each pattern edge to
+    (u, v) both ways in the matcher, under the budget, and dedupe edge sets.
+    """
+    if pattern.n == 3 and pattern.num_edges == 3:
+        return lambda adj, u, v: (adj[u] & adj[v]).bit_count()
+    spread = max((a.bit_count() for a in G.adjacency), default=0) if _is_connected(pattern) else G.n
+    estimate = 2 * pattern.num_edges * G.num_edges * spread ** max(pattern.n - 2, 0)
+    require_budget(estimate, budget, "copy-avoider enumeration")
     universe = (1 << G.n) - 1
-    by_edge: dict[Edge, list[tuple[Edge, ...]]] = {e: [] for e in G.edges}
-    seen: set[frozenset[Edge]] = set()
-    for vm in iter_embeddings(G.adjacency, pattern, universe):
-        edge_set = frozenset(
-            normalize_edge(vm[u], vm[v]) for u, v in pattern.edges
-        )
-        if edge_set in seen:
-            continue
-        seen.add(edge_set)
-        fixed = tuple(sorted(edge_set))
-        for e in fixed:
-            by_edge[e].append(fixed)
-    return by_edge
+
+    def count(adj: list[int], u: int, v: int) -> int:
+        seen: set[frozenset[Edge]] = set()
+        for a, b in pattern.edges:
+            for x, y in ((u, v), (v, u)):
+                for vm in iter_embeddings(adj, pattern, universe, pin=((a, x), (b, y))):
+                    seen.add(frozenset(normalize_edge(vm[s], vm[t]) for s, t in pattern.edges))
+        return len(seen)
+
+    return count
 
 
-def _copy_avoider(G: Graph, spec: AdversarySpec) -> dict[Edge, Colour]:
-    """Greedy: give each edge the colour that completes fewer monochromatic copies."""
-    pattern = _resolve_pattern(spec)
-    by_edge = _copies_by_edge(G, pattern)
+def _copy_avoider(G: Graph, spec: AdversarySpec, budget: float | None) -> dict[Edge, Colour]:
+    """Greedy: give each edge the colour that completes fewer monochromatic copies.
+
+    Each edge joins both colours' masks of assigned edges, is counted in each,
+    and stays only in the colour picked.
+    """
+    closing = _closing_counter(G, _resolve_pattern(spec), budget)
     coin = philox_generator(derive_seed("adversary-avoider", spec.seed))
+    red, blue = [0] * G.n, [0] * G.n
     assigned: dict[Edge, Colour] = {}
-    for e in _edge_order(G, spec.seed):
-        closed = {Colour.RED: 0, Colour.BLUE: 0}
-        for copy_edges in by_edge[e]:
-            colours = {assigned.get(other) for other in copy_edges if other != e}
-            if len(colours) == 1:
-                (only,) = colours
-                if only is not None:
-                    closed[only] += 1
-        if closed[Colour.RED] < closed[Colour.BLUE]:
+    for u, v in _edge_order(G, spec.seed):
+        bu, bv = 1 << u, 1 << v
+        red[u] |= bv
+        red[v] |= bu
+        blue[u] |= bv
+        blue[v] |= bu
+        closed_red, closed_blue = closing(red, u, v), closing(blue, u, v)
+        if closed_red < closed_blue:
             pick = Colour.RED
-        elif closed[Colour.BLUE] < closed[Colour.RED]:
+        elif closed_blue < closed_red:
             pick = Colour.BLUE
         else:
             pick = Colour.RED if coin.random() < 0.5 else Colour.BLUE
-        assigned[e] = pick
+        assigned[(u, v)] = pick
+        drop = blue if pick is Colour.RED else red
+        drop[u] ^= bv
+        drop[v] ^= bu
     return assigned
 
 
@@ -135,11 +156,15 @@ def _majority_degree(G: Graph, spec: AdversarySpec) -> dict[Edge, Colour]:
 _STRATEGIES = {
     "uniform-random": _uniform_random,
     "planted-partition": _planted_partition,
-    "copy-avoider-greedy": _copy_avoider,
     "majority-degree": _majority_degree,
 }
 
 
-def colour_with(G: Graph, spec: AdversarySpec) -> ColouredGraph:
-    """Apply the adversary; the result is total and deterministic per seed."""
+def colour_with(G: Graph, spec: AdversarySpec, budget: float | None = None) -> ColouredGraph:
+    """Apply the adversary; the result is total and deterministic per seed.
+
+    ``budget`` caps the copy-avoider's work on patterns other than triangles.
+    """
+    if spec.name == "copy-avoider-greedy":
+        return ColouredGraph(G, _copy_avoider(G, spec, budget))
     return ColouredGraph(G, _STRATEGIES[spec.name](G, spec))

@@ -95,7 +95,7 @@ def cmd_colour(args) -> int:
         params["pattern"] = _load_pattern(args.pattern)
     if args.part:
         params["part"] = _parse_vertices(args.part)
-    coloured = colour_with(host, AdversarySpec(args.adversary, params, args.seed))
+    coloured = colour_with(host, AdversarySpec(args.adversary, params, args.seed), args.budget)
     _emit(args, write_graph_text(coloured))
     return EXIT_OK
 

@@ -52,12 +52,12 @@ class EmbeddedCopy:
         return out
 
 
-def _expansion_order(pattern: Graph) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """Pattern vertex order plus, per position, the earlier positions it must attach to."""
+def _expansion_order(pattern: Graph, lead: tuple[int, ...] = ()):
+    """Pattern vertex order opening with ``lead``, plus each position's earlier neighbours."""
     adj = pattern.adjacency
-    remaining = set(range(pattern.n))
-    order: list[int] = []
-    placed_mask = 0
+    remaining = set(range(pattern.n)).difference(lead)
+    order = list(lead)
+    placed_mask = mask_of(lead)
     while remaining:
         # Prefer vertices with most already-placed neighbours, then high degree.
         nxt = max(
@@ -76,8 +76,8 @@ def _expansion_order(pattern: Graph) -> tuple[tuple[int, ...], tuple[tuple[int, 
 
 
 @lru_cache(maxsize=256)
-def _cached_order(pattern: Graph):
-    return _expansion_order(pattern)
+def _cached_order(pattern: Graph, lead: tuple[int, ...] = ()):
+    return _expansion_order(pattern, lead)
 
 
 def iter_embeddings(
@@ -87,15 +87,20 @@ def iter_embeddings(
     side_mask: int = 0,
     min_side: int = 0,
     start: int = 0,
+    pin: tuple[tuple[int, int], ...] = (),
 ) -> Iterator[tuple[int, ...]]:
     """Yield injective maps sending every pattern edge into ``adjacency``.
 
     ``side_mask``/``min_side`` restrict output to embeddings whose image meets
     the side set in at least ``min_side`` vertices (pruned during search).
-    The first-position vertex is at least ``start``.
+    The first-position vertex is at least ``start``.  Each ``(pattern vertex,
+    host vertex)`` pair in ``pin`` is fixed, placed first, in that order.
     """
     k = pattern.n
-    order, parents = _cached_order(pattern)
+    order, parents = _cached_order(pattern, tuple(p for p, _ in pin) if pin else ())
+    allowed = [universe_mask & ~((1 << start) - 1)] + [universe_mask] * (k - 1)
+    for pos, (_, h) in enumerate(pin):
+        allowed[pos] &= 1 << h
     assign = [0] * k
 
     def rec(pos: int, used: int, side_count: int) -> Iterator[tuple[int, ...]]:
@@ -105,7 +110,7 @@ def iter_embeddings(
                 vm[pv] = assign[i]
             yield tuple(vm)
             return
-        cand = universe_mask & ~used if pos else universe_mask & ~((1 << start) - 1)
+        cand = allowed[pos] & ~used
         for j in parents[pos]:
             cand &= adjacency[assign[j]]
         slack = k - pos - 1

@@ -51,9 +51,6 @@ class ClusterFamily:
             out.update(cert.vertices)
         return frozenset(out)
 
-    def tiling_size(self, colour: Colour) -> int:
-        return sum(cert.tiling(colour).size for cert in self.certificates)
-
 
 @dataclass(frozen=True)
 class ExtractionReport:

@@ -125,10 +125,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return self.adjacency[v].bit_count()
 
-    def edges_within(self, vertices: Iterable[int]) -> int:
-        m = mask_of(vertices)
-        return sum(1 for u, v in self.edges if (m >> u) & 1 and (m >> v) & 1)
-
     def canonical_text(self) -> str:
         return write_graph_text(self)
 
@@ -157,9 +153,6 @@ class ColouredGraph:
 
     def edges_of_colour(self, colour: Colour) -> frozenset[Edge]:
         return frozenset(e for e, c in self.colour.items() if c is colour)
-
-    def monochromatic_subgraph(self, colour: Colour) -> Graph:
-        return Graph(self.graph.n, self.edges_of_colour(colour))
 
     @cached_property
     def red_adjacency(self) -> tuple[int, ...]:
@@ -247,11 +240,6 @@ def parse_graph_text(text: str) -> Graph | ColouredGraph:
 def load_graph_file(path) -> Graph | ColouredGraph:
     with open(path, encoding="utf-8") as fh:
         return parse_graph_text(fh.read())
-
-
-def save_graph_file(path, g: Graph | ColouredGraph) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(write_graph_text(g))
 
 
 # ---------------------------------------------------------------------------

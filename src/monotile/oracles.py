@@ -405,20 +405,6 @@ def richness_decide(
 # Clique counting and supersaturation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SupersatParams:
-    """Knobs of the supersaturation setting; ``t >= R >= 3`` is the usable regime."""
-
-    t: int
-    R: int
-    s: int
-    eta: float
-
-    def __post_init__(self) -> None:
-        if not self.t >= self.R >= 3:
-            raise ValueError("need t >= R >= 3")
-
-
 def count_cliques(G: Graph, r: int, budget: float | None = None) -> int:
     """Number of ``r``-cliques, by ordered bitset extension."""
     if r < 1:

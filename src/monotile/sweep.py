@@ -10,6 +10,8 @@ count stays exactly cells x trials.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 import time
@@ -89,21 +91,17 @@ class SweepResult:
     aggregates: tuple[CellAggregate, ...]
 
     def to_csv(self, include_timings: bool = False) -> str:
-        lines = [f"# {CSV_SCHEMA}"]
-        lines.append(
-            "# plan "
-            + json.dumps(
-                {
-                    "pattern": self.plan.pattern_name,
-                    "epsilon": self.plan.epsilon,
-                    "trials": self.plan.trials,
-                    "seed_base": self.plan.seed_base,
-                },
-                sort_keys=True,
-            )
-        )
-        cols = _COLUMNS + (("wall_ms",) if include_timings else ())
-        lines.append(",".join(cols))
+        """Comment lines carry the schema, plan and aggregates; rows go through ``csv``."""
+        plan = {
+            "pattern": self.plan.pattern_name,
+            "epsilon": self.plan.epsilon,
+            "trials": self.plan.trials,
+            "seed_base": self.plan.seed_base,
+        }
+        out = io.StringIO()
+        out.write(f"# {CSV_SCHEMA}\n# plan {json.dumps(plan, sort_keys=True)}\n")
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(_COLUMNS + (("wall_ms",) if include_timings else ()))
         for r in self.rows:
             cells = [
                 str(r.n), _num(r.C), r.adversary, str(r.trial), str(r.seed), _num(r.p),
@@ -112,21 +110,16 @@ class SweepResult:
             ]
             if include_timings:
                 cells.append(_num(r.wall_ms))
-            lines.append(",".join(cells))
+            writer.writerow(cells)
         for a in self.aggregates:
-            lines.append(
-                "# cell "
-                + json.dumps(
-                    {
-                        "n": a.n, "C": a.C, "adversary": a.adversary,
-                        "trials": a.trials, "successes": a.successes,
-                        "frequency": a.frequency,
-                        "wilson95": [a.wilson_low, a.wilson_high],
-                    },
-                    sort_keys=True,
-                )
-            )
-        return "\n".join(lines) + "\n"
+            cell = {
+                "n": a.n, "C": a.C, "adversary": a.adversary,
+                "trials": a.trials, "successes": a.successes,
+                "frequency": a.frequency,
+                "wilson95": [a.wilson_low, a.wilson_high],
+            }
+            out.write(f"# cell {json.dumps(cell, sort_keys=True)}\n")
+        return out.getvalue()
 
     def to_json(self, include_timings: bool = False) -> str:
         rows = []

@@ -2,9 +2,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from monotile.adversaries import ADVERSARY_NAMES, AdversarySpec, colour_with
-from monotile.embeddings import find_triangle
-from monotile.graphs import Colour, Graph
+from monotile.adversaries import (
+    ADVERSARY_NAMES,
+    AdversarySpec,
+    _edge_order,
+    _resolve_pattern,
+    colour_with,
+)
+from monotile.embeddings import find_triangle, iter_embeddings
+from monotile.graphs import Colour, Edge, Graph, normalize_edge, pattern_by_name
+from monotile.patterns import PatternStats
+from monotile.sampling import derive_seed, philox_generator, sample_gnp, threshold_probability
 
 from .conftest import graphs
 
@@ -72,3 +80,78 @@ def test_every_adversary_is_total_and_deterministic(g, name, seed):
     a = colour_with(g, spec)
     assert set(a.colour) == g.edges
     assert colour_with(g, spec).colour == a.colour
+
+
+# Reference copy-avoider: lists every copy of the pattern in the host up
+# front, then counts per edge the copies whose other edges all carry one
+# colour.  Slow, but independent of the incremental per-colour masks.
+
+def _reference_copies_by_edge(G: Graph, pattern: Graph) -> dict[Edge, list[tuple[Edge, ...]]]:
+    universe = (1 << G.n) - 1
+    by_edge: dict[Edge, list[tuple[Edge, ...]]] = {e: [] for e in G.edges}
+    seen: set[frozenset[Edge]] = set()
+    for vm in iter_embeddings(G.adjacency, pattern, universe):
+        edge_set = frozenset(normalize_edge(vm[u], vm[v]) for u, v in pattern.edges)
+        if edge_set in seen:
+            continue
+        seen.add(edge_set)
+        fixed = tuple(sorted(edge_set))
+        for e in fixed:
+            by_edge[e].append(fixed)
+    return by_edge
+
+
+def _reference_copy_avoider(G: Graph, spec: AdversarySpec) -> dict[Edge, Colour]:
+    by_edge = _reference_copies_by_edge(G, _resolve_pattern(spec))
+    coin = philox_generator(derive_seed("adversary-avoider", spec.seed))
+    assigned: dict[Edge, Colour] = {}
+    for e in _edge_order(G, spec.seed):
+        closed = {Colour.RED: 0, Colour.BLUE: 0}
+        for copy_edges in by_edge[e]:
+            colours = {assigned.get(other) for other in copy_edges if other != e}
+            if len(colours) == 1:
+                (only,) = colours
+                if only is not None:
+                    closed[only] += 1
+        if closed[Colour.RED] < closed[Colour.BLUE]:
+            pick = Colour.RED
+        elif closed[Colour.BLUE] < closed[Colour.RED]:
+            pick = Colour.BLUE
+        else:
+            pick = Colour.RED if coin.random() < 0.5 else Colour.BLUE
+        assigned[e] = pick
+    return assigned
+
+
+# A triangle with a pendant edge: no automorphism reverses the pendant edge,
+# so copies through a host edge are found only by pinning it both ways.
+PAW = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
+
+
+REFERENCE_PATTERNS = ("k3", "p3", "p4", "c4", "k4", "matching-2", PAW)
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(max_n=8), st.sampled_from(REFERENCE_PATTERNS), st.integers(0, 2**32))
+def test_copy_avoider_matches_reference(g, pattern, seed):
+    spec = AdversarySpec("copy-avoider-greedy", {"pattern": pattern}, seed)
+    assert colour_with(g, spec).colour == _reference_copy_avoider(g, spec)
+
+
+@pytest.mark.parametrize("pattern", REFERENCE_PATTERNS, ids=lambda p: "paw" if p is PAW else p)
+def test_copy_avoider_matches_reference_on_complete_hosts(pattern):
+    for n in range(5, 9):
+        for seed in range(3):
+            spec = AdversarySpec("copy-avoider-greedy", {"pattern": pattern}, seed)
+            g = Graph.complete(n)
+            assert colour_with(g, spec).colour == _reference_copy_avoider(g, spec)
+
+
+@pytest.mark.parametrize("n", [30, 100])
+@pytest.mark.parametrize("C", [0.5, 5.0])
+def test_copy_avoider_matches_reference_on_random_hosts(n, C):
+    p = threshold_probability(n, C, PatternStats.from_graph(pattern_by_name("k3")))
+    for seed in (0, 1):
+        host = sample_gnp(n, p, derive_seed("avoider-reference", n, C, seed))
+        spec = AdversarySpec("copy-avoider-greedy", {}, seed)
+        assert colour_with(host, spec).colour == _reference_copy_avoider(host, spec)

@@ -142,3 +142,12 @@ def test_colour_planted_part_flag(tmp_path, capsys):
     cg = load_graph_file(out_path)
     assert cg.colour_of(0, 1) is Colour.RED
     assert cg.colour_of(3, 4) is Colour.BLUE
+
+
+def test_colour_budget_refusal_on_general_pattern(capsys):
+    argv = ["colour", "--graph", "k6", "--adversary", "copy-avoider-greedy", "--pattern", "c4"]
+    assert main(argv + ["--budget", "10"]) == 2
+    assert "budget refused" in capsys.readouterr().err
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert out.splitlines()[0] == "6 15"

@@ -1,9 +1,12 @@
-"""Golden hash over seeded extractions: any change to engine output shows here.
+"""Golden hashes over seeded outputs: any change to engine output shows here.
 
-The constant was recorded from the engine before the copy search moved to a
+``GOLDEN`` was recorded from the engine before the copy search moved to a
 single mask entry point with side seeding and greedy cursors; those changes
-must reproduce every tiling, report and cluster family exactly.  A change
-that means to alter results must say so and bump ``rounding_table_version``.
+must reproduce every tiling, report and cluster family exactly.
+``AVOIDER_GOLDEN`` was recorded from the copy-avoider that listed every copy
+of the pattern in the host before colouring; the incremental per-colour masks
+must reproduce every colouring.  A change that means to alter results must
+say so and bump ``rounding_table_version``.
 """
 
 import hashlib
@@ -48,3 +51,29 @@ def grid_hash() -> str:
 
 def test_golden_extraction_outputs():
     assert grid_hash() == GOLDEN
+
+
+AVOIDER_GOLDEN = "5550626ba204d02271ab9f8154c33c72f7168291dada14b0edf85d4f5690b46d"
+
+AVOIDER_GRID = (("k3", (60, 150, 300)), ("p4", (30,)), ("c4", (30,)))
+AVOIDER_C = (0.5, 5.0)
+
+
+def avoider_hash() -> str:
+    """Hash of copy-avoider colourings, each avoiding the pattern its host was sampled for."""
+    h = hashlib.sha256()
+    for name, n_list in AVOIDER_GRID:
+        H = PatternStats.from_graph(pattern_by_name(name))
+        for n in n_list:
+            for C in AVOIDER_C:
+                p = threshold_probability(n, C, H)
+                for seed in GRID_SEEDS:
+                    host = sample_gnp(n, p, derive_seed("golden-avoider", name, n, C, seed))
+                    spec = AdversarySpec("copy-avoider-greedy", {"pattern": name}, seed)
+                    h.update(colour_with(host, spec).content_hash().encode())
+                    h.update(b"\n")
+    return h.hexdigest()
+
+
+def test_golden_avoider_colourings():
+    assert avoider_hash() == AVOIDER_GOLDEN

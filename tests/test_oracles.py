@@ -4,7 +4,6 @@ from monotile.budget import BudgetExceededError
 from monotile.graphs import Colour, ColouredGraph, Graph, colour_all
 from monotile.oracles import (
     RAMSEY_TABLE,
-    SupersatParams,
     atlas_graphs,
     clique_supersat_count,
     count_cliques,
@@ -178,12 +177,6 @@ def test_supersat_k9_minus_matching():
 def test_densest_t_on_complete():
     assert densest_t(Graph.complete(10)) == 10
     assert densest_t(Graph.complete(4)) == 4
-
-
-def test_supersat_params_validation():
-    SupersatParams(t=4, R=3, s=5, eta=0.1)
-    with pytest.raises(ValueError):
-        SupersatParams(t=2, R=3, s=5, eta=0.1)
 
 
 def test_ramsey_table_reference():

@@ -1,9 +1,12 @@
+import csv
+import dataclasses
+import io
 import json
 
 import pytest
 
 from monotile.graphs import Graph
-from monotile.sweep import SweepPlan, run_sweep, trial_seed, wilson_interval
+from monotile.sweep import SweepPlan, SweepResult, run_sweep, trial_seed, wilson_interval
 
 
 def _small_plan(**overrides):
@@ -124,6 +127,19 @@ def test_trial_failures_become_rows(monkeypatch):
     for row in result.rows:
         assert row.error.startswith("RuntimeError")
         assert not row.success
+
+
+def test_csv_quotes_error_text():
+    result = run_sweep(_small_plan(n_list=(9,), adversaries=("uniform-random",)))
+    error = 'ValueError: bad, "worse"\nworst'
+    rows = (dataclasses.replace(result.rows[0], error=error),) + result.rows[1:]
+    text = SweepResult(result.plan, rows, result.aggregates).to_csv(include_timings=True)
+    body = "".join(ln for ln in text.splitlines(keepends=True) if not ln.startswith("#"))
+    header, *table = csv.reader(io.StringIO(body))
+    assert len(table) == len(rows)
+    assert all(len(row) == len(header) for row in table)
+    assert table[0][header.index("error")] == error
+    assert table[1][header.index("error")] == ""
 
 
 def test_parallel_matches_serial():
