@@ -34,7 +34,7 @@ from .oracles import (
     good_copy_count,
     richness_decide,
 )
-from .aux_hypergraph import AuxHypergraph, aux_degree_check, build_aux_hypergraph, shadow_graph
+from .aux_hypergraph import AuxHypergraph, aux_degree_check, build_aux_hypergraph
 from .adversaries import AdversarySpec, colour_with
 from .sweep import SweepPlan, run_sweep
 

@@ -6,12 +6,14 @@ a pure function of (graph, spec), so sweeps replay bit-for-bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Mapping
 
 from .budget import require_budget
-from .embeddings import iter_embeddings
-from .graphs import Colour, ColouredGraph, Edge, Graph, iter_bits, normalize_edge, pattern_by_name
+from .embeddings import _cached_order, iter_embeddings
+from .graphs import Colour, ColouredGraph, Edge, Graph, normalize_edge, pattern_by_name
 from .sampling import derive_seed, philox_generator
 
 ADVERSARY_NAMES = (
@@ -66,12 +68,14 @@ def _resolve_pattern(spec: AdversarySpec) -> Graph:
     return pattern_by_name(str(pattern))
 
 
-def _is_connected(g: Graph) -> bool:
-    reach = 1
-    for _ in range(g.n):  # each round reaches one edge further from vertex 0
-        for x in iter_bits(reach):
-            reach |= g.adjacency[x]
-    return reach == (1 << g.n) - 1
+def _closing_estimate(G: Graph, pattern: Graph) -> int:
+    """Bound on the pinned matcher's embeddings over all host edges: per pin, each later
+    position has at most max degree (one placed neighbour), co-degree (more) or n (none)."""
+    pins = [[len(p) for p in _cached_order(pattern, (a, b))[1][2:]] for a, b in pattern.edges]
+    width = {0: G.n, 1: max((a.bit_count() for a in G.adjacency), default=0)}
+    if any(c >= 2 for pin in pins for c in pin):
+        width[2] = max(((x & y).bit_count() for x, y in combinations(G.adjacency, 2)), default=0)
+    return 2 * G.num_edges * sum(math.prod(width[min(c, 2)] for c in pin) for pin in pins)
 
 
 def _closing_counter(G: Graph, pattern: Graph, budget: float | None):
@@ -82,9 +86,7 @@ def _closing_counter(G: Graph, pattern: Graph, budget: float | None):
     """
     if pattern.n == 3 and pattern.num_edges == 3:
         return lambda adj, u, v: (adj[u] & adj[v]).bit_count()
-    spread = max((a.bit_count() for a in G.adjacency), default=0) if _is_connected(pattern) else G.n
-    estimate = 2 * pattern.num_edges * G.num_edges * spread ** max(pattern.n - 2, 0)
-    require_budget(estimate, budget, "copy-avoider enumeration")
+    require_budget(_closing_estimate(G, pattern), budget, "copy-avoider enumeration")
     universe = (1 << G.n) - 1
 
     def count(adj: list[int], u: int, v: int) -> int:

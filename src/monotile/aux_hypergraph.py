@@ -89,17 +89,6 @@ def _check_build(aux: AuxHypergraph) -> None:
         raise AssertionError("hyperedge count exceeds the coarse upper bound")
 
 
-def shadow_graph(n: int, vertices: Iterable[HVertex]) -> Graph:
-    """Project hypergraph vertices onto the host edges they mention."""
-    return Graph(n, frozenset(e for e, _ in vertices))
-
-
-def hyperedge_degree(aux: AuxHypergraph, subset: Iterable[HVertex]) -> int:
-    """Number of hyperedges containing every element of ``subset``."""
-    want = frozenset(subset)
-    return sum(1 for h in aux.hyperedges if want <= h)
-
-
 @dataclass(frozen=True)
 class DegreeCheck:
     j: int

@@ -109,15 +109,6 @@ def verify_cluster(G: ColouredGraph, H: PatternStats, cert: ClusterCertificate) 
     return not cluster_errors(G, H, cert)
 
 
-def tightest_eta(cert: ClusterCertificate, H: PatternStats) -> Fraction:
-    """Smallest slack this certificate's tilings actually achieve."""
-    t = len(cert.vertices)
-    if t == 0:
-        return Fraction(1)
-    smallest = min(cert.red_tiling.size, cert.blue_tiling.size)
-    return max(Fraction(0), Fraction(1, H.tiling_denominator) - Fraction(smallest, t))
-
-
 # ---------------------------------------------------------------------------
 # The process
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from typing import Iterable, Iterator, Mapping
 class Colour(Enum):
     RED = "red"
     BLUE = "blue"
+    __hash__ = object.__hash__  # singletons compared by identity; Enum hashes the name in Python
 
     @property
     def char(self) -> str:
@@ -152,7 +153,11 @@ class ColouredGraph:
         return self.colour[normalize_edge(u, v)]
 
     def edges_of_colour(self, colour: Colour) -> frozenset[Edge]:
-        return frozenset(e for e, c in self.colour.items() if c is colour)
+        return self._edges_by_colour[colour]
+
+    @cached_property
+    def _edges_by_colour(self) -> dict[Colour, frozenset[Edge]]:
+        return {c: frozenset(e for e, ec in self.colour.items() if ec is c) for c in Colour}
 
     @cached_property
     def red_adjacency(self) -> tuple[int, ...]:

@@ -60,7 +60,7 @@ def planted_process_instance(
             colour[(u, v)] = Colour.RED
     if with_cross:
         rng = philox_generator(derive_seed("planted-cross", seed))
-        draws = rng.random(s * s)
+        draws = rng.random(s * s).tolist()
         idx = 0
         for u in range(s):
             for v in range(s, n):

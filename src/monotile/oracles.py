@@ -6,22 +6,27 @@ tiling numbers from exhaustive colouring sweeps with exact packing.  These
 are the second route of every dual-route check in the test suite, so none
 of it may call into the search code it validates.
 
+Copy enumeration skips vertex subsets that span fewer host edges than the
+pattern has, since no permutation of them can hold a copy.
+
 Exhaustive colouring sweeps over complete hosts dedup colourings up to
 relabelling through the networkx graph atlas (all isomorphism classes up to
-seven vertices); general hosts enumerate raw with a colour-swap cut.
+seven vertices), read once per process; general hosts enumerate raw with a
+colour-swap cut.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, permutations
 from typing import Iterable, Iterator, Mapping
 
 import networkx as nx
 
 from .budget import require_budget
-from .graphs import Colour, ColouredGraph, Edge, Graph, iter_bits, normalize_edge
+from .graphs import Colour, ColouredGraph, Edge, Graph, iter_bits
 from .patterns import PatternStats
 
 #: Classical two-colour Ramsey numbers R(K_a, K_b) kept as reference fixtures.
@@ -66,11 +71,6 @@ def independence_number_bruteforce(pattern: Graph) -> int:
     return 0
 
 
-def is_matching_graph(pattern: Graph) -> bool:
-    """Every component spans at most one edge, i.e. maximum degree <= 1."""
-    return all(pattern.degree(v) <= 1 for v in range(pattern.n))
-
-
 # ---------------------------------------------------------------------------
 # Copy enumeration by combinations + permutations
 # ---------------------------------------------------------------------------
@@ -83,18 +83,21 @@ def iter_copies_bruteforce(
     """All subgraph copies of ``pattern`` in the host, as (vertex set, edge set)."""
     verts = sorted(universe)
     pattern_edges = sorted(pattern.edges)
+    need = len(pattern_edges)
     for subset in combinations(verts, pattern.n):
+        # A copy maps the pattern's edges injectively onto host pairs inside subset.
+        if len(host_edges.intersection(combinations(subset, 2))) < need:
+            continue
         seen: set[frozenset[Edge]] = set()
         for perm in permutations(subset):
             mapped = []
-            ok = True
             for u, v in pattern_edges:
-                e = normalize_edge(perm[u], perm[v])
+                a, b = perm[u], perm[v]
+                e = (a, b) if a < b else (b, a)
                 if e not in host_edges:
-                    ok = False
                     break
                 mapped.append(e)
-            if ok:
+            else:
                 edge_set = frozenset(mapped)
                 if edge_set not in seen:
                     seen.add(edge_set)
@@ -170,15 +173,21 @@ def is_complete_host(G: Graph) -> bool:
     return G.num_edges == G.n * (G.n - 1) // 2
 
 
+@cache
+def _atlas() -> dict[int, tuple[Graph, ...]]:
+    """The networkx atlas, parsed once per process, grouped by order in atlas order."""
+    by_order: dict[int, list[Graph]] = {}
+    for g in nx.graph_atlas_g():
+        n = g.number_of_nodes()
+        by_order.setdefault(n, []).append(Graph.from_edges(n, g.edges()))
+    return {n: tuple(graphs) for n, graphs in by_order.items()}
+
+
 def atlas_graphs(n: int) -> list[Graph]:
     """All graphs on ``n`` vertices up to isomorphism (atlas ceiling: 7)."""
     if n > 7:
         raise ValueError("the graph atlas stops at 7 vertices")
-    out = []
-    for g in nx.graph_atlas_g():
-        if g.number_of_nodes() == n:
-            out.append(Graph.from_edges(n, g.edges()))
-    return out
+    return list(_atlas().get(n, ()))
 
 
 def iter_colourings(G: Graph, budget: float | None = None, reduce: bool = True):

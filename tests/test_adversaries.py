@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 from monotile.adversaries import (
     ADVERSARY_NAMES,
     AdversarySpec,
+    _closing_counter,
+    _closing_estimate,
     _edge_order,
     _resolve_pattern,
     colour_with,
@@ -155,3 +157,36 @@ def test_copy_avoider_matches_reference_on_random_hosts(n, C):
         host = sample_gnp(n, p, derive_seed("avoider-reference", n, C, seed))
         spec = AdversarySpec("copy-avoider-greedy", {}, seed)
         assert colour_with(host, spec).colour == _reference_copy_avoider(host, spec)
+
+
+P3_PLUS_ISOLATED = Graph.from_edges(4, [(0, 1), (1, 2)])
+
+
+@pytest.mark.parametrize(
+    "pattern",
+    REFERENCE_PATTERNS[1:] + (P3_PLUS_ISOLATED,),
+    ids=["p3", "p4", "c4", "k4", "matching-2", "paw", "p3+k1"],
+)
+def test_closing_estimate_bounds_pinned_embeddings(pattern):
+    pattern = _resolve_pattern(AdversarySpec("copy-avoider-greedy", {"pattern": pattern}))
+    hosts = [Graph.complete(7)] + [
+        sample_gnp(n, p, derive_seed("closing-estimate", n, p, seed))
+        for n, p in ((10, 0.3), (12, 0.6)) for seed in range(3)
+    ]
+    for host in hosts:
+        universe = (1 << host.n) - 1
+        per_edge = _closing_estimate(host, pattern) // host.num_edges
+        for u, v in host.edges:
+            leaves = sum(
+                1
+                for a, b in pattern.edges
+                for x, y in ((u, v), (v, u))
+                for _ in iter_embeddings(host.adjacency, pattern, universe, pin=((a, x), (b, y)))
+            )
+            assert leaves <= per_edge
+
+
+def test_closing_estimate_admits_c4_at_n300():
+    c4 = pattern_by_name("c4")
+    host = sample_gnp(300, threshold_probability(300, 5.0, PatternStats.from_graph(c4)), 0)
+    _closing_counter(host, c4, None)  # D^(k-2) at every later position gives 9.8e7, over budget

@@ -1,15 +1,22 @@
 import math
+from typing import Iterable
 
 import pytest
 
-from monotile.aux_hypergraph import (
-    aux_degree_check,
-    build_aux_hypergraph,
-    hyperedge_degree,
-    shadow_graph,
-)
+from monotile.aux_hypergraph import AuxHypergraph, HVertex, aux_degree_check, build_aux_hypergraph
 from monotile.budget import BudgetExceededError
 from monotile.graphs import Colour, Graph
+
+
+def shadow_graph(n: int, vertices: Iterable[HVertex]) -> Graph:
+    """Project hypergraph vertices onto the host edges they mention."""
+    return Graph(n, frozenset(e for e, _ in vertices))
+
+
+def hyperedge_degree(aux: AuxHypergraph, subset: Iterable[HVertex]) -> int:
+    """Number of hyperedges containing every element of ``subset``."""
+    want = frozenset(subset)
+    return sum(1 for h in aux.hyperedges if want <= h)
 
 
 def test_small_build_has_eight_hyperedges(k3):

@@ -8,13 +8,22 @@ from monotile.clusters import (
     FailureReport,
     cluster_process,
     required_tiling_size,
-    tightest_eta,
     verify_cluster,
 )
 from monotile.embeddings import EmbeddedCopy
 from monotile.graphs import Colour, Graph, colour_all, mask_of
 from monotile.instances import bowtie_union, planted_process_instance
+from monotile.patterns import PatternStats
 from monotile.tilings import Tiling
+
+
+def tightest_eta(cert: ClusterCertificate, H: PatternStats) -> Fraction:
+    """Smallest slack this certificate's tilings actually achieve."""
+    t = len(cert.vertices)
+    if t == 0:
+        return Fraction(1)
+    smallest = min(cert.red_tiling.size, cert.blue_tiling.size)
+    return max(Fraction(0), Fraction(1, H.tiling_denominator) - Fraction(smallest, t))
 
 
 def _single_red_triangle():

@@ -5,15 +5,22 @@ single mask entry point with side seeding and greedy cursors; those changes
 must reproduce every tiling, report and cluster family exactly.
 ``AVOIDER_GOLDEN`` was recorded from the copy-avoider that listed every copy
 of the pattern in the host before colouring; the incremental per-colour masks
-must reproduce every colouring.  A change that means to alter results must
-say so and bump ``rounding_table_version``.
+must reproduce every colouring.  ``ORACLE_GOLDEN`` was recorded from the
+oracles that re-read the graph atlas on every call and tried every vertex
+permutation of every subset; the cached atlas and the edge-count cut must
+reproduce every verdict, count and planted host.  A change that means to
+alter results must say so and bump ``rounding_table_version``.
 """
 
 import hashlib
+from itertools import combinations
 
 from monotile.adversaries import AdversarySpec, colour_with
+from monotile.aux_hypergraph import aux_degree_check, build_aux_hypergraph
 from monotile.extraction import extract_tiling, maximal_cluster_family
-from monotile.graphs import pattern_by_name
+from monotile.graphs import Colour, Graph, pattern_by_name
+from monotile.instances import planted_process_instance
+from monotile.oracles import exact_rt, good_copy_witness_count, max_mono_tiling_size, richness_decide
 from monotile.patterns import PatternStats
 from monotile.sampling import derive_seed, sample_gnp, threshold_probability
 
@@ -77,3 +84,50 @@ def avoider_hash() -> str:
 
 def test_golden_avoider_colourings():
     assert avoider_hash() == AVOIDER_GOLDEN
+
+
+ORACLE_GOLDEN = "0592e98268c0114523c9685c905d52a75e9a17c5ecfe2939f26999996204b6fc"
+
+
+def oracle_outputs():
+    """Verdicts, counts and built objects of the brute-force oracles on desk-scale hosts."""
+    k3, p3 = (PatternStats.from_graph(pattern_by_name(name)) for name in ("k3", "p3"))
+    for H in (k3, p3):
+        for n in range(3, 8):
+            yield repr(exact_rt(H, Graph.complete(n)))
+    chorded_c5 = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 2), (0, 3)])
+    for H in (k3, p3):
+        yield repr(exact_rt(H, chorded_c5))
+    for n in (4, 5, 6):
+        for s in range(1, n // 2 + 1):
+            yield repr(richness_decide(Graph.complete(n), k3, s))
+    pairs = [
+        (xs, ys)
+        for xs in combinations(range(6), 2)
+        for ys in combinations([v for v in range(6) if v not in xs], 3)
+    ]
+    for seed in range(4):
+        cg = colour_with(Graph.complete(6), AdversarySpec("uniform-random", {}, derive_seed("golden-oracle", seed)))
+        yield repr([good_copy_witness_count(cg, k3, xs, ys) for xs, ys in pairs])
+        for H in (k3, p3):
+            yield repr([max_mono_tiling_size(cg, H, c) for c in (Colour.RED, Colour.BLUE)])
+    for name in ("k3", "p4"):
+        H = PatternStats.from_graph(pattern_by_name(name))
+        for n in (8, 10):
+            aux = build_aux_hypergraph(n, range(n // 2), range(n // 2, n), H)
+            yield repr((len(aux.hyperedges), aux_degree_check(aux)))
+    planted = ((6, 0, 1.0, True), (6, 1, 0.0, True), (9, 2, 0.5, True), (12, 3, 0.3, True), (6, 4, 0.5, False))
+    for s, seed, fraction, cross in planted:
+        yield planted_process_instance(k3, s, seed, fraction, cross).coloured.content_hash()
+
+
+def oracle_hash() -> str:
+    h = hashlib.sha256()
+    for line in oracle_outputs():
+        h.update(line.encode())
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+def test_golden_oracle_outputs():
+    assert oracle_hash() == ORACLE_GOLDEN

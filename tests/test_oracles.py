@@ -1,9 +1,16 @@
-import pytest
+from itertools import combinations, permutations
+from typing import Iterable, Iterator
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from monotile import oracles
 from monotile.budget import BudgetExceededError
-from monotile.graphs import Colour, ColouredGraph, Graph, colour_all
+from monotile.graphs import Colour, ColouredGraph, Edge, Graph, colour_all, normalize_edge, pattern_by_name
 from monotile.oracles import (
     RAMSEY_TABLE,
+    _atlas,
     atlas_graphs,
     clique_supersat_count,
     count_cliques,
@@ -12,13 +19,14 @@ from monotile.oracles import (
     good_copy_count,
     good_copy_witness_count,
     iter_colourings,
+    iter_copies_bruteforce,
     max_disjoint_copies,
     max_mono_tiling_size,
     richness_decide,
 )
 from monotile.patterns import PatternStats
 
-from .conftest import all_colourings
+from .conftest import all_colourings, graphs
 
 
 def test_good_copy_count_k6_all_red(k3):
@@ -71,10 +79,75 @@ def test_max_mono_tiling_k6_all_red(k3):
 
 
 def test_atlas_counts():
-    assert len(atlas_graphs(5)) == 34
-    assert len(atlas_graphs(6)) == 156
+    assert [len(atlas_graphs(n)) for n in range(8)] == [1, 1, 2, 4, 11, 34, 156, 1044]
     with pytest.raises(ValueError):
         atlas_graphs(8)
+
+
+def test_atlas_lists_are_copies():
+    first = atlas_graphs(4)
+    first.clear()
+    assert len(atlas_graphs(4)) == 11
+
+
+def test_atlas_read_once_per_process(monkeypatch, k3):
+    calls = []
+    real = oracles.nx.graph_atlas_g
+
+    def counting():
+        calls.append(1)
+        return real()
+
+    monkeypatch.setattr(oracles.nx, "graph_atlas_g", counting)
+    _atlas.cache_clear()
+    assert exact_rt(k3, Graph.complete(6)) == exact_rt(k3, Graph.complete(6))
+    assert len(calls) == 1
+
+
+# Reference enumeration: every permutation of every vertex subset, with no
+# cut on the number of host edges a subset spans.
+
+def _reference_iter_copies(
+    host_edges: frozenset[Edge], pattern: Graph, universe: Iterable[int]
+) -> Iterator[tuple[tuple[int, ...], frozenset[Edge]]]:
+    pattern_edges = sorted(pattern.edges)
+    for subset in combinations(sorted(universe), pattern.n):
+        seen: set[frozenset[Edge]] = set()
+        for perm in permutations(subset):
+            mapped = []
+            ok = True
+            for u, v in pattern_edges:
+                e = normalize_edge(perm[u], perm[v])
+                if e not in host_edges:
+                    ok = False
+                    break
+                mapped.append(e)
+            if ok:
+                edge_set = frozenset(mapped)
+                if edge_set not in seen:
+                    seen.add(edge_set)
+                    yield subset, edge_set
+
+
+ENUMERATION_PATTERNS = tuple(map(pattern_by_name, ("k3", "p3", "p4", "c4", "k4", "matching-2"))) + (
+    Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)]),  # paw
+    Graph.from_edges(4, [(0, 1), (1, 2)]),  # path plus an isolated vertex
+)
+
+
+@st.composite
+def hosts_with_universes(draw):
+    g = draw(graphs(max_n=8))
+    universe = draw(st.lists(st.integers(0, g.n - 1), unique=True))
+    return g, universe
+
+
+@settings(max_examples=200, deadline=None)
+@given(hosts_with_universes(), st.sampled_from(ENUMERATION_PATTERNS))
+def test_copy_enumeration_matches_reference(host_and_universe, pattern):
+    g, universe = host_and_universe
+    got = list(iter_copies_bruteforce(g.edges, pattern, universe))
+    assert got == list(_reference_iter_copies(g.edges, pattern, universe))
 
 
 def test_iter_colourings_raw_counts():
