@@ -1,12 +1,16 @@
 #!/usr/bin/env python3
 """Print output hashes over a seed grid, one line per sweep cell.
 
-Each line names the cell (seed, n, C, adversary) and gives four hashes of
+Each line names the cell (seed, n, C, adversary) and gives five hashes of
 what the pipeline produced for trial 0 of that cell: the sampled host's
-``content_hash``, the coloured host's ``content_hash``, a hash of the
-extraction report JSON, and a hash of the ``run_sweep`` CSV for the cell
-alone.  Run it on two checkouts and diff the outputs: a change that claims
-byte-identical results must print the same lines.
+``content_hash``, the coloured host's ``content_hash`` (the copy-avoider
+avoids the swept pattern, as in ``run_sweep``), a hash of the extracted
+tiling's ``repr``, a hash of the extraction report JSON, and a hash of the
+``run_sweep`` CSV for the cell alone.  The report and CSV carry
+``rounding_table_version`` and ``probe_failures``, so across a version bump
+compare the host, colouring and tiling columns.  Run it on two checkouts
+and diff the outputs: a change that claims byte-identical results must
+print the same lines.
 
     PYTHONPATH=src python scripts/determinism_hashes.py > hashes.txt
 """
@@ -31,8 +35,9 @@ def cell_line(pattern_name: str, n: int, C: float, adversary: str, seed: int, ep
     stats = PatternStats.from_graph(pattern)
     trial = trial_seed(seed, n, C, adversary, 0)
     host = sample_gnp(n, threshold_probability(n, C, stats), derive_seed(trial, "sample"))
-    coloured = colour_with(host, AdversarySpec(adversary, {}, derive_seed(trial, "colour")))
-    _, report = extract_tiling(coloured, stats, epsilon, seed=derive_seed(trial, "extract"))
+    spec = AdversarySpec(adversary, {"pattern": pattern}, derive_seed(trial, "colour"))
+    coloured = colour_with(host, spec)
+    tiling, report = extract_tiling(coloured, stats, epsilon, seed=derive_seed(trial, "extract"))
     plan = SweepPlan(
         pattern_name=pattern_name, pattern=pattern, n_list=(n,), C_list=(C,),
         epsilon=epsilon, trials=1, seed_base=seed, adversaries=(adversary,),
@@ -41,7 +46,7 @@ def cell_line(pattern_name: str, n: int, C: float, adversary: str, seed: int, ep
     return (
         f"seed={seed} n={n} C={C:g} {adversary} "
         f"host={host.content_hash()} colouring={coloured.content_hash()} "
-        f"report={_digest(report.to_json())} csv={_digest(csv)}"
+        f"tiling={_digest(repr(tiling))} report={_digest(report.to_json())} csv={_digest(csv)}"
     )
 
 

@@ -35,7 +35,7 @@ def main() -> int:
         sizes = []
         for trial in range(args.trials):
             seed = derive_seed("adversary-suite", args.seed, adversary, trial)
-            coloured = colour_with(host, AdversarySpec(adversary, {}, seed))
+            coloured = colour_with(host, AdversarySpec(adversary, {"pattern": stats.pattern}, seed))
             tiling, report = extract_tiling(coloured, stats, args.epsilon, seed=seed)
             assert validate_tiling(coloured, stats, tiling)
             sizes.append(report.achieved_size)

@@ -86,6 +86,11 @@ def required_tiling_size(t_size: int, H: PatternStats, eta) -> int:
     return max(0, math.ceil(bound))
 
 
+def probe_window_size(eta, s: int) -> int:
+    """Vertices per side in each probe window, and the loop guard: ``ceil(eta^2 * s)``."""
+    return math.ceil(exact_ratio(eta) ** 2 * s)
+
+
 def cluster_errors(G: ColouredGraph, H: PatternStats, cert: ClusterCertificate) -> list[str]:
     problems: list[str] = []
     if not cert.vertices:
@@ -151,7 +156,6 @@ def cluster_process(
     blue_tiling_x: Tiling,
     red_tiling_y: Tiling,
     seed: int = 0,
-    randomize_probe_order: bool = False,
     trace: list[StepRecord] | None = None,
 ) -> ClusterCertificate | FailureReport:
     """Build a cluster certificate from a blue-tiled set and a red-tiled set.
@@ -199,13 +203,12 @@ def cluster_process(
     y1_mask = mask_of(v for c in y1_copies for v in c.vertex_map)
 
     eta_exact = exact_ratio(eta)
-    guard = math.ceil(eta_exact**2 * s)
+    guard = probe_window_size(eta, s)
     q_cross = half  # crossing-case event quota
     q_res = m // 2  # residual-case tiling target
 
     shuffle_x = _shuffled(iter_bits(x1_mask), derive_seed("window", seed, "x"))
     shuffle_y = _shuffled(iter_bits(y1_mask), derive_seed("window", seed, "y"))
-    coin = philox_generator(derive_seed("probe-order", seed)) if randomize_probe_order else None
 
     active_x, active_y = x1_mask, y1_mask
     saved_x = saved_y = 0
@@ -236,18 +239,12 @@ def cluster_process(
         w_mask = _window(shuffle_x, active_x, guard)
         u_mask = _window(shuffle_y, active_y, guard)
         window = w_mask | u_mask
-        order = [Colour.RED, Colour.BLUE]
-        if coin is not None and coin.random() < 0.5:
-            order.reverse()
-        hit: Colour | None = None
-        copy: EmbeddedCopy | None = None
-        for colour in order:
-            side = w_mask if colour is Colour.RED else u_mask
-            copy = find_side_good_copy(G, H, colour, window, side, alpha)
+        for hit in (Colour.RED, Colour.BLUE):
+            side = w_mask if hit is Colour.RED else u_mask
+            copy = find_side_good_copy(G, H, hit, window, side, alpha)
             if copy is not None:
-                hit = colour
                 break
-        if copy is None or hit is None:
+        else:
             return FailureReport(
                 exhausted_at=snapshot(),
                 probe_x=frozenset(iter_bits(w_mask)),

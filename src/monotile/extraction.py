@@ -1,11 +1,13 @@
 """Monochromatic tiling extraction: cluster families plus greedy leftovers.
 
-The extractor sets aside a vertex-disjoint family of clusters, greedily
-collects disjoint monochromatic copies of the pattern on the remaining
-vertices, and whenever both colours pile up it tries to convert one pile of
-each colour into a fresh cluster (folding it into the family).  The final
-tiling takes the better colour across the family plus the matching leftover
-copies, then tops up greedily on whatever is still uncovered.
+``maximal_cluster_family`` runs the one greedy+fold loop: after setting
+aside tie clusters it greedily packs disjoint monochromatic copies, and
+whenever the packing stalls it tries to fold one pile of each colour into a
+fresh cluster with ``cluster_process``.  A fold is attempted only when its
+probe windows can hold a copy (``2 * probe_window_size(eta, s) >= k``), so a
+counted probe failure is a real richness failure.  ``extract_tiling`` takes
+the better colour across the clusters plus the matching unfolded copies,
+tops up greedily on whatever is still uncovered, and validates the result.
 
 Falling short of the density target is reported, never raised: the report
 carries achieved versus target sizes and every probe failure seen.
@@ -18,17 +20,19 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .clusters import ClusterCertificate, FailureReport, cluster_process
+from .clusters import (
+    ClusterCertificate, FailureReport, InvariantViolation, cluster_process, probe_window_size,
+)
 from .embeddings import EmbeddedCopy, find_mono_copy, iter_copies
 from .graphs import Colour, ColouredGraph, Graph, exact_ratio, mask_of
 from .patterns import PatternStats
 from .richness import find_side_good_copy
 from .sampling import derive_seed
-from .tilings import Tiling
+from .tilings import Tiling, tiling_errors
 
 DEFAULT_BUILDER_BUDGET = 100_000
 
-ROUNDING_TABLE_VERSION = "1"
+ROUNDING_TABLE_VERSION = "2"
 
 
 @dataclass(frozen=True)
@@ -37,12 +41,15 @@ class ClusterFamily:
 
     Maximality is relative to the builder's own search (tie scanning plus
     process attempts on leftover copy piles), not global maximality.
+    ``leftovers`` holds the greedily packed copies no fold consumed, red
+    before blue, each colour in the order found.
     """
 
     certificates: tuple[ClusterCertificate, ...]
     truncated: bool
     probe_failures: int
     attempts: int
+    leftovers: tuple[EmbeddedCopy, ...]
 
     @property
     def vertices(self) -> frozenset[int]:
@@ -118,44 +125,6 @@ def _tie_certificate(
     )
 
 
-def _fold_attempt(
-    G: ColouredGraph,
-    H: PatternStats,
-    eta: float,
-    blues: list[EmbeddedCopy],
-    reds: list[EmbeddedCopy],
-    count: int,
-    seed: int,
-) -> ClusterCertificate | FailureReport:
-    x_copies = blues[:count]
-    y_copies = reds[:count]
-    x_set = frozenset(v for c in x_copies for v in c.vertex_map)
-    y_set = frozenset(v for c in y_copies for v in c.vertex_map)
-    return cluster_process(
-        G, H, x_set, y_set, eta,
-        blue_tiling_x=Tiling(Colour.BLUE, tuple(x_copies)),
-        red_tiling_y=Tiling(Colour.RED, tuple(y_copies)),
-        seed=seed,
-    )
-
-
-def _apply_fold(
-    cert: ClusterCertificate,
-    blues: list[EmbeddedCopy],
-    reds: list[EmbeddedCopy],
-    count: int,
-    free_mask: int,
-) -> int:
-    """Remove the consumed copies, release the unused part of their span."""
-    used = mask_of(cert.vertices)
-    span = 0
-    for c in blues[:count] + reds[:count]:
-        span |= c.vertex_mask
-    del blues[:count]
-    del reds[:count]
-    return free_mask | (span & ~used)
-
-
 def maximal_cluster_family(
     G: ColouredGraph,
     H: PatternStats,
@@ -163,7 +132,10 @@ def maximal_cluster_family(
     builder_budget: int = DEFAULT_BUILDER_BUDGET,
     seed: int = 0,
 ) -> ClusterFamily:
-    """Greedily build vertex-disjoint clusters: tie pairs first, then process folds."""
+    """Vertex-disjoint clusters: tie pairs first, then a greedy packing that folds when it stalls.
+
+    The packed copies no fold consumed come back as ``leftovers``.
+    """
     if eta < 0:
         raise ValueError("eta must be nonnegative")
     certs: list[ClusterCertificate] = []
@@ -182,7 +154,7 @@ def maximal_cluster_family(
                     eta=eta,
                 )
             )
-        return ClusterFamily(tuple(certs), False, 0, 0)
+        return ClusterFamily(tuple(certs), False, 0, 0, ())
 
     while budget[0] > 0:
         attempts += 1
@@ -194,36 +166,46 @@ def maximal_cluster_family(
         certs.append(_tie_certificate(red, blue, eta))
         free_mask &= ~(red.vertex_mask | blue.vertex_mask)
 
-    # Process folds on whatever copy piles remain.  Needs positive slack:
-    # probe windows are empty at eta == 0.
-    if eta > 0:
-        blues: list[EmbeddedCopy] = []
-        reds: list[EmbeddedCopy] = []
-        fold_round = 0
-        cursors: dict[Colour, int | None] = {}
-        while True:
-            copy = find_mono_copy(G, H, free_mask, cursors=cursors)
-            if copy is not None:
-                free_mask &= ~copy.vertex_mask
-                (blues if copy.colour is Colour.BLUE else reds).append(copy)
-                continue
-            count = min(len(blues), len(reds))
-            if count < 2 or budget[0] <= 0:
-                break
-            attempts += 1
-            budget[0] -= 1
-            fold_round += 1
-            outcome = _fold_attempt(
-                G, H, eta, blues, reds, count, derive_seed("family-fold", seed, fold_round)
-            )
-            if isinstance(outcome, FailureReport):
-                probe_failures += 1
-                break
-            certs.append(outcome)
-            free_mask = _apply_fold(outcome, blues, reds, count, free_mask)
-            cursors.clear()  # the free set grew
+    # Greedy packing; when it stalls, fold equal piles of both colours.  A
+    # fold whose probe windows cannot hold a copy is skipped, not attempted.
+    piles: dict[Colour, list[EmbeddedCopy]] = {Colour.RED: [], Colour.BLUE: []}
+    fold_round = 0
+    cursors: dict[Colour, int | None] = {}
+    while True:
+        copy = find_mono_copy(G, H, free_mask, cursors=cursors)
+        if copy is not None:
+            free_mask &= ~copy.vertex_mask
+            piles[copy.colour].append(copy)
+            continue
+        count = min(len(pile) for pile in piles.values())
+        if count < 2 or budget[0] <= 0 or 2 * probe_window_size(eta, count * H.k) < H.k:
+            break
+        attempts += 1
+        budget[0] -= 1
+        fold_round += 1
+        x = Tiling(Colour.BLUE, tuple(piles[Colour.BLUE][:count]))
+        y = Tiling(Colour.RED, tuple(piles[Colour.RED][:count]))
+        outcome = cluster_process(
+            G, H, x.vertices, y.vertices, eta, blue_tiling_x=x, red_tiling_y=y,
+            seed=derive_seed("family-fold", seed, fold_round),
+        )
+        if isinstance(outcome, FailureReport):
+            probe_failures += 1
+            break
+        certs.append(outcome)
+        # Release the part of the folded piles the cluster left unused.
+        free_mask |= (x.vertex_mask | y.vertex_mask) & ~mask_of(outcome.vertices)
+        for pile in piles.values():
+            del pile[:count]
+        cursors.clear()  # the free set grew
 
-    return ClusterFamily(tuple(certs), truncated=budget[0] <= 0, probe_failures=probe_failures, attempts=attempts)
+    return ClusterFamily(
+        tuple(certs),
+        truncated=budget[0] <= 0,
+        probe_failures=probe_failures,
+        attempts=attempts,
+        leftovers=tuple(piles[Colour.RED] + piles[Colour.BLUE]),
+    )
 
 
 def _flatten_to_edges(tiling: Tiling, substitute: PatternStats, original: PatternStats) -> Tiling:
@@ -234,6 +216,14 @@ def _flatten_to_edges(tiling: Tiling, substitute: PatternStats, original: Patter
             a, b = c.vertex_map[u], c.vertex_map[v]
             copies.append(EmbeddedCopy((a, b) if a < b else (b, a), tiling.colour))
     return Tiling(tiling.colour, tuple(copies))
+
+
+def _validated(G: ColouredGraph, H: PatternStats, tiling: Tiling) -> Tiling:
+    """``tiling`` itself, once the independent validator finds nothing wrong."""
+    problems = tiling_errors(G, H, tiling)
+    if problems:
+        raise InvariantViolation("extracted tiling fails validation: " + "; ".join(problems))
+    return tiling
 
 
 def extract_tiling(
@@ -255,7 +245,7 @@ def extract_tiling(
         substitute = PatternStats.from_graph(Graph.matching(2))
         sub_eta = eta if eta is not None else epsilon / substitute.tiling_denominator
         tiling, report = extract_tiling(G, substitute, epsilon, sub_eta, seed, builder_budget)
-        flat = _flatten_to_edges(tiling, substitute, H)
+        flat = _validated(G, H, _flatten_to_edges(tiling, substitute, H))
         target = extraction_target(G.n, H, epsilon)
         return flat, ExtractionReport(
             target_size=target,
@@ -275,51 +265,23 @@ def extract_tiling(
         eta = epsilon / H.tiling_denominator
     n = G.n
     family = maximal_cluster_family(G, H, eta, builder_budget, seed)
-    certs = list(family.certificates)
-    probe_failures = family.probe_failures
-    free_mask = ((1 << n) - 1) & ~mask_of(family.vertices)
-
-    trigger = math.ceil(exact_ratio(epsilon) * n / H.k)
-    fold_enabled = 0 < eta < 1 and trigger >= 2
-    blues: list[EmbeddedCopy] = []
-    reds: list[EmbeddedCopy] = []
-    fold_round = 0
-    cursors: dict[Colour, int | None] = {}
-    while True:
-        if fold_enabled and len(blues) >= trigger and len(reds) >= trigger:
-            fold_round += 1
-            outcome = _fold_attempt(
-                G, H, eta, blues, reds, trigger, derive_seed("extract-fold", seed, fold_round)
-            )
-            if isinstance(outcome, FailureReport):
-                probe_failures += 1
-                fold_enabled = False
-            else:
-                certs.append(outcome)
-                free_mask = _apply_fold(outcome, blues, reds, trigger, free_mask)
-                cursors.clear()  # the free set grew
-            continue
-        copy = find_mono_copy(G, H, free_mask, cursors=cursors)
-        if copy is None:
-            break
-        free_mask &= ~copy.vertex_mask
-        (blues if copy.colour is Colour.BLUE else reds).append(copy)
-
+    certs = family.certificates
+    piles = {colour: [c for c in family.leftovers if c.colour is colour] for colour in Colour}
     totals = {
-        Colour.RED: sum(c.tiling(Colour.RED).size for c in certs) + len(reds),
-        Colour.BLUE: sum(c.tiling(Colour.BLUE).size for c in certs) + len(blues),
+        colour: sum(c.tiling(colour).size for c in certs) + len(piles[colour]) for colour in Colour
     }
     best = Colour.RED if totals[Colour.RED] >= totals[Colour.BLUE] else Colour.BLUE
     chosen: list[EmbeddedCopy] = []
     for cert in certs:
         chosen.extend(cert.tiling(best).copies)
-    chosen.extend(reds if best is Colour.RED else blues)
+    chosen.extend(piles[best])
 
     # The off-colour leftovers are not part of the tiling; their vertices are
     # fair game for a final same-colour top-up.
-    for copy in blues if best is Colour.RED else reds:
-        free_mask |= copy.vertex_mask
-    cursors.clear()  # the free set grew
+    free_mask = ((1 << n) - 1) & ~mask_of(family.vertices)
+    for copy in piles[best]:
+        free_mask &= ~copy.vertex_mask
+    cursors: dict[Colour, int | None] = {}
     while True:
         extra = find_mono_copy(G, H, free_mask, best, cursors)
         if extra is None:
@@ -327,13 +289,13 @@ def extract_tiling(
         free_mask &= ~extra.vertex_mask
         chosen.append(extra)
 
-    tiling = Tiling(best, tuple(chosen))
+    tiling = _validated(G, H, Tiling(best, tuple(chosen)))
     report = ExtractionReport(
         target_size=extraction_target(n, H, epsilon),
         achieved_size=tiling.size,
         colour=best.value,
         cluster_vertices=sum(len(c.vertices) for c in certs),
-        probe_failures=probe_failures,
+        probe_failures=family.probe_failures,
         seed=seed,
         eta=eta,
         epsilon=epsilon,

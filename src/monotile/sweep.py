@@ -174,7 +174,8 @@ def _run_trial(args: tuple) -> TrialRow:
     try:
         p = threshold_probability(n, C, stats)
         host = sample_gnp(n, p, derive_seed(seed, "sample"))
-        coloured = colour_with(host, AdversarySpec(adversary, {}, derive_seed(seed, "colour")))
+        spec = AdversarySpec(adversary, {"pattern": pattern}, derive_seed(seed, "colour"))
+        coloured = colour_with(host, spec)
         _, report = extract_tiling(coloured, stats, epsilon, seed=derive_seed(seed, "extract"))
         wall = (time.perf_counter() - start) * 1000
         return TrialRow(

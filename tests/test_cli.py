@@ -43,7 +43,7 @@ def test_pipeline_sample_colour_extract(tmp_path, capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["achieved_size"] >= payload["target_size"]
-    assert payload["rounding_table_version"] == "1"
+    assert payload["rounding_table_version"] == "2"
     assert all(len(c) == 3 for c in payload["copies"])
 
 

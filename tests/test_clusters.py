@@ -266,13 +266,3 @@ def test_process_is_deterministic(k3):
     _, b = _run_planted(k3, 24, seed=9, fraction=0.7, trace=b_trace)
     assert a == b
     assert a_trace == b_trace
-
-
-def test_randomized_probe_order_still_verifies(k3):
-    inst = planted_process_instance(k3, 24, seed=4, cross_red_fraction=0.5)
-    out = cluster_process(
-        inst.coloured, k3, inst.x_vertices, inst.y_vertices, 0.3,
-        inst.blue_tiling, inst.red_tiling, seed=4, randomize_probe_order=True,
-    )
-    if isinstance(out, ClusterCertificate):
-        assert verify_cluster(inst.coloured, k3, out)

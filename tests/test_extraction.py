@@ -1,14 +1,18 @@
 import json
+from itertools import combinations
 
 import pytest
 
-from monotile.clusters import verify_cluster
+from monotile import extraction
+from monotile.clusters import InvariantViolation, probe_window_size, verify_cluster
+from monotile.embeddings import EmbeddedCopy
 from monotile.extraction import (
+    ClusterFamily,
     extract_tiling,
     extraction_target,
     maximal_cluster_family,
 )
-from monotile.graphs import Colour, Graph, colour_all
+from monotile.graphs import Colour, ColouredGraph, Graph, colour_all
 from monotile.instances import bowtie_union, planted_process_instance
 from monotile.adversaries import AdversarySpec, colour_with
 from monotile.patterns import PatternStats
@@ -129,9 +133,59 @@ def test_family_budget_truncation(k3):
 
 def test_probe_failures_reported_not_raised(k3):
     # Two far-apart colour classes leave fold probes nothing to find; the
-    # extraction must still return its greedy result.
+    # extraction must still return its greedy result.  At eta = 0.06 the
+    # probe windows hold one vertex per side, too few for a triangle, so the
+    # fold is skipped rather than counted as a probe failure.
     inst = planted_process_instance(k3, 30, with_cross=False)
     tiling, report = extract_tiling(inst.coloured, k3, epsilon=0.3, seed=0)
     assert validate_tiling(inst.coloured, k3, tiling)
     assert report.achieved_size >= 10  # one block's worth of copies
-    assert report.probe_failures >= 1  # the failed fold attempt is recorded
+    assert report.probe_failures == 0
+
+
+def _two_cliques() -> ColouredGraph:
+    """A red K6 on 0..5 and a blue K6 on 6..11, with no edges between them."""
+    red = list(combinations(range(6), 2))
+    blue = [(u + 6, v + 6) for u, v in red]
+    colour = {e: Colour.RED for e in red} | {e: Colour.BLUE for e in blue}
+    return ColouredGraph(Graph.from_edges(12, red + blue), colour)
+
+
+def test_fold_with_room_for_a_copy_reports_a_real_failure(k3):
+    # Piles of two triangles per colour: s = 6, windows of ceil(0.49 * 6) = 3
+    # vertices per side can hold a triangle, but no copy crosses the cliques.
+    cg = _two_cliques()
+    assert probe_window_size(0.7, 6) == 3
+    fam = maximal_cluster_family(cg, k3, eta=0.7)
+    assert fam.certificates == ()
+    assert fam.probe_failures == 1
+    assert len(fam.leftovers) == 4
+    _, report = extract_tiling(cg, k3, epsilon=0.1, eta=0.7)
+    assert report.probe_failures == 1
+
+
+def test_fold_fires_and_greedy_resumes_on_released_vertices(k3):
+    # At eta = 0.75 the guard (4) exceeds each active half (3 vertices), so
+    # the process stops at once and assembles the residual case: the first
+    # blue copy plus one reserve red copy.
+    cg = _two_cliques()
+    fam = maximal_cluster_family(cg, k3, eta=0.75)
+    (cert,) = fam.certificates
+    assert cert.vertices == frozenset(range(3, 9))
+    assert verify_cluster(cg, k3, cert)
+    assert fam.probe_failures == 0
+    # The fold released {0,1,2} and {9,10,11}; the greedy scan finds them
+    # again only because its cursors restart after the fold.
+    assert [c.vertex_map for c in fam.leftovers] == [(0, 1, 2), (9, 10, 11)]
+    tiling, report = extract_tiling(cg, k3, epsilon=0.1, eta=0.75)
+    assert tiling.colour is Colour.RED
+    assert tiling.size == report.achieved_size == 2
+    assert validate_tiling(cg, k3, tiling)
+
+
+def test_invalid_result_raises(k3, monkeypatch):
+    cg = _two_cliques()
+    fake = ClusterFamily((), False, 0, 0, leftovers=(EmbeddedCopy((6, 7, 8), Colour.RED),))
+    monkeypatch.setattr(extraction, "maximal_cluster_family", lambda *args: fake)
+    with pytest.raises(InvariantViolation, match="blue edge"):
+        extract_tiling(cg, k3, epsilon=0.1)

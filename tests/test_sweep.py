@@ -129,6 +129,40 @@ def test_trial_failures_become_rows(monkeypatch):
         assert not row.success
 
 
+@pytest.mark.parametrize("name", ["c4", "k3"])
+def test_copy_avoider_trial_avoids_the_swept_pattern(monkeypatch, name):
+    import monotile.sweep as sweep_mod
+    from monotile.adversaries import AdversarySpec, colour_with
+    from monotile.graphs import pattern_by_name
+    from monotile.sampling import derive_seed
+
+    seen = []
+
+    def recording_colour_with(host, spec):
+        coloured = colour_with(host, spec)
+        seen.append((host, coloured))
+        return coloured
+
+    monkeypatch.setattr(sweep_mod, "colour_with", recording_colour_with)
+    pattern = pattern_by_name(name)
+    plan = _small_plan(
+        pattern_name=name, pattern=pattern, n_list=(60,), C_list=(5.0,),
+        trials=1, adversaries=("copy-avoider-greedy",),
+    )
+    (row,) = run_sweep(plan).rows
+    assert row.error == ""
+    ((host, coloured),) = seen
+    colour_seed = derive_seed(row.seed, "colour")
+
+    def avoiding(pattern_name):
+        spec = AdversarySpec("copy-avoider-greedy", {"pattern": pattern_name}, colour_seed)
+        return colour_with(host, spec).content_hash()
+
+    assert coloured.content_hash() == avoiding(name)
+    if name == "c4":
+        assert coloured.content_hash() != avoiding("k3")
+
+
 def test_csv_quotes_error_text():
     result = run_sweep(_small_plan(n_list=(9,), adversaries=("uniform-random",)))
     error = 'ValueError: bad, "worse"\nworst'
