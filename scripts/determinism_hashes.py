@@ -6,9 +6,9 @@ what the pipeline produced for trial 0 of that cell: the sampled host's
 ``content_hash``, the coloured host's ``content_hash`` (the copy-avoider
 avoids the swept pattern, as in ``run_sweep``), a hash of the extracted
 tiling's ``repr``, a hash of the extraction report JSON, and a hash of the
-``run_sweep`` CSV for the cell alone.  The report and CSV carry
-``rounding_table_version`` and ``probe_failures``, so across a version bump
-compare the host, colouring and tiling columns.  Run it on two checkouts
+``run_sweep`` CSV for the cell alone.  The report carries
+``rounding_table_version`` and the CSV its schema line, so across a version
+or schema bump compare the host, colouring and tiling columns.  Run it on two checkouts
 and diff the outputs: a change that claims byte-identical results must
 print the same lines.
 

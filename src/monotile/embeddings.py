@@ -80,6 +80,11 @@ def _cached_order(pattern: Graph, lead: tuple[int, ...] = ()):
     return _expansion_order(pattern, lead)
 
 
+def lead_vertex(pattern: Graph) -> int:
+    """The pattern vertex an unpinned scan places first; ``start`` cursors bound its image."""
+    return _cached_order(pattern)[0][0]
+
+
 def iter_embeddings(
     adjacency: Sequence[int],
     pattern: Graph,
@@ -158,7 +163,7 @@ def find_mono_copy(
         raise ValueError("monochromatic copy search needs a pattern with at least one edge")
     universe = _resolve_universe(G.n, allowed_vertices)
     colours = (colour_filter,) if colour_filter else (Colour.RED, Colour.BLUE)
-    lead = _cached_order(H.pattern)[0][0]
+    lead = lead_vertex(H.pattern)
     for colour in colours:
         start = 0 if cursors is None else cursors.get(colour, 0)
         if start is None:
@@ -220,14 +225,18 @@ def first_copy(
 
 
 def iter_copies(
-    adjacency: Sequence[int], pattern: Graph, universe_mask: int
+    adjacency: Sequence[int], pattern: Graph, universe_mask: int, start: int = 0
 ) -> Iterator[tuple[int, ...]]:
-    """One embedding per copy vertex set, the first found, in scan order."""
+    """One embedding per copy vertex set, the first found, in scan order.
+
+    ``start`` is a resume point as in :func:`first_copy`: the scan skips every
+    copy whose first-position vertex lies below it.
+    """
     if pattern.n == 3 and pattern.num_edges == 3:
-        yield from iter_triangles(adjacency, universe_mask)
+        yield from iter_triangles(adjacency, universe_mask & ~((1 << start) - 1))
         return
     seen: set[int] = set()
-    for vm in iter_embeddings(adjacency, pattern, universe_mask):
+    for vm in iter_embeddings(adjacency, pattern, universe_mask, start=start):
         m = mask_of(vm)
         if m not in seen:
             seen.add(m)

@@ -1,16 +1,15 @@
-"""Monochromatic tiling extraction: cluster families plus greedy leftovers.
+"""Monochromatic tiling extraction: tie clusters plus one greedy packing.
 
-``maximal_cluster_family`` runs the one greedy+fold loop: after setting
-aside tie clusters it greedily packs disjoint monochromatic copies, and
-whenever the packing stalls it tries to fold one pile of each colour into a
-fresh cluster with ``cluster_process``.  A fold is attempted only when its
-probe windows can hold a copy (``2 * probe_window_size(eta, s) >= k``), so a
-counted probe failure is a real richness failure.  ``extract_tiling`` takes
-the better colour across the clusters plus the matching unfolded copies,
-tops up greedily on whatever is still uncovered, and validates the result.
+``maximal_cluster_family`` sets aside tie clusters, each a red and a blue
+copy sharing at least ``alpha`` vertices, then greedily packs disjoint
+monochromatic copies into the rest and hands them back as leftovers.  Ties
+lock in one copy per ``2k - alpha`` vertices, the paper's tiling rate.
+``extract_tiling`` takes the better colour across the clusters plus the
+matching leftovers, tops up greedily on whatever is still uncovered, and
+validates the result.
 
 Falling short of the density target is reported, never raised: the report
-carries achieved versus target sizes and every probe failure seen.
+carries achieved versus target sizes.
 """
 
 from __future__ import annotations
@@ -20,35 +19,30 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .clusters import (
-    ClusterCertificate, FailureReport, InvariantViolation, cluster_process, probe_window_size,
-)
-from .embeddings import EmbeddedCopy, find_mono_copy, iter_copies
+from .clusters import ClusterCertificate, InvariantViolation
+from .clusters import cluster_process  # noqa: F401  perfbench's layer tracer wraps it here by name
+from .embeddings import EmbeddedCopy, find_mono_copy, iter_copies, lead_vertex
 from .graphs import Colour, ColouredGraph, Graph, exact_ratio, mask_of
 from .patterns import PatternStats
 from .richness import find_side_good_copy
-from .sampling import derive_seed
 from .tilings import Tiling, tiling_errors
 
 DEFAULT_BUILDER_BUDGET = 100_000
 
-ROUNDING_TABLE_VERSION = "2"
+ROUNDING_TABLE_VERSION = "3"
 
 
 @dataclass(frozen=True)
 class ClusterFamily:
     """A vertex-disjoint collection of verified cluster certificates.
 
-    Maximality is relative to the builder's own search (tie scanning plus
-    process attempts on leftover copy piles), not global maximality.
-    ``leftovers`` holds the greedily packed copies no fold consumed, red
-    before blue, each colour in the order found.
+    Maximality is relative to the builder's own tie scan, not global
+    maximality.  ``leftovers`` holds the greedily packed copies outside the
+    clusters, red before blue, each colour in the order found.
     """
 
     certificates: tuple[ClusterCertificate, ...]
     truncated: bool
-    probe_failures: int
-    attempts: int
     leftovers: tuple[EmbeddedCopy, ...]
 
     @property
@@ -65,7 +59,6 @@ class ExtractionReport:
     achieved_size: int
     colour: str
     cluster_vertices: int
-    probe_failures: int
     seed: int
     eta: float
     epsilon: float
@@ -79,7 +72,6 @@ class ExtractionReport:
             "achieved_size": self.achieved_size,
             "colour": self.colour,
             "cluster_vertices": self.cluster_vertices,
-            "probe_failures": self.probe_failures,
             "seed": self.seed,
             "eta": self.eta,
             "epsilon": self.epsilon,
@@ -95,16 +87,17 @@ def extraction_target(n: int, H: PatternStats, epsilon: float) -> int:
 
 
 def _find_tie(
-    G: ColouredGraph, H: PatternStats, free_mask: int, budget: list[int]
+    G: ColouredGraph, H: PatternStats, free_mask: int, budget: list[int], start: int
 ) -> tuple[EmbeddedCopy, EmbeddedCopy] | None:
     """A red copy and a blue copy sharing >= alpha vertices, inside the free set.
 
     Their union spans at most ``2k - alpha`` vertices, so the pair is a
-    one-copy-per-colour cluster at any slack.
+    one-copy-per-colour cluster at any slack.  Red copies are scanned from the
+    ``start`` cursor on (see :func:`iter_copies`).
     """
     if find_mono_copy(G, H, free_mask, Colour.BLUE) is None:
         return None
-    for red_map in iter_copies(G.red_adjacency, H.pattern, free_mask):
+    for red_map in iter_copies(G.red_adjacency, H.pattern, free_mask, start):
         if budget[0] <= 0:
             return None
         budget[0] -= 1
@@ -130,19 +123,13 @@ def maximal_cluster_family(
     H: PatternStats,
     eta: float,
     builder_budget: int = DEFAULT_BUILDER_BUDGET,
-    seed: int = 0,
 ) -> ClusterFamily:
-    """Vertex-disjoint clusters: tie pairs first, then a greedy packing that folds when it stalls.
-
-    The packed copies no fold consumed come back as ``leftovers``.
-    """
+    """Vertex-disjoint tie clusters, then a greedy packing of the rest as ``leftovers``."""
     if eta < 0:
         raise ValueError("eta must be nonnegative")
     certs: list[ClusterCertificate] = []
     free_mask = (1 << G.n) - 1
     budget = [builder_budget]
-    probe_failures = 0
-    attempts = 0
 
     if eta >= 1:
         if G.n >= 1:
@@ -154,56 +141,31 @@ def maximal_cluster_family(
                     eta=eta,
                 )
             )
-        return ClusterFamily(tuple(certs), False, 0, 0, ())
+        return ClusterFamily(tuple(certs), False, ())
 
+    # A red copy with no blue partner keeps none as the free set shrinks, so
+    # each scan resumes at the lead vertex of the last tie's red copy.
+    lead = lead_vertex(H.pattern)
+    start = 0
     while budget[0] > 0:
-        attempts += 1
         budget[0] -= 1
-        tie = _find_tie(G, H, free_mask, budget)
+        tie = _find_tie(G, H, free_mask, budget, start)
         if tie is None:
             break
         red, blue = tie
         certs.append(_tie_certificate(red, blue, eta))
         free_mask &= ~(red.vertex_mask | blue.vertex_mask)
+        start = red.vertex_map[lead]
 
-    # Greedy packing; when it stalls, fold equal piles of both colours.  A
-    # fold whose probe windows cannot hold a copy is skipped, not attempted.
     piles: dict[Colour, list[EmbeddedCopy]] = {Colour.RED: [], Colour.BLUE: []}
-    fold_round = 0
     cursors: dict[Colour, int | None] = {}
-    while True:
-        copy = find_mono_copy(G, H, free_mask, cursors=cursors)
-        if copy is not None:
-            free_mask &= ~copy.vertex_mask
-            piles[copy.colour].append(copy)
-            continue
-        count = min(len(pile) for pile in piles.values())
-        if count < 2 or budget[0] <= 0 or 2 * probe_window_size(eta, count * H.k) < H.k:
-            break
-        attempts += 1
-        budget[0] -= 1
-        fold_round += 1
-        x = Tiling(Colour.BLUE, tuple(piles[Colour.BLUE][:count]))
-        y = Tiling(Colour.RED, tuple(piles[Colour.RED][:count]))
-        outcome = cluster_process(
-            G, H, x.vertices, y.vertices, eta, blue_tiling_x=x, red_tiling_y=y,
-            seed=derive_seed("family-fold", seed, fold_round),
-        )
-        if isinstance(outcome, FailureReport):
-            probe_failures += 1
-            break
-        certs.append(outcome)
-        # Release the part of the folded piles the cluster left unused.
-        free_mask |= (x.vertex_mask | y.vertex_mask) & ~mask_of(outcome.vertices)
-        for pile in piles.values():
-            del pile[:count]
-        cursors.clear()  # the free set grew
+    while (copy := find_mono_copy(G, H, free_mask, cursors=cursors)) is not None:
+        free_mask &= ~copy.vertex_mask
+        piles[copy.colour].append(copy)
 
     return ClusterFamily(
         tuple(certs),
         truncated=budget[0] <= 0,
-        probe_failures=probe_failures,
-        attempts=attempts,
         leftovers=tuple(piles[Colour.RED] + piles[Colour.BLUE]),
     )
 
@@ -252,7 +214,6 @@ def extract_tiling(
             achieved_size=flat.size,
             colour=report.colour,
             cluster_vertices=report.cluster_vertices,
-            probe_failures=report.probe_failures,
             seed=seed,
             eta=report.eta,
             epsilon=epsilon,
@@ -264,7 +225,7 @@ def extract_tiling(
     if eta is None:
         eta = epsilon / H.tiling_denominator
     n = G.n
-    family = maximal_cluster_family(G, H, eta, builder_budget, seed)
+    family = maximal_cluster_family(G, H, eta, builder_budget)
     certs = family.certificates
     piles = {colour: [c for c in family.leftovers if c.colour is colour] for colour in Colour}
     totals = {
@@ -295,7 +256,6 @@ def extract_tiling(
         achieved_size=tiling.size,
         colour=best.value,
         cluster_vertices=sum(len(c.vertices) for c in certs),
-        probe_failures=family.probe_failures,
         seed=seed,
         eta=eta,
         epsilon=epsilon,

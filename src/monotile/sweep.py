@@ -24,10 +24,10 @@ from .graphs import Graph, write_graph_text
 from .patterns import PatternStats
 from .sampling import derive_seed, sample_gnp, threshold_probability
 
-CSV_SCHEMA = "monotile-sweep-csv v1"
+CSV_SCHEMA = "monotile-sweep-csv v2"
 _COLUMNS = (
     "n", "C", "adversary", "trial", "seed", "p",
-    "achieved", "target", "success", "probe_failures", "error",
+    "achieved", "target", "success", "error",
 )
 
 
@@ -67,7 +67,6 @@ class TrialRow:
     achieved: int
     target: int
     success: bool
-    probe_failures: int
     error: str
     wall_ms: float
 
@@ -105,8 +104,7 @@ class SweepResult:
         for r in self.rows:
             cells = [
                 str(r.n), _num(r.C), r.adversary, str(r.trial), str(r.seed), _num(r.p),
-                str(r.achieved), str(r.target), str(int(r.success)),
-                str(r.probe_failures), r.error,
+                str(r.achieved), str(r.target), str(int(r.success)), r.error,
             ]
             if include_timings:
                 cells.append(_num(r.wall_ms))
@@ -182,7 +180,7 @@ def _run_trial(args: tuple) -> TrialRow:
             n=n, C=C, adversary=adversary, trial=trial, seed=seed, p=p,
             achieved=report.achieved_size, target=report.target_size,
             success=report.achieved_size >= report.target_size,
-            probe_failures=report.probe_failures, error="", wall_ms=wall,
+            error="", wall_ms=wall,
         )
     except Exception as exc:  # recorded as a row, never aborts the sweep
         wall = (time.perf_counter() - start) * 1000
@@ -190,7 +188,7 @@ def _run_trial(args: tuple) -> TrialRow:
             n=n, C=C, adversary=adversary, trial=trial, seed=seed,
             p=float("nan"), achieved=0,
             target=extraction_target(n, PatternStats.from_graph(pattern), epsilon),
-            success=False, probe_failures=0,
+            success=False,
             error=type(exc).__name__ + ": " + str(exc).replace(",", ";"),
             wall_ms=wall,
         )

@@ -43,7 +43,7 @@ def test_pipeline_sample_colour_extract(tmp_path, capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["achieved_size"] >= payload["target_size"]
-    assert payload["rounding_table_version"] == "2"
+    assert payload["rounding_table_version"] == "3"
     assert all(len(c) == 3 for c in payload["copies"])
 
 
@@ -80,7 +80,7 @@ def test_sweep_subcommand_csv_and_json(tmp_path, capsys):
     ]
     code, out_csv = run(capsys, *args)
     assert code == 0
-    assert out_csv.startswith("# monotile-sweep-csv v1")
+    assert out_csv.startswith("# monotile-sweep-csv v2")
     code, out_json = run(capsys, *args, "--format", "json")
     assert code == 0
     assert json.loads(out_json)["rows"]

@@ -2,21 +2,27 @@ import json
 from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from monotile import extraction
-from monotile.clusters import InvariantViolation, probe_window_size, verify_cluster
-from monotile.embeddings import EmbeddedCopy
+from monotile.clusters import (
+    ClusterCertificate, FailureReport, InvariantViolation, cluster_process, probe_window_size,
+    verify_cluster,
+)
+from monotile.embeddings import EmbeddedCopy, find_mono_copy, iter_copies
 from monotile.extraction import (
     ClusterFamily,
     extract_tiling,
     extraction_target,
     maximal_cluster_family,
 )
-from monotile.graphs import Colour, ColouredGraph, Graph, colour_all
+from monotile.graphs import Colour, ColouredGraph, Graph, colour_all, mask_of, pattern_by_name
 from monotile.instances import bowtie_union, planted_process_instance
 from monotile.adversaries import AdversarySpec, colour_with
 from monotile.patterns import PatternStats
-from monotile.tilings import validate_tiling
+from monotile.richness import find_side_good_copy
+from monotile.tilings import Tiling, validate_tiling
 
 
 def test_target_formula(k3):
@@ -49,7 +55,7 @@ def test_report_json_schema(k3):
     payload = json.loads(report.to_json())
     assert set(payload) == {
         "target_size", "achieved_size", "colour", "cluster_vertices",
-        "probe_failures", "seed", "eta", "epsilon", "rounding_table_version",
+        "seed", "eta", "epsilon", "rounding_table_version",
     }
     assert payload["colour"] == "blue"
     assert payload["eta"] == pytest.approx(0.2 / 5)
@@ -131,52 +137,104 @@ def test_family_budget_truncation(k3):
     assert len(fam.certificates) < 4
 
 
-def test_probe_failures_reported_not_raised(k3):
-    # Two far-apart colour classes leave fold probes nothing to find; the
-    # extraction must still return its greedy result.  At eta = 0.06 the
-    # probe windows hold one vertex per side, too few for a triangle, so the
-    # fold is skipped rather than counted as a probe failure.
+def _reference_ties(G: ColouredGraph, H: PatternStats) -> list[tuple[EmbeddedCopy, EmbeddedCopy]]:
+    """The tie phase with every red scan restarted from vertex 0 of the free set."""
+    free = (1 << G.n) - 1
+    ties = []
+    while find_mono_copy(G, H, free, Colour.BLUE) is not None:
+        for red_map in iter_copies(G.red_adjacency, H.pattern, free):
+            blue = find_side_good_copy(G, H, Colour.BLUE, free, mask_of(red_map), H.alpha)
+            if blue is not None:
+                red = EmbeddedCopy(red_map, Colour.RED)
+                ties.append((red, blue))
+                free &= ~(red.vertex_mask | blue.vertex_mask)
+                break
+        else:
+            break
+    return ties
+
+
+@st.composite
+def _dense_coloured_graphs(draw, min_n=5, max_n=14):
+    """Each pair is absent, red or blue with equal odds, so hosts hold several ties."""
+    n = draw(st.integers(min_n, max_n))
+    colour = {}
+    for e in combinations(range(n), 2):
+        c = draw(st.sampled_from([None, Colour.RED, Colour.BLUE]))
+        if c is not None:
+            colour[e] = c
+    return ColouredGraph(Graph.from_edges(n, list(colour)), colour)
+
+
+def _coloured(n: int, red: list[tuple[int, int]], blue: list[tuple[int, int]]) -> ColouredGraph:
+    colour = {e: Colour.RED for e in red} | {e: Colour.BLUE for e in blue}
+    return ColouredGraph(Graph.from_edges(n, red + blue), colour)
+
+
+def _triangle_edges(*triangles: tuple[int, int, int]) -> list[tuple[int, int]]:
+    return [e for t in triangles for e in combinations(t, 2)]
+
+
+# Two ties whose red copies lead with vertices 0 and 1: a cursor set beyond
+# the first tie's lead vertex plus one skips the second tie.
+_ADJACENT_LEADS = _coloured(
+    10, _triangle_edges((0, 2, 3), (1, 6, 7)), _triangle_edges((3, 4, 5), (7, 8, 9))
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_dense_coloured_graphs(), st.sampled_from(["k3", "c4", "p4"]))
+@example(_ADJACENT_LEADS, "k3")
+def test_cursor_resumed_ties_match_restarted_scan(cg, name):
+    H = PatternStats.from_graph(pattern_by_name(name))
+    fam = maximal_cluster_family(cg, H, eta=0.0)
+    ties = [(c.red_tiling.copies[0], c.blue_tiling.copies[0]) for c in fam.certificates]
+    assert ties == _reference_ties(cg, H)
+
+
+def test_disjoint_colour_blocks_still_give_greedy_tiling(k3):
+    # Two far-apart colour classes leave no ties; the extraction must still
+    # return its greedy result.
     inst = planted_process_instance(k3, 30, with_cross=False)
     tiling, report = extract_tiling(inst.coloured, k3, epsilon=0.3, seed=0)
     assert validate_tiling(inst.coloured, k3, tiling)
     assert report.achieved_size >= 10  # one block's worth of copies
-    assert report.probe_failures == 0
 
 
 def _two_cliques() -> ColouredGraph:
     """A red K6 on 0..5 and a blue K6 on 6..11, with no edges between them."""
     red = list(combinations(range(6), 2))
-    blue = [(u + 6, v + 6) for u, v in red]
-    colour = {e: Colour.RED for e in red} | {e: Colour.BLUE for e in blue}
-    return ColouredGraph(Graph.from_edges(12, red + blue), colour)
+    return _coloured(12, red, [(u + 6, v + 6) for u, v in red])
 
 
-def test_fold_with_room_for_a_copy_reports_a_real_failure(k3):
-    # Piles of two triangles per colour: s = 6, windows of ceil(0.49 * 6) = 3
-    # vertices per side can hold a triangle, but no copy crosses the cliques.
+def _two_clique_process(k3, eta: float):
+    """``cluster_process`` with X the blue triangles on 6..11 and Y the red ones on 0..5."""
     cg = _two_cliques()
+    x = Tiling(Colour.BLUE, tuple(EmbeddedCopy(t, Colour.BLUE) for t in ((6, 7, 8), (9, 10, 11))))
+    y = Tiling(Colour.RED, tuple(EmbeddedCopy(t, Colour.RED) for t in ((0, 1, 2), (3, 4, 5))))
+    return cg, cluster_process(cg, k3, x.vertices, y.vertices, eta, x, y)
+
+
+def test_process_with_room_for_a_copy_reports_a_real_failure(k3):
+    # s = 6, windows of ceil(0.49 * 6) = 3 vertices per side can hold a
+    # triangle, but no copy crosses the cliques.
     assert probe_window_size(0.7, 6) == 3
-    fam = maximal_cluster_family(cg, k3, eta=0.7)
-    assert fam.certificates == ()
-    assert fam.probe_failures == 1
-    assert len(fam.leftovers) == 4
-    _, report = extract_tiling(cg, k3, epsilon=0.1, eta=0.7)
-    assert report.probe_failures == 1
+    _, out = _two_clique_process(k3, 0.7)
+    assert isinstance(out, FailureReport)
 
 
-def test_fold_fires_and_greedy_resumes_on_released_vertices(k3):
+def test_process_residual_case_on_two_cliques(k3):
     # At eta = 0.75 the guard (4) exceeds each active half (3 vertices), so
     # the process stops at once and assembles the residual case: the first
     # blue copy plus one reserve red copy.
+    cg, out = _two_clique_process(k3, 0.75)
+    assert isinstance(out, ClusterCertificate)
+    assert out.vertices == frozenset(range(3, 9))
+    assert verify_cluster(cg, k3, out)
+
+
+def test_two_cliques_extract_a_red_tiling(k3):
     cg = _two_cliques()
-    fam = maximal_cluster_family(cg, k3, eta=0.75)
-    (cert,) = fam.certificates
-    assert cert.vertices == frozenset(range(3, 9))
-    assert verify_cluster(cg, k3, cert)
-    assert fam.probe_failures == 0
-    # The fold released {0,1,2} and {9,10,11}; the greedy scan finds them
-    # again only because its cursors restart after the fold.
-    assert [c.vertex_map for c in fam.leftovers] == [(0, 1, 2), (9, 10, 11)]
     tiling, report = extract_tiling(cg, k3, epsilon=0.1, eta=0.75)
     assert tiling.colour is Colour.RED
     assert tiling.size == report.achieved_size == 2
@@ -185,7 +243,7 @@ def test_fold_fires_and_greedy_resumes_on_released_vertices(k3):
 
 def test_invalid_result_raises(k3, monkeypatch):
     cg = _two_cliques()
-    fake = ClusterFamily((), False, 0, 0, leftovers=(EmbeddedCopy((6, 7, 8), Colour.RED),))
+    fake = ClusterFamily((), False, leftovers=(EmbeddedCopy((6, 7, 8), Colour.RED),))
     monkeypatch.setattr(extraction, "maximal_cluster_family", lambda *args: fake)
     with pytest.raises(InvariantViolation, match="blue edge"):
         extract_tiling(cg, k3, epsilon=0.1)

@@ -88,7 +88,7 @@ def test_timings_column_is_opt_in():
 def test_csv_schema_header():
     result = run_sweep(_small_plan(n_list=(9,)))
     lines = result.to_csv().splitlines()
-    assert lines[0] == "# monotile-sweep-csv v1"
+    assert lines[0] == "# monotile-sweep-csv v2"
     assert lines[1].startswith("# plan ")
 
 
