@@ -9,11 +9,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from .budget import require_budget
 from .embeddings import _cached_order, iter_embeddings
-from .graphs import Colour, ColouredGraph, Edge, Graph, normalize_edge, pattern_by_name
+from .graphs import ColouredGraph, Edge, Graph, Masks, mask_of, masks_from_pairs
+from .graphs import normalize_edge, pattern_by_name
 from .sampling import derive_seed, philox_generator
 
 ADVERSARY_NAMES = (
@@ -35,37 +36,31 @@ class AdversarySpec:
             raise ValueError(f"unknown adversary {self.name!r}; known: {ADVERSARY_NAMES}")
 
 
-def _edge_order(G: Graph, seed: int) -> list[Edge]:
-    edges = sorted(G.edges)
-    rng = philox_generator(derive_seed("adversary-order", seed))
-    return [edges[i] for i in rng.permutation(len(edges)).tolist()]
+def _edge_order(G: Graph, seed: int) -> Iterator[Edge]:
+    us, vs = G.edge_pairs
+    perm = philox_generator(derive_seed("adversary-order", seed)).permutation(len(us))
+    return zip(us[perm].tolist(), vs[perm].tolist())
 
 
-def _uniform_random(G: Graph, spec: AdversarySpec) -> dict[Edge, Colour]:
-    edges = sorted(G.edges)
-    draws = philox_generator(derive_seed("adversary-uniform", spec.seed)).random(
-        max(len(edges), 1)
-    )
-    return {e: (Colour.RED if d < 0.5 else Colour.BLUE) for e, d in zip(edges, draws)}
+def _uniform_random(G: Graph, spec: AdversarySpec) -> Masks:
+    us, vs = G.edge_pairs
+    draws = philox_generator(derive_seed("adversary-uniform", spec.seed)).random(max(len(us), 1))
+    red = draws[: len(us)] < 0.5
+    return masks_from_pairs(G.n, us[red], vs[red])
 
 
-def _planted_partition(G: Graph, spec: AdversarySpec) -> dict[Edge, Colour]:
+def _planted_partition(G: Graph, spec: AdversarySpec) -> Masks:
     part = spec.params.get("part")
     if part is None:
         size = int(spec.params.get("part_size", max(1, G.n // 5)))
         part = range(size)
-    inside = frozenset(part)
-    return {
-        e: (Colour.RED if e[0] in inside and e[1] in inside else Colour.BLUE)
-        for e in G.edges
-    }
+    inside = mask_of(v for v in part if 0 <= v < G.n)
+    return tuple(a & inside if inside >> v & 1 else 0 for v, a in enumerate(G.adjacency))
 
 
 def _resolve_pattern(spec: AdversarySpec) -> Graph:
     pattern = spec.params.get("pattern", "k3")
-    if isinstance(pattern, Graph):
-        return pattern
-    return pattern_by_name(str(pattern))
+    return pattern if isinstance(pattern, Graph) else pattern_by_name(str(pattern))
 
 
 def _closing_estimate(G: Graph, pattern: Graph) -> int:
@@ -100,59 +95,30 @@ def _closing_counter(G: Graph, pattern: Graph, budget: float | None):
     return count
 
 
-def _copy_avoider(G: Graph, spec: AdversarySpec, budget: float | None) -> dict[Edge, Colour]:
-    """Greedy: give each edge the colour that completes fewer monochromatic copies.
-
-    Each edge joins both colours' masks of assigned edges, is counted in each,
-    and stays only in the colour picked.
-    """
-    closing = _closing_counter(G, _resolve_pattern(spec), budget)
-    coin = philox_generator(derive_seed("adversary-avoider", spec.seed))
+def _greedy(G: Graph, seed: int, label: str, cost) -> Masks:
+    """Each edge joins both colours' masks of assigned edges, gets ``cost(adj, u, v)`` in
+    each, and stays only in the cheaper colour; a seeded coin breaks ties."""
+    coin = philox_generator(derive_seed(label, seed))
     red, blue = [0] * G.n, [0] * G.n
-    assigned: dict[Edge, Colour] = {}
-    for u, v in _edge_order(G, spec.seed):
+    for u, v in _edge_order(G, seed):
         bu, bv = 1 << u, 1 << v
         red[u] |= bv
         red[v] |= bu
         blue[u] |= bv
         blue[v] |= bu
-        closed_red, closed_blue = closing(red, u, v), closing(blue, u, v)
-        if closed_red < closed_blue:
-            pick = Colour.RED
-        elif closed_blue < closed_red:
-            pick = Colour.BLUE
-        else:
-            pick = Colour.RED if coin.random() < 0.5 else Colour.BLUE
-        assigned[(u, v)] = pick
-        drop = blue if pick is Colour.RED else red
+        cost_red, cost_blue = cost(red, u, v), cost(blue, u, v)
+        tie_to_red = cost_red == cost_blue and coin.random() < 0.5
+        drop = blue if cost_red < cost_blue or tie_to_red else red
         drop[u] ^= bv
         drop[v] ^= bu
-    return assigned
+    return tuple(red)
 
 
-def _majority_degree(G: Graph, spec: AdversarySpec) -> dict[Edge, Colour]:
+def _majority_degree(G: Graph, spec: AdversarySpec) -> Masks:
     """Rich-get-richer: follow the majority colour already at the endpoints."""
-    coin = philox_generator(derive_seed("adversary-majority", spec.seed))
-    red_deg = [0] * G.n
-    blue_deg = [0] * G.n
-    assigned: dict[Edge, Colour] = {}
-    for u, v in _edge_order(G, spec.seed):
-        reds = red_deg[u] + red_deg[v]
-        blues = blue_deg[u] + blue_deg[v]
-        if reds > blues:
-            pick = Colour.RED
-        elif blues > reds:
-            pick = Colour.BLUE
-        else:
-            pick = Colour.RED if coin.random() < 0.5 else Colour.BLUE
-        assigned[(u, v)] = pick
-        if pick is Colour.RED:
-            red_deg[u] += 1
-            red_deg[v] += 1
-        else:
-            blue_deg[u] += 1
-            blue_deg[v] += 1
-    return assigned
+    return _greedy(
+        G, spec.seed, "adversary-majority", lambda adj, u, v: -adj[u].bit_count() - adj[v].bit_count()
+    )
 
 
 _STRATEGIES = {
@@ -167,6 +133,7 @@ def colour_with(G: Graph, spec: AdversarySpec, budget: float | None = None) -> C
 
     ``budget`` caps the copy-avoider's work on patterns other than triangles.
     """
-    if spec.name == "copy-avoider-greedy":
-        return ColouredGraph(G, _copy_avoider(G, spec, budget))
-    return ColouredGraph(G, _STRATEGIES[spec.name](G, spec))
+    if spec.name == "copy-avoider-greedy":  # each edge goes where it completes fewer copies
+        closing = _closing_counter(G, _resolve_pattern(spec), budget)
+        return ColouredGraph.from_masks(G, _greedy(G, spec.seed, "adversary-avoider", closing))
+    return ColouredGraph.from_masks(G, _STRATEGIES[spec.name](G, spec))

@@ -43,14 +43,6 @@ class EmbeddedCopy:
     def vertex_mask(self) -> int:
         return mask_of(self.vertex_map)
 
-    def host_edges(self, pattern: Graph) -> list[tuple[int, int]]:
-        vm = self.vertex_map
-        out = []
-        for u, v in pattern.edges:
-            a, b = vm[u], vm[v]
-            out.append((a, b) if a < b else (b, a))
-        return out
-
 
 def _expansion_order(pattern: Graph, lead: tuple[int, ...] = ()):
     """Pattern vertex order opening with ``lead``, plus each position's earlier neighbours."""

@@ -1,33 +1,36 @@
 """Simple undirected graphs and total red/blue edge colourings.
 
-Vertices are the integers ``0 .. n-1``.  Edges are unordered pairs stored as
-``(u, v)`` tuples with ``u < v``.  Both :class:`Graph` and
-:class:`ColouredGraph` are immutable after construction; adjacency bitmasks
-are cached lazily because almost everything downstream (copy search, cluster
-building) is set-intersection heavy.  Python integers serve as the bitmask
-representation, so there is no fixed vertex ceiling.
+Vertices are the integers ``0 .. n-1``.  The state of a :class:`Graph` is one
+neighbour bitmask per vertex, and that of a :class:`ColouredGraph` is its
+graph plus red and blue masks, because almost everything downstream (copy
+search, cluster building) is set-intersection heavy.  Python integers serve
+as the bitmasks, so there is no fixed vertex ceiling; a mask spans the bits up
+to its highest neighbour, so memory is O(n^2/8) on dense hosts.  The edge set
+(``(u, v)`` tuples with ``u < v``), the lexicographic edge arrays and the
+edge-to-colour map are views built on first use, for text I/O, the oracles
+and desk-scale hosts.  Sampling, the text parser and the adversaries build
+masks directly through ``Graph.from_adjacency`` and
+``ColouredGraph.from_masks``; both classes are immutable.
 """
 
 from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
+import numpy as np
+
 
 class Colour(Enum):
     RED = "red"
     BLUE = "blue"
     __hash__ = object.__hash__  # singletons compared by identity; Enum hashes the name in Python
-
-    @property
-    def char(self) -> str:
-        return "r" if self is Colour.RED else "b"
 
     @property
     def other(self) -> "Colour":
@@ -37,9 +40,8 @@ class Colour(Enum):
         return self.value
 
 
-COLOUR_BY_CHAR = {"r": Colour.RED, "b": Colour.BLUE}
-
 Edge = tuple[int, int]
+Masks = tuple[int, ...]
 
 
 def normalize_edge(u: int, v: int) -> Edge:
@@ -64,19 +66,58 @@ def mask_of(vertices: Iterable[int]) -> int:
     return m
 
 
-@dataclass(frozen=True)
+def masks_from_pairs(n: int, us: np.ndarray, vs: np.ndarray) -> Masks:
+    """Neighbour masks of the edges ``(us[i], vs[i])``, OR-ed into a packed bit buffer
+    with one ``ceil(n/8)``-byte row per vertex that has an edge."""
+    rows, cols = np.concatenate((us, vs)), np.concatenate((vs, us))
+    present = np.bincount(rows, minlength=n).astype(bool)
+    width = (n + 7) >> 3
+    buf = np.zeros((np.count_nonzero(present), width), np.uint8)
+    bits = np.left_shift(1, cols & 7).astype(np.uint8)
+    np.bitwise_or.at(buf, ((np.cumsum(present) - 1)[rows], cols >> 3), bits)
+    raw, masks = buf.tobytes(), [0] * n
+    for i, v in enumerate(np.flatnonzero(present).tolist()):
+        masks[v] = int.from_bytes(raw[i * width:(i + 1) * width], "little")
+    return tuple(masks)
+
+
+def pairs_of_masks(masks: Masks) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``(us, vs)`` of the pairs ``u < v`` with bit ``v`` set in ``masks[u]``,
+    in lexicographic order."""
+    rows = [u for u, m in enumerate(masks) if m >> u + 1]
+    width = (len(masks) + 7) >> 3
+    raw = b"".join((masks[u] >> u + 1 << u + 1).to_bytes(width, "little") for u in rows)
+    bits = np.unpackbits(np.frombuffer(raw, np.uint8), bitorder="little")
+    at, vs = np.divmod(np.flatnonzero(bits), 8 * width)
+    us = np.array(rows, np.intp)[at]
+    us.flags.writeable = vs.flags.writeable = False
+    return us, vs
+
+
+@dataclass(frozen=True, init=False)
 class Graph:
-    """An undirected simple graph on vertices ``0 .. n-1``."""
+    """An undirected simple graph on vertices ``0 .. n-1``, stored as neighbour masks."""
 
     n: int
-    edges: frozenset[Edge] = field(default_factory=frozenset)
+    adjacency: Masks
 
-    def __post_init__(self) -> None:
-        if self.n < 0:
+    def __init__(self, n: int, edges: frozenset[Edge] = frozenset()) -> None:
+        if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        for u, v in self.edges:
-            if not (0 <= u < v < self.n):
+        masks = [0] * n
+        for u, v in edges:
+            if not (0 <= u < v < n):
                 raise ValueError(f"edge ({u}, {v}) is not a sorted pair inside range(n)")
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+        self.__dict__.update(n=n, adjacency=tuple(masks), edges=edges)  # edges: the cached view
+
+    @classmethod
+    def from_adjacency(cls, n: int, adjacency: Masks) -> "Graph":
+        """The graph whose state is ``adjacency``: a symmetric, loop-free tuple of ``n`` masks."""
+        g = object.__new__(cls)
+        g.__dict__.update(n=n, adjacency=adjacency)
+        return g
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -84,7 +125,7 @@ class Graph:
 
     @classmethod
     def complete(cls, n: int) -> "Graph":
-        return cls(n, frozenset((u, v) for u in range(n) for v in range(u + 1, n)))
+        return cls.from_adjacency(n, tuple(((1 << n) - 1) ^ (1 << v) for v in range(n)))
 
     @classmethod
     def empty(cls, n: int) -> "Graph":
@@ -107,47 +148,62 @@ class Graph:
         """``t`` pairwise disjoint edges on ``2t`` vertices."""
         return cls(2 * t, frozenset((2 * i, 2 * i + 1) for i in range(t)))
 
-    @property
-    def num_edges(self) -> int:
-        return len(self.edges)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return normalize_edge(u, v) in self.edges
+    @cached_property
+    def edge_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """The edges as read-only ``(us, vs)`` arrays in lexicographic order."""
+        return pairs_of_masks(self.adjacency)
 
     @cached_property
-    def adjacency(self) -> tuple[int, ...]:
-        """Per-vertex neighbour bitmasks."""
-        masks = [0] * self.n
-        for u, v in self.edges:
-            masks[u] |= 1 << v
-            masks[v] |= 1 << u
-        return tuple(masks)
+    def edges(self) -> frozenset[Edge]:
+        return frozenset(zip(*(a.tolist() for a in self.edge_pairs)))
+
+    @property
+    def num_edges(self) -> int:
+        return sum(a.bit_count() for a in self.adjacency) // 2
 
     def degree(self, v: int) -> int:
         return self.adjacency[v].bit_count()
 
-    def canonical_text(self) -> str:
-        return write_graph_text(self)
-
     def content_hash(self) -> str:
         """Stable hash of the graph's canonical text form."""
-        return hashlib.sha256(self.canonical_text().encode()).hexdigest()[:16]
+        return hashlib.sha256(write_graph_text(self).encode()).hexdigest()[:16]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ColouredGraph:
-    """A graph together with a total red/blue colouring of its edges."""
+    """A graph together with a total red/blue colouring of its edges, stored as masks."""
 
     graph: Graph
-    colour: Mapping[Edge, Colour]
+    red_adjacency: Masks
+    blue_adjacency: Masks
 
-    def __post_init__(self) -> None:
-        if set(self.colour) != self.graph.edges:
+    def __init__(self, graph: Graph, colour: Mapping[Edge, Colour]) -> None:
+        if colour.keys() != graph.edges:
             raise ValueError("colour map domain must equal the edge set exactly")
+        red = Graph(graph.n, frozenset(e for e, c in colour.items() if c is Colour.RED))
+        # The validated map doubles as the cached colour view.
+        self.__dict__.update(vars(self.from_masks(graph, red.adjacency)), colour=colour)
+
+    @classmethod
+    def from_masks(cls, graph: Graph, red_adjacency: Masks) -> "ColouredGraph":
+        """``graph`` with the edges in ``red_adjacency`` (a subgraph's masks) red, others blue."""
+        cg = object.__new__(cls)
+        blue = tuple(a ^ r for a, r in zip(graph.adjacency, red_adjacency))
+        cg.__dict__.update(graph=graph, red_adjacency=red_adjacency, blue_adjacency=blue)
+        return cg
 
     @property
     def n(self) -> int:
         return self.graph.n
+
+    @cached_property
+    def colour(self) -> Mapping[Edge, Colour]:
+        """Edge-to-colour view, in lexicographic edge order."""
+        red = self.red_adjacency
+        return {
+            (u, v): Colour.RED if red[u] >> v & 1 else Colour.BLUE
+            for u, v in zip(*(a.tolist() for a in self.graph.edge_pairs))
+        }
 
     def colour_of(self, u: int, v: int) -> Colour:
         return self.colour[normalize_edge(u, v)]
@@ -159,87 +215,79 @@ class ColouredGraph:
     def _edges_by_colour(self) -> dict[Colour, frozenset[Edge]]:
         return {c: frozenset(e for e, ec in self.colour.items() if ec is c) for c in Colour}
 
-    @cached_property
-    def red_adjacency(self) -> tuple[int, ...]:
-        return self._colour_adjacency(Colour.RED)
-
-    @cached_property
-    def blue_adjacency(self) -> tuple[int, ...]:
-        return self._colour_adjacency(Colour.BLUE)
-
-    def adjacency_for(self, colour: Colour) -> tuple[int, ...]:
+    def adjacency_for(self, colour: Colour) -> Masks:
         return self.red_adjacency if colour is Colour.RED else self.blue_adjacency
 
-    def _colour_adjacency(self, colour: Colour) -> tuple[int, ...]:
-        masks = [0] * self.graph.n
-        for (u, v), c in self.colour.items():
-            if c is colour:
-                masks[u] |= 1 << v
-                masks[v] |= 1 << u
-        return tuple(masks)
-
     def swap_colours(self) -> "ColouredGraph":
-        return ColouredGraph(self.graph, {e: c.other for e, c in self.colour.items()})
-
-    def canonical_text(self) -> str:
-        return write_graph_text(self)
+        return ColouredGraph.from_masks(self.graph, self.blue_adjacency)
 
     def content_hash(self) -> str:
-        return hashlib.sha256(self.canonical_text().encode()).hexdigest()[:16]
+        return hashlib.sha256(write_graph_text(self).encode()).hexdigest()[:16]
 
 
 def colour_all(graph: Graph, colour: Colour) -> ColouredGraph:
-    return ColouredGraph(graph, {e: colour for e in graph.edges})
+    red = graph.adjacency if colour is Colour.RED else (0,) * graph.n
+    return ColouredGraph.from_masks(graph, red)
 
 
 # ---------------------------------------------------------------------------
 # Text format: first line "n m", then m lines "u v" (plain) or "u v c" with
-# c in {r, b} (coloured).  Output lines are sorted lexicographically as
-# strings so serialization is canonical.
+# c in {r, b} (coloured).  Output lines are sorted as strings, which is
+# (str(u), str(v)) order because a space sorts before every digit.
 # ---------------------------------------------------------------------------
 
+# One whole-text grammar per line width: the header `n m`, then lines of `width` tokens
+# with spaces, tabs, blank lines and \r\n endings allowed.  Possessive quantifiers keep
+# the match from backtracking.
+_GRAPH_TEXT = {
+    width: re.compile(
+        r"\s*+\d++[ \t]++\d++[ \t]*+\r?"
+        r"(?:\n\s*+(?:\d++[ \t]++\d++%s[ \t]*+\r?(?:\n\s*+|\Z))*+|\Z)" % tail,
+        re.ASCII,
+    )
+    for width, tail in ((2, ""), (3, r"[ \t]++[rb]"))
+}
+
+
 def write_graph_text(g: Graph | ColouredGraph) -> str:
+    n = g.n
     if isinstance(g, ColouredGraph):
-        lines = [f"{u} {v} {c.char}" for (u, v), c in g.colour.items()]
-        header = f"{g.graph.n} {len(lines)}"
+        parts = [(pairs_of_masks(g.adjacency_for(c)), f" {c.value[0]}\n") for c in Colour]
     else:
-        lines = [f"{u} {v}" for u, v in g.edges]
-        header = f"{g.n} {len(lines)}"
-    return "\n".join([header] + sorted(lines)) + "\n"
+        parts = ((g.edge_pairs, "\n"),)
+    rank = np.empty(n, np.intp)
+    rank[sorted(range(n), key=str)] = np.arange(n)
+    heads = np.array([f"{u} " for u in range(n)], dtype=object)
+    lines, keys = [], []
+    for (us, vs), tail in parts:
+        lines.append(heads[us] + np.array([f"{v}{tail}" for v in range(n)], dtype=object)[vs])
+        keys.append(rank[us] * n + rank[vs])
+    lines = np.concatenate(lines)[np.argsort(np.concatenate(keys))]
+    return f"{n} {len(lines)}\n" + "".join(lines.tolist())
 
 
 def parse_graph_text(text: str) -> Graph | ColouredGraph:
-    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
-    if not lines:
-        raise ValueError("empty graph text")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise ValueError("header must be 'n m'")
-    n, m = int(head[0]), int(head[1])
-    body = lines[1:]
-    if len(body) != m:
-        raise ValueError(f"header promises {m} edges, found {len(body)} lines")
-    edges: list[Edge] = []
-    colours: list[Colour | None] = []
-    for ln in body:
-        parts = ln.split()
-        if len(parts) == 2:
-            colours.append(None)
-        elif len(parts) == 3:
-            if parts[2] not in COLOUR_BY_CHAR:
-                raise ValueError(f"unknown colour char {parts[2]!r}")
-            colours.append(COLOUR_BY_CHAR[parts[2]])
-        else:
-            raise ValueError(f"bad edge line: {ln!r}")
-        edges.append(normalize_edge(int(parts[0]), int(parts[1])))
-    if len(set(edges)) != len(edges):
+    width = next((w for w, grammar in _GRAPH_TEXT.items() if grammar.fullmatch(text)), None)
+    if width is None:
+        raise ValueError("graph text is not a line 'n m' then lines all 'u v' or all 'u v c'")
+    head, _, body = text.lstrip().partition("\n")
+    n, m = map(int, head.split())
+    cells = np.fromstring(body.strip().replace("r", "1").replace("b", "0"), dtype=np.int64, sep=" ")
+    if len(cells) != width * m:
+        raise ValueError(f"header promises {m} edges, found {len(cells) // width} lines")
+    cells = cells.reshape(m, width)
+    us, vs = np.minimum(cells[:, 0], cells[:, 1]), np.maximum(cells[:, 0], cells[:, 1])
+    if (us == vs).any():
+        raise ValueError("self-loop in graph text")
+    if (vs >= n).any():
+        raise ValueError("edge endpoint outside range(n)")
+    graph = Graph.from_adjacency(n, masks_from_pairs(n, us, vs))
+    if graph.num_edges != m:
         raise ValueError("duplicate edge in graph text")
-    graph = Graph(n, frozenset(edges))
-    if all(c is None for c in colours):
+    if width == 2:
         return graph
-    if any(c is None for c in colours):
-        raise ValueError("mixed coloured and uncoloured edge lines")
-    return ColouredGraph(graph, dict(zip(edges, colours)))
+    red = cells[:, 2] == 1
+    return ColouredGraph.from_masks(graph, masks_from_pairs(n, us[red], vs[red]))
 
 
 def load_graph_file(path) -> Graph | ColouredGraph:

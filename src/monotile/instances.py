@@ -9,8 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .embeddings import EmbeddedCopy
-from .graphs import Colour, ColouredGraph, Graph
+from .graphs import Colour, ColouredGraph, Graph, masks_from_pairs
 from .patterns import PatternStats
 from .sampling import derive_seed, philox_generator
 from .tilings import Tiling
@@ -51,27 +53,20 @@ def planted_process_instance(
     if s % k or s < 2 * k:
         raise ValueError("side size must be a multiple of the pattern order, at least twice it")
     n = 2 * s
-    colour: dict[tuple[int, int], Colour] = {}
-    for u in range(s):
-        for v in range(u + 1, s):
-            colour[(u, v)] = Colour.BLUE
-    for u in range(s, n):
-        for v in range(u + 1, n):
-            colour[(u, v)] = Colour.RED
+    x_mask, y_mask = (1 << s) - 1, ((1 << s) - 1) << s
     if with_cross:
-        rng = philox_generator(derive_seed("planted-cross", seed))
-        draws = rng.random(s * s).tolist()
-        idx = 0
-        for u in range(s):
-            for v in range(s, n):
-                colour[(u, v)] = (
-                    Colour.RED if draws[idx] < cross_red_fraction else Colour.BLUE
-                )
-                idx += 1
-    host = Graph(n, frozenset(colour))
+        draws = philox_generator(derive_seed("planted-cross", seed)).random(s * s)
+        xs, ys = np.nonzero((draws < cross_red_fraction).reshape(s, s))
+        cross = masks_from_pairs(n, xs, ys + s)
+        host = Graph.complete(n)
+    else:
+        cross = (0,) * n
+        blocks = tuple((x_mask if v < s else y_mask) ^ (1 << v) for v in range(n))
+        host = Graph.from_adjacency(n, blocks)
+    red = tuple(c | (y_mask ^ (1 << v) if v >= s else 0) for v, c in enumerate(cross))
     m = s // k
     return ProcessInstance(
-        coloured=ColouredGraph(host, colour),
+        coloured=ColouredGraph.from_masks(host, red),
         x_vertices=frozenset(range(s)),
         y_vertices=frozenset(range(s, n)),
         blue_tiling=_block_tiling(H, 0, m, Colour.BLUE),
@@ -81,12 +76,11 @@ def planted_process_instance(
 
 def bowtie_union(count: int, isolated: int = 0) -> ColouredGraph:
     """Disjoint bow ties (red triangle and blue triangle glued at a vertex)."""
-    colour: dict[tuple[int, int], Colour] = {}
-    for i in range(count):
-        base = 5 * i
-        for e in ((base, base + 1), (base, base + 2), (base + 1, base + 2)):
-            colour[e] = Colour.RED
-        for e in ((base + 2, base + 3), (base + 2, base + 4), (base + 3, base + 4)):
-            colour[e] = Colour.BLUE
     n = 5 * count + isolated
-    return ColouredGraph(Graph(n, frozenset(colour)), colour)
+    adjacency, red = [0] * n, [0] * n
+    for i in range(count):
+        for v in range(5 * i, 5 * i + 5):
+            red[v] = (0b111 << 5 * i) & ~(1 << v) if v < 5 * i + 3 else 0
+            blue = (0b11100 << 5 * i) & ~(1 << v) if v >= 5 * i + 2 else 0
+            adjacency[v] = red[v] | blue
+    return ColouredGraph.from_masks(Graph.from_adjacency(n, tuple(adjacency)), tuple(red))

@@ -66,7 +66,7 @@ def independence_number_bruteforce(pattern: Graph) -> int:
     verts = range(pattern.n)
     for size in range(pattern.n, 0, -1):
         for subset in combinations(verts, size):
-            if all(not pattern.has_edge(u, v) for u, v in combinations(subset, 2)):
+            if all(e not in pattern.edges for e in combinations(subset, 2)):
                 return size
     return 0
 
@@ -203,10 +203,7 @@ def iter_colourings(G: Graph, budget: float | None = None, reduce: bool = True):
     edges = sorted(G.edges)
     if reduce and is_complete_host(G) and G.n <= 7:
         for red_graph in atlas_graphs(G.n):
-            colour = {
-                e: Colour.RED if e in red_graph.edges else Colour.BLUE for e in edges
-            }
-            yield ColouredGraph(G, colour)
+            yield ColouredGraph.from_masks(G, red_graph.adjacency)
         return
     if not edges:
         yield ColouredGraph(G, {})

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graphs import Graph
+from .graphs import Graph, masks_from_pairs
 from .patterns import PatternStats
 
 
@@ -41,7 +41,7 @@ def sample_gnp(n: int, p: float, seed: int) -> Graph:
         return Graph.complete(n)
     us, vs = np.triu_indices(n, 1)  # row-major: pairs in lexicographic order
     keep = philox_generator(seed).random(len(us)) < p
-    return Graph(n, frozenset(zip(us[keep].tolist(), vs[keep].tolist())))
+    return Graph.from_adjacency(n, masks_from_pairs(n, us[keep], vs[keep]))
 
 
 def threshold_probability(n: int, C: float, pattern: PatternStats) -> float:

@@ -1,7 +1,8 @@
 """Tilings: vertex-disjoint monochromatic copies, plus an independent validator.
 
-The validator re-derives everything from raw edge data: it trusts neither the
-search that produced a copy nor the colour tag stored on it.
+The validator re-reads every pattern edge in the host's edge and colour
+masks: it trusts neither the search that produced a copy nor the colour tag
+stored on it.
 """
 
 from __future__ import annotations
@@ -55,12 +56,11 @@ def copy_errors(
         problems.append("vertex map leaves the host vertex range")
         return problems
     for u, v in H.pattern.edges:
-        e = normalize_edge(vm[u], vm[v])
-        got = G.colour.get(e)
-        if got is None:
-            problems.append(f"pattern edge ({u},{v}) maps to the non-edge {e}")
-        elif colour is not None and got is not colour:
-            problems.append(f"pattern edge ({u},{v}) maps to a {got.value} edge, wanted {colour.value}")
+        a, b = vm[u], vm[v]
+        if not G.graph.adjacency[a] >> b & 1:
+            problems.append(f"pattern edge ({u},{v}) maps to the non-edge {normalize_edge(a, b)}")
+        elif colour is not None and not G.adjacency_for(colour)[a] >> b & 1:
+            problems.append(f"pattern edge ({u},{v}) maps to a {colour.other.value} edge, wanted {colour.value}")
     return problems
 
 

@@ -103,6 +103,14 @@ def _reference_copies_by_edge(G: Graph, pattern: Graph) -> dict[Edge, list[tuple
     return by_edge
 
 
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_edge_order_permutes_the_sorted_edge_list(seed):
+    host = sample_gnp(60, 0.3, derive_seed("edge-order", seed))
+    edges = sorted(host.edges)
+    perm = philox_generator(derive_seed("adversary-order", seed)).permutation(len(edges)).tolist()
+    assert list(_edge_order(host, seed)) == [edges[i] for i in perm]
+
+
 def _reference_copy_avoider(G: Graph, spec: AdversarySpec) -> dict[Edge, Colour]:
     by_edge = _reference_copies_by_edge(G, _resolve_pattern(spec))
     coin = philox_generator(derive_seed("adversary-avoider", spec.seed))

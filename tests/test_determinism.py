@@ -13,17 +13,20 @@ of the pattern in the host before colouring; the incremental per-colour masks
 must reproduce every colouring.  ``ORACLE_GOLDEN`` was recorded from the
 oracles that re-read the graph atlas on every call and tried every vertex
 permutation of every subset; the cached atlas and the edge-count cut must
-reproduce every verdict, count and planted host.  A change that means to
-alter results must say so and bump ``rounding_table_version``.
+reproduce every verdict, count and planted host.  ``TEXT_GOLDEN`` was
+recorded from the per-edge f-string writer over hosts stored as edge sets;
+the mask-stored hosts and the bulk writer must reproduce every byte of the
+canonical text.  A change that means to alter results must say so and bump
+``rounding_table_version``.
 """
 
 import hashlib
 from itertools import combinations
 
-from monotile.adversaries import AdversarySpec, colour_with
+from monotile.adversaries import ADVERSARY_NAMES, AdversarySpec, colour_with
 from monotile.aux_hypergraph import aux_degree_check, build_aux_hypergraph
 from monotile.extraction import extract_tiling, maximal_cluster_family
-from monotile.graphs import Colour, Graph, pattern_by_name
+from monotile.graphs import Colour, Graph, pattern_by_name, write_graph_text
 from monotile.instances import planted_process_instance
 from monotile.oracles import exact_rt, good_copy_witness_count, max_mono_tiling_size, richness_decide
 from monotile.patterns import PatternStats
@@ -144,3 +147,29 @@ def oracle_hash() -> str:
 
 def test_golden_oracle_outputs():
     assert oracle_hash() == ORACLE_GOLDEN
+
+
+TEXT_GOLDEN = "3c4b787ff4502ee676a7cd2501fffd0886f1f92f67c853be2a52f2ef9206c95e"
+
+TEXT_N = (60, 700, 1200)
+TEXT_C = (0.5, 5.0)
+
+
+def text_hash() -> str:
+    """Hash of the canonical text of sampled hosts and of their colourings under every adversary."""
+    k3 = PatternStats.from_graph(pattern_by_name("k3"))
+    h = hashlib.sha256()
+    for n in TEXT_N:
+        for C in TEXT_C:
+            host = sample_gnp(n, threshold_probability(n, C, k3), derive_seed("golden-text", n, C))
+            hosts = [host] + [
+                colour_with(host, AdversarySpec(name, {}, derive_seed("golden-text", name)))
+                for name in ADVERSARY_NAMES
+            ]
+            for g in hosts:
+                h.update(hashlib.sha256(write_graph_text(g).encode()).digest())
+    return h.hexdigest()
+
+
+def test_golden_canonical_text():
+    assert text_hash() == TEXT_GOLDEN

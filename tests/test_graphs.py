@@ -1,11 +1,15 @@
+import numpy as np
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from monotile.graphs import (
     Colour,
     ColouredGraph,
+    Edge,
     Graph,
     colour_all,
+    masks_from_pairs,
     normalize_edge,
     parse_graph_text,
     pattern_by_name,
@@ -13,6 +17,52 @@ from monotile.graphs import (
 )
 
 from .conftest import coloured_graphs, graphs
+
+
+def _reference_write_graph_text(g: Graph | ColouredGraph) -> str:
+    """The per-edge writer the bulk one replaced: f-string lines sorted as strings."""
+    if isinstance(g, ColouredGraph):
+        lines = [f"{u} {v} {c.value[0]}" for (u, v), c in g.colour.items()]
+        header = f"{g.graph.n} {len(lines)}"
+    else:
+        lines = [f"{u} {v}" for u, v in g.edges]
+        header = f"{g.n} {len(lines)}"
+    return "\n".join([header] + sorted(lines)) + "\n"
+
+
+def _reference_parse_graph_text(text: str) -> Graph | ColouredGraph:
+    """The line-by-line parser the bulk one replaced."""
+    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
+    if not lines:
+        raise ValueError("empty graph text")
+    head = lines[0].split()
+    if len(head) != 2:
+        raise ValueError("header must be 'n m'")
+    n, m = int(head[0]), int(head[1])
+    body = lines[1:]
+    if len(body) != m:
+        raise ValueError(f"header promises {m} edges, found {len(body)} lines")
+    edges: list[Edge] = []
+    colours: list[Colour | None] = []
+    for ln in body:
+        parts = ln.split()
+        if len(parts) == 2:
+            colours.append(None)
+        elif len(parts) == 3:
+            if parts[2] not in ("r", "b"):
+                raise ValueError(f"unknown colour char {parts[2]!r}")
+            colours.append(Colour.RED if parts[2] == "r" else Colour.BLUE)
+        else:
+            raise ValueError(f"bad edge line: {ln!r}")
+        edges.append(normalize_edge(int(parts[0]), int(parts[1])))
+    if len(set(edges)) != len(edges):
+        raise ValueError("duplicate edge in graph text")
+    graph = Graph(n, frozenset(edges))
+    if all(c is None for c in colours):
+        return graph
+    if any(c is None for c in colours):
+        raise ValueError("mixed coloured and uncoloured edge lines")
+    return ColouredGraph(graph, dict(zip(edges, colours)))
 
 
 def test_graph_rejects_self_loop():
@@ -130,3 +180,104 @@ def test_pattern_names():
     assert pattern_by_name("matching-2") == Graph.matching(2)
     with pytest.raises(ValueError):
         pattern_by_name("q7")
+
+
+# Vertex counts on each side of the 1-, 2- and 3-digit label boundaries, where
+# string order and numeric order of the labels part ways.
+BOUNDARY_N = (9, 10, 11, 99, 100, 101, 999, 1000, 1001)
+
+
+@st.composite
+def boundary_hosts(draw):
+    """A plain or coloured graph with ``n`` at a label boundary and edges near the boundary labels."""
+    n = draw(st.sampled_from(BOUNDARY_N))
+    near = sorted({v for b in (0, 9, 10, 99, 100, 999, 1000, n - 1) for v in (b - 1, b, b + 1) if 0 <= v < n})
+    vertex = st.sampled_from(near) | st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(vertex, vertex).filter(lambda e: e[0] != e[1]), max_size=40))
+    g = Graph.from_edges(n, pairs)
+    if not draw(st.booleans()):
+        return g
+    return ColouredGraph(g, {e: draw(st.sampled_from(list(Colour))) for e in sorted(g.edges)})
+
+
+@given(boundary_hosts())
+def test_bulk_writer_matches_reference(g):
+    text = write_graph_text(g)
+    assert text == _reference_write_graph_text(g)
+    assert parse_graph_text(text) == _reference_parse_graph_text(text)
+
+
+@given(boundary_hosts(), st.data())
+def test_parser_accepts_loose_whitespace(g, data):
+    """Extra spaces, tabs and blank lines anywhere, and a missing final newline, parse the same."""
+    space = st.text(" \t", min_size=1, max_size=3)
+    pad = st.text(" \t", max_size=3)
+    lines = []
+    for line in write_graph_text(g).splitlines():
+        lines += [data.draw(pad) for _ in range(data.draw(st.integers(0, 2)))]
+        lines.append(data.draw(pad) + data.draw(space).join(line.split()) + data.draw(pad))
+    newline = data.draw(st.sampled_from(["\n", "\r\n"]))
+    text = newline.join(lines) + data.draw(st.sampled_from(["", newline, "\n\n", "\n \t\n"]))
+    plain_if_edgeless = g.graph if isinstance(g, ColouredGraph) and not g.graph.num_edges else g
+    assert parse_graph_text(text) == _reference_parse_graph_text(text) == plain_if_edgeless
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "",
+        " \n\t\n",
+        "3",
+        "3 1 1\n0 1",
+        "3 2\n0 1",
+        "3 1\n0 1\n1 2",
+        "3 1\n0 1 r 2",
+        "3 2\n0 1 r\n1 2",
+        "3 2\n0 1\n1 2 b",
+        "3 1\n0 1 x",
+        "3 1\n0 1 R",
+        "3 1\n1 1",
+        "3 1\n1 1 r",
+        "3 1\n0 3",
+        "3 1\n3 0 b",
+        "3 1\n-1 2",
+        "3 1\n0 -2 r",
+        "3 2\n0 1\n0 1",
+        "3 2\n0 1\n1 0",
+        "3 2\n0 1 r\n1 0 b",
+        "3 1\n0 x",
+        "-1 0",
+        "3\r1\n0 1",
+        "3 1\n0\r1",
+        "3 1\n0 99999999999999999999999",
+    ],
+)
+def test_parser_rejects_what_the_reference_rejects(text):
+    with pytest.raises(ValueError):
+        _reference_parse_graph_text(text)
+    with pytest.raises(ValueError):
+        parse_graph_text(text)
+
+
+def test_parser_normalises_reversed_lines():
+    for text in ("3 2\n1 0\n2 1", "3 2\n1 0 r\n2 1 b\n"):
+        assert parse_graph_text(text) == _reference_parse_graph_text(text)
+    assert parse_graph_text("3 2\n1 0 r\n2 1 b").colour == {(0, 1): Colour.RED, (1, 2): Colour.BLUE}
+
+
+@given(coloured_graphs(max_n=12))
+def test_mask_constructors_match_dict_built_objects(cg):
+    g = cg.graph
+    edges = sorted(g.edges)
+    us, vs = (np.array(side, dtype=np.intp) for side in zip(*edges)) if edges else (np.zeros(0, np.intp),) * 2
+    assert Graph.from_adjacency(g.n, masks_from_pairs(g.n, us, vs)) == g
+    assert [tuple(map(int, e)) for e in zip(*g.edge_pairs)] == edges
+    reds = [e for e in edges if cg.colour[e] is Colour.RED]
+    red = masks_from_pairs(g.n, np.array([u for u, _ in reds], np.intp), np.array([v for _, v in reds], np.intp))
+    built = ColouredGraph.from_masks(g, red)
+    assert built == cg
+    assert built.colour == cg.colour and list(built.colour) == edges
+    assert built.blue_adjacency == cg.blue_adjacency
+    assert all(built.edges_of_colour(c) == cg.edges_of_colour(c) for c in Colour)
+    assert built.swap_colours() == ColouredGraph(g, {e: c.other for e, c in cg.colour.items()})
+    assert Graph.from_adjacency(g.n, g.adjacency).edges == g.edges

@@ -32,13 +32,21 @@ def test_wrong_colour_detected(k3):
     )
     tiling = Tiling(Colour.RED, (EmbeddedCopy((0, 1, 2), Colour.RED),))
     assert not validate_tiling(cg, k3, tiling)
+    assert tiling_errors(cg, k3, tiling) == ["copy 0: pattern edge (1,2) maps to a blue edge, wanted red"]
+    blue = Tiling(Colour.BLUE, (EmbeddedCopy((2, 1, 0), Colour.BLUE),))
+    assert sorted(tiling_errors(cg, k3, blue)) == [
+        "copy 0: pattern edge (0,2) maps to a red edge, wanted blue",
+        "copy 0: pattern edge (1,2) maps to a red edge, wanted blue",
+    ]
 
 
 def test_non_edge_detected(k3):
     g = Graph.from_edges(3, [(0, 1), (1, 2)])
     cg = ColouredGraph(g, {e: Colour.RED for e in g.edges})
     tiling = Tiling(Colour.RED, (EmbeddedCopy((0, 1, 2), Colour.RED),))
-    assert any("non-edge" in p for p in tiling_errors(cg, k3, tiling))
+    assert tiling_errors(cg, k3, tiling) == ["copy 0: pattern edge (0,2) maps to the non-edge (0, 2)"]
+    reversed_map = Tiling(Colour.RED, (EmbeddedCopy((2, 1, 0), Colour.RED),))
+    assert tiling_errors(cg, k3, reversed_map) == ["copy 0: pattern edge (0,2) maps to the non-edge (0, 2)"]
 
 
 def test_inside_restriction(k3):
