@@ -14,11 +14,11 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations, repeat
 from typing import Iterable
 
 from .budget import require_budget
-from .graphs import Colour, Edge, Graph
+from .graphs import Colour, Edge, Graph, mask_of
 from .oracles import iter_copies_bruteforce
 from .patterns import PatternStats
 
@@ -64,13 +64,17 @@ def build_aux_hypergraph(
         raise ValueError("pattern needs at least one edge")
     require_budget(float(n) ** H.k, budget, "good-copy enumeration")
 
-    host_edges = Graph.complete(n).edges
+    host = Graph.complete(n)
+    red = {e: (e, Colour.RED) for e in host.edges}
+    blue = {e: (e, Colour.BLUE) for e in host.edges}
+    a_mask, b_mask = mask_of(part_a), mask_of(part_b)
     hyperedges: set[frozenset[HVertex]] = set()
-    for subset, edge_set in iter_copies_bruteforce(host_edges, H.pattern, range(n)):
-        if len(part_a.intersection(subset)) >= H.alpha:
-            hyperedges.add(frozenset((e, Colour.RED) for e in edge_set))
-        if len(part_b.intersection(subset)) >= H.alpha:
-            hyperedges.add(frozenset((e, Colour.BLUE) for e in edge_set))
+    for subset, edge_set in iter_copies_bruteforce(host.adjacency, H.pattern, range(n)):
+        m = mask_of(subset)
+        if (m & a_mask).bit_count() >= H.alpha:
+            hyperedges.add(frozenset(map(red.__getitem__, edge_set)))
+        if (m & b_mask).bit_count() >= H.alpha:
+            hyperedges.add(frozenset(map(blue.__getitem__, edge_set)))
 
     aux = AuxHypergraph(n, part_a, part_b, H, frozenset(hyperedges))
     _check_build(aux)
@@ -124,16 +128,18 @@ def aux_degree_check(aux: AuxHypergraph) -> DegreeReport:
     m2m = aux.pattern.m2_or_one
     fact = math.factorial(ell)
 
-    counters: dict[int, Counter] = {j: Counter() for j in range(1, ell + 1)}
-    for h in aux.hyperedges:
-        elems = sorted(h, key=lambda vc: (vc[0], vc[1].value))
-        for j in range(1, ell + 1):
-            for sub in combinations(elems, j):
-                counters[j][sub] += 1
+    # Int codes ordered like the sort key (edge, colour.value): blue before red.
+    code = {
+        ((u, v), c): (u * n + v) << 1 | (c is Colour.RED)
+        for u, v in combinations(range(n), 2)
+        for c in Colour
+    }
+    rows = [sorted(map(code.__getitem__, h)) for h in aux.hyperedges]
 
     checks = []
     for j in range(1, ell + 1):
-        delta = max(counters[j].values(), default=0)
+        counts = Counter(chain.from_iterable(map(combinations, rows, repeat(j))))
+        delta = max(counts.values(), default=0)
         passed = _bound_holds(delta, fact, n, k, j, m2m)
         bound = fact * aux.tau ** (j - 1) * n ** (k - 2)
         checks.append(DegreeCheck(j, delta, bound, passed))

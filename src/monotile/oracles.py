@@ -6,8 +6,14 @@ tiling numbers from exhaustive colouring sweeps with exact packing.  These
 are the second route of every dual-route check in the test suite, so none
 of it may call into the search code it validates.
 
-Copy enumeration skips vertex subsets that span fewer host edges than the
-pattern has, since no permutation of them can hold a copy.
+Copy enumeration reads host adjacency masks.  The pattern's permutations
+are swept once per pattern, into its distinct edge images over position
+pairs; each vertex subset then reads its present pairs from the masks, is
+skipped when they are fewer than the pattern's edges, and holds exactly the
+images inside them.  The good-copy and tiling oracles list a colouring's
+copies once per pattern and colour, as vertex masks kept as long as the
+colouring lives, and filter that list for every side pair they are asked
+about.
 
 Exhaustive colouring sweeps over complete hosts dedup colourings up to
 relabelling through the networkx graph atlas (all isomorphism classes up to
@@ -17,6 +23,7 @@ colour-swap cut.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -26,7 +33,7 @@ from typing import Iterable, Iterator, Mapping
 import networkx as nx
 
 from .budget import require_budget
-from .graphs import Colour, ColouredGraph, Edge, Graph, iter_bits
+from .graphs import Colour, ColouredGraph, Edge, Graph, Masks, iter_bits, mask_of
 from .patterns import PatternStats
 
 #: Classical two-colour Ramsey numbers R(K_a, K_b) kept as reference fixtures.
@@ -75,33 +82,67 @@ def independence_number_bruteforce(pattern: Graph) -> int:
 # Copy enumeration by combinations + permutations
 # ---------------------------------------------------------------------------
 
+@cache
+def _pattern_images(pattern: Graph) -> tuple[int, ...]:
+    """The pattern's distinct edge images under permutations of its positions.
+
+    Position pairs ``i < j`` are numbered in ``combinations(range(k), 2)``
+    order and an image is the bitmask of the pairs it covers; images are
+    kept in the order their first permutation reaches them.
+    """
+    index = {pair: bit for bit, pair in enumerate(combinations(range(pattern.n), 2))}
+    edges = sorted(pattern.edges)
+    images: dict[int, None] = {}
+    for perm in permutations(range(pattern.n)):
+        image = 0
+        for u, v in edges:
+            a, b = perm[u], perm[v]
+            image |= 1 << index[(a, b) if a < b else (b, a)]
+        images.setdefault(image)
+    return tuple(images)
+
+
+def _iter_subset_images(
+    host_adjacency: Masks, pattern: Graph, universe: Iterable[int]
+) -> Iterator[tuple[tuple[int, ...], list[int]]]:
+    """``(subset, images)`` for every subset that holds a copy, with the images
+    it holds: the subset's present position pairs are read from the host
+    masks once, then every image inside them is a copy."""
+    images = _pattern_images(pattern)
+    need = images[0].bit_count()
+    pairs = tuple((1 << bit, i, j) for bit, (i, j) in enumerate(combinations(range(pattern.n), 2)))
+    for subset in combinations(sorted(universe), pattern.n):
+        present = 0
+        for pair_bit, i, j in pairs:
+            if host_adjacency[subset[i]] >> subset[j] & 1:
+                present |= pair_bit
+        if present.bit_count() < need:
+            continue
+        held = [image for image in images if image & present == image]
+        if held:
+            yield subset, held
+
+
 def iter_copies_bruteforce(
-    host_edges: frozenset[Edge],
+    host_adjacency: Masks,
     pattern: Graph,
     universe: Iterable[int],
 ) -> Iterator[tuple[tuple[int, ...], frozenset[Edge]]]:
-    """All subgraph copies of ``pattern`` in the host, as (vertex set, edge set)."""
-    verts = sorted(universe)
-    pattern_edges = sorted(pattern.edges)
-    need = len(pattern_edges)
-    for subset in combinations(verts, pattern.n):
-        # A copy maps the pattern's edges injectively onto host pairs inside subset.
-        if len(host_edges.intersection(combinations(subset, 2))) < need:
-            continue
-        seen: set[frozenset[Edge]] = set()
-        for perm in permutations(subset):
-            mapped = []
-            for u, v in pattern_edges:
-                a, b = perm[u], perm[v]
-                e = (a, b) if a < b else (b, a)
-                if e not in host_edges:
-                    break
-                mapped.append(e)
-            else:
-                edge_set = frozenset(mapped)
-                if edge_set not in seen:
-                    seen.add(edge_set)
-                    yield subset, edge_set
+    """All subgraph copies of ``pattern`` in the host, as (vertex set, edge set).
+
+    Subsets come in ``combinations`` order and, within one, edge sets in the
+    order a sweep of its vertex permutations first reaches them.  Whether an
+    image is present depends only on the image, so filtering the pattern's
+    images keeps that order.
+    """
+    pairs = tuple(combinations(range(pattern.n), 2))
+    positions = {
+        image: tuple(pair for bit, pair in enumerate(pairs) if image >> bit & 1)
+        for image in _pattern_images(pattern)
+    }
+    for subset, held in _iter_subset_images(host_adjacency, pattern, universe):
+        for image in held:
+            yield subset, frozenset((subset[i], subset[j]) for i, j in positions[image])
 
 
 def mono_copy_count_bruteforce(
@@ -112,22 +153,40 @@ def mono_copy_count_bruteforce(
 ) -> int:
     """Monochromatic subgraph-copy count via raw enumeration."""
     verts = range(G.n) if universe is None else universe
-    edges = G.edges_of_colour(colour)
-    return sum(1 for _ in iter_copies_bruteforce(edges, H.pattern, verts))
+    return sum(len(held) for _, held in _iter_subset_images(G.adjacency_for(colour), H.pattern, verts))
 
 
-def _count_good_copies(
-    G: ColouredGraph,
-    H: PatternStats,
-    red_side: frozenset[int],
-    blue_side: frozenset[int],
-    universe: Iterable[int],
-) -> int:
+# Per colouring, the vertex masks of its copies of each (pattern, colour), one
+# entry per copy.  Weak keys: an entry lives exactly as long as its colouring.
+_COPY_MASKS: weakref.WeakKeyDictionary[ColouredGraph, dict[tuple[Graph, Colour], tuple[int, ...]]] = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def _copy_masks(G: ColouredGraph, pattern: Graph, colour: Colour) -> tuple[int, ...]:
+    """Vertex masks of every ``colour`` copy of ``pattern`` in ``G``, enumerated
+    once per colouring over all of ``range(G.n)``."""
+    memo = _COPY_MASKS.get(G)
+    if memo is None:
+        memo = _COPY_MASKS[G] = {}
+    masks = memo.get((pattern, colour))
+    if masks is None:
+        listed: list[int] = []
+        for subset, held in _iter_subset_images(G.adjacency_for(colour), pattern, range(G.n)):
+            listed += [mask_of(subset)] * len(held)
+        masks = memo[pattern, colour] = tuple(listed)
+    return masks
+
+
+def _count_good_copies(G: ColouredGraph, H: PatternStats, red_side: int, blue_side: int) -> int:
+    """Copies inside ``red_side | blue_side`` that are red with at least alpha
+    vertices in ``red_side`` or blue with at least alpha in ``blue_side``."""
+    universe = red_side | blue_side
+    alpha = H.alpha
     count = 0
     for colour, side in ((Colour.RED, red_side), (Colour.BLUE, blue_side)):
-        edges = G.edges_of_colour(colour)
-        for subset, _ in iter_copies_bruteforce(edges, H.pattern, universe):
-            if len(side.intersection(subset)) >= H.alpha:
+        for m in _copy_masks(G, H.pattern, colour):
+            if m & universe == m and (m & side).bit_count() >= alpha:
                 count += 1
     return count
 
@@ -149,7 +208,7 @@ def good_copy_count(
     if a_set & b_set or a_set | b_set != frozenset(range(G.n)):
         raise ValueError("A and B must partition the host vertex set")
     require_budget(float(G.n) ** H.k, budget, "good-copy enumeration")
-    return _count_good_copies(G, H, a_set, b_set, range(G.n))
+    return _count_good_copies(G, H, mask_of(a_set), mask_of(b_set))
 
 
 def good_copy_witness_count(
@@ -162,7 +221,7 @@ def good_copy_witness_count(
     x_set, y_set = frozenset(X), frozenset(Y)
     if x_set & y_set:
         raise ValueError("X and Y must be disjoint")
-    return _count_good_copies(G, H, x_set, y_set, sorted(x_set | y_set))
+    return _count_good_copies(G, H, mask_of(x_set), mask_of(y_set))
 
 
 # ---------------------------------------------------------------------------
@@ -219,14 +278,19 @@ def iter_colourings(G: Graph, budget: float | None = None, reduce: bool = True):
         yield ColouredGraph(G, colour)
 
 
-def max_disjoint_copies(copy_masks: list[int], k: int) -> int:
-    """Largest number of pairwise vertex-disjoint copies, by branch and bound."""
+def max_disjoint_copies(copy_masks: Iterable[int], k: int) -> int:
+    """Largest number of pairwise vertex-disjoint ``k``-vertex copies, by branch
+    and bound: a branch is cut when its copies left to try, or its covered
+    vertices left unused split into ``k``-sets, cannot beat the best found."""
     masks = sorted(set(copy_masks))
+    covered = 0
+    for m in masks:
+        covered |= m
     best = 0
 
     def branch(index: int, used: int, size: int) -> None:
         nonlocal best
-        if size + (len(masks) - index) <= best:
+        if size + min(len(masks) - index, (covered & ~used).bit_count() // k) <= best:
             return
         for i in range(index, len(masks)):
             m = masks[i]
@@ -240,17 +304,7 @@ def max_disjoint_copies(copy_masks: list[int], k: int) -> int:
 
 
 def max_mono_tiling_size(G: ColouredGraph, H: PatternStats, colour: Colour) -> int:
-    masks = []
-    seen = set()
-    edges = G.edges_of_colour(colour)
-    for subset, _ in iter_copies_bruteforce(edges, H.pattern, range(G.n)):
-        m = 0
-        for v in subset:
-            m |= 1 << v
-        if m not in seen:
-            seen.add(m)
-            masks.append(m)
-    return max_disjoint_copies(masks, H.k)
+    return max_disjoint_copies(_copy_masks(G, H.pattern, colour), H.k)
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,24 @@
 import math
+from collections import Counter
+from itertools import combinations
 from typing import Iterable
 
 import pytest
 
-from monotile.aux_hypergraph import AuxHypergraph, HVertex, aux_degree_check, build_aux_hypergraph
+from monotile.aux_hypergraph import (
+    AuxHypergraph,
+    DegreeCheck,
+    DegreeReport,
+    HVertex,
+    _bound_holds,
+    aux_degree_check,
+    build_aux_hypergraph,
+)
 from monotile.budget import BudgetExceededError
-from monotile.graphs import Colour, Graph
+from monotile.graphs import Colour, Graph, pattern_by_name
+from monotile.patterns import PatternStats
+
+from .test_oracles import _reference_iter_copies
 
 
 def shadow_graph(n: int, vertices: Iterable[HVertex]) -> Graph:
@@ -101,3 +114,45 @@ def test_edgeless_pattern_rejected():
     stats = PatternStats.from_graph(Graph.empty(3))
     with pytest.raises(ValueError):
         build_aux_hypergraph(6, range(3), range(3, 6), stats)
+
+
+# Reference build and degree check: tagged edge sets from the permutation
+# enumeration, and j-subsets of hypervertices sorted by (edge, colour name)
+# counted one Counter update at a time.
+
+def _reference_hyperedges(n: int, H: PatternStats) -> frozenset[frozenset[HVertex]]:
+    part_a, part_b = frozenset(range(n // 2)), frozenset(range(n // 2, n))
+    hyperedges = set()
+    for subset, edge_set in _reference_iter_copies(Graph.complete(n).edges, H.pattern, range(n)):
+        if len(part_a.intersection(subset)) >= H.alpha:
+            hyperedges.add(frozenset((e, Colour.RED) for e in edge_set))
+        if len(part_b.intersection(subset)) >= H.alpha:
+            hyperedges.add(frozenset((e, Colour.BLUE) for e in edge_set))
+    return frozenset(hyperedges)
+
+
+def _reference_aux_degree_check(aux: AuxHypergraph) -> DegreeReport:
+    ell, k, n = aux.uniformity, aux.pattern.k, aux.n
+    fact = math.factorial(ell)
+    counters: dict[int, Counter] = {j: Counter() for j in range(1, ell + 1)}
+    for h in aux.hyperedges:
+        elems = sorted(h, key=lambda vc: (vc[0], vc[1].value))
+        for j in range(1, ell + 1):
+            for sub in combinations(elems, j):
+                counters[j][sub] += 1
+    checks = []
+    for j in range(1, ell + 1):
+        delta = max(counters[j].values(), default=0)
+        passed = _bound_holds(delta, fact, n, k, j, aux.pattern.m2_or_one)
+        checks.append(DegreeCheck(j, delta, fact * aux.tau ** (j - 1) * n ** (k - 2), passed))
+    refined = (checks[0].delta if checks else 0) <= ell * n ** (k - 2)
+    return DegreeReport(tuple(checks), refined, all(c.passed for c in checks) and refined)
+
+
+@pytest.mark.parametrize("name", ["k3", "p4", "c4"])
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_build_and_degree_check_match_reference(name, n):
+    H = PatternStats.from_graph(pattern_by_name(name))
+    aux = build_aux_hypergraph(n, range(n // 2), range(n // 2, n), H)
+    assert aux.hyperedges == _reference_hyperedges(n, H)
+    assert aux_degree_check(aux) == _reference_aux_degree_check(aux)

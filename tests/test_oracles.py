@@ -1,3 +1,6 @@
+import gc
+import math
+import weakref
 from itertools import combinations, permutations
 from typing import Iterable, Iterator
 
@@ -26,7 +29,7 @@ from monotile.oracles import (
 )
 from monotile.patterns import PatternStats
 
-from .conftest import all_colourings, graphs
+from .conftest import all_colourings, coloured_graphs, graphs
 
 
 def test_good_copy_count_k6_all_red(k3):
@@ -146,8 +149,117 @@ def hosts_with_universes(draw):
 @given(hosts_with_universes(), st.sampled_from(ENUMERATION_PATTERNS))
 def test_copy_enumeration_matches_reference(host_and_universe, pattern):
     g, universe = host_and_universe
-    got = list(iter_copies_bruteforce(g.edges, pattern, universe))
+    got = list(iter_copies_bruteforce(g.adjacency, pattern, universe))
     assert got == list(_reference_iter_copies(g.edges, pattern, universe))
+
+
+def _automorphism_count(pattern: Graph) -> int:
+    return sum(
+        1
+        for perm in permutations(range(pattern.n))
+        if frozenset(normalize_edge(perm[u], perm[v]) for u, v in pattern.edges) == pattern.edges
+    )
+
+
+def test_pattern_image_counts():
+    counts = [len(oracles._pattern_images(pattern)) for pattern in ENUMERATION_PATTERNS]
+    # k3, p3, p4, c4, k4, matching-2, paw, path plus an isolated vertex
+    assert counts == [1, 3, 12, 3, 1, 3, 12, 12]
+    for pattern, count in zip(ENUMERATION_PATTERNS, counts):
+        assert count == math.factorial(pattern.n) // _automorphism_count(pattern)
+
+
+# Reference counts: the per-call enumeration the copy-mask memo replaced, over
+# edge frozensets, with the branch and bound that had no covered-vertex cut.
+
+def _reference_count_good_copies(
+    G: ColouredGraph,
+    H: PatternStats,
+    red_side: frozenset[int],
+    blue_side: frozenset[int],
+    universe: Iterable[int],
+) -> int:
+    count = 0
+    for colour, side in ((Colour.RED, red_side), (Colour.BLUE, blue_side)):
+        edges = G.edges_of_colour(colour)
+        for subset, _ in _reference_iter_copies(edges, H.pattern, universe):
+            if len(side.intersection(subset)) >= H.alpha:
+                count += 1
+    return count
+
+
+def _reference_max_disjoint_copies(copy_masks: list[int]) -> int:
+    masks = sorted(set(copy_masks))
+    best = 0
+
+    def branch(index: int, used: int, size: int) -> None:
+        nonlocal best
+        if size + (len(masks) - index) <= best:
+            return
+        for i in range(index, len(masks)):
+            if not masks[i] & used:
+                branch(i + 1, used | masks[i], size + 1)
+        best = max(best, size)
+
+    branch(0, 0, 0)
+    return best
+
+
+def _reference_max_mono_tiling_size(G: ColouredGraph, H: PatternStats, colour: Colour) -> int:
+    masks = []
+    for subset, _ in _reference_iter_copies(G.edges_of_colour(colour), H.pattern, range(G.n)):
+        m = 0
+        for v in subset:
+            m |= 1 << v
+        masks.append(m)
+    return _reference_max_disjoint_copies(masks)
+
+
+ENUMERATION_STATS = tuple(map(PatternStats.from_graph, ENUMERATION_PATTERNS))
+
+
+@st.composite
+def coloured_hosts_with_sides(draw):
+    """A coloured host with each vertex put in X (0), Y (1) or neither (2)."""
+    cg = draw(coloured_graphs(max_n=7))
+    sides = draw(st.lists(st.sampled_from((0, 1, 2)), min_size=cg.n, max_size=cg.n))
+    return cg, sides
+
+
+@settings(max_examples=150, deadline=None)
+@given(coloured_hosts_with_sides(), st.sampled_from(ENUMERATION_STATS))
+def test_copy_mask_counts_match_reference(host_and_sides, H):
+    cg, sides = host_and_sides
+    X = frozenset(v for v, side in enumerate(sides) if side == 0)
+    Y = frozenset(v for v, side in enumerate(sides) if side == 1)
+    rest = frozenset(range(cg.n)) - X
+    twin = ColouredGraph.from_masks(cg.graph, cg.red_adjacency)
+    assert twin == cg and twin is not cg
+    witnesses = _reference_count_good_copies(cg, H, X, Y, sorted(X | Y))
+    partition = _reference_count_good_copies(cg, H, X, rest, range(cg.n))
+    tilings = [_reference_max_mono_tiling_size(cg, H, c) for c in Colour]
+    for g in (cg, twin):
+        assert good_copy_witness_count(g, H, X, Y) == witnesses
+        assert good_copy_witness_count(g, H, Y, X) == _reference_count_good_copies(cg, H, Y, X, sorted(X | Y))
+        assert good_copy_count(g, H, X, rest) == partition
+        assert [max_mono_tiling_size(g, H, c) for c in Colour] == tilings
+
+
+def test_copy_masks_live_as_long_as_the_colouring(k3, p4):
+    gc.collect()
+    before = len(oracles._COPY_MASKS)
+    cg = ColouredGraph.from_masks(Graph.complete(9), Graph.path(9).adjacency)
+    twin = ColouredGraph.from_masks(cg.graph, cg.red_adjacency)
+    X, Y = frozenset(range(4)), frozenset(range(4, 9))
+    expected = [_reference_count_good_copies(cg, H, X, Y, range(9)) for H in (k3, p4)]
+    for g in (cg, twin):
+        assert [good_copy_witness_count(g, H, X, Y) for H in (k3, p4)] == expected
+    assert len(oracles._COPY_MASKS) == before + 1  # equal colourings share one entry
+    refs = [weakref.ref(cg), weakref.ref(twin)]
+    del cg, twin, g
+    gc.collect()
+    assert all(ref() is None for ref in refs)
+    assert len(oracles._COPY_MASKS) == before
 
 
 def test_iter_colourings_raw_counts():
