@@ -6,11 +6,16 @@ graph plus red and blue masks, because almost everything downstream (copy
 search, cluster building) is set-intersection heavy.  Python integers serve
 as the bitmasks, so there is no fixed vertex ceiling; a mask spans the bits up
 to its highest neighbour, so memory is O(n^2/8) on dense hosts.  The edge set
-(``(u, v)`` tuples with ``u < v``), the lexicographic edge arrays and the
-edge-to-colour map are views built on first use, for text I/O, the oracles
-and desk-scale hosts.  Sampling, the text parser and the adversaries build
-masks directly through ``Graph.from_adjacency`` and
-``ColouredGraph.from_masks``; both classes are immutable.
+(``(u, v)`` tuples with ``u < v``), the lexicographic edge arrays
+(``edge_pairs``) and the edge-to-colour map are views built on first use,
+for text I/O, the oracles and desk-scale hosts.  The sampler and the text
+parser already hold their edges as lexicographic arrays, so they build the
+graph with ``Graph.from_pairs``, which keeps those arrays as ``edge_pairs``;
+the adversaries build masks through ``Graph.from_adjacency`` and
+``ColouredGraph.from_masks``.  Masks are built from pairs by setting bits in
+a transient bool matrix, one ``8*ceil(n/8)``-cell row per vertex with an
+edge (n^2 bytes on a dense host, the size of the matrix ``pairs_of_masks``
+unpacks), packed in one ``np.packbits`` call.  Both classes are immutable.
 """
 
 from __future__ import annotations
@@ -67,18 +72,27 @@ def mask_of(vertices: Iterable[int]) -> int:
 
 
 def masks_from_pairs(n: int, us: np.ndarray, vs: np.ndarray) -> Masks:
-    """Neighbour masks of the edges ``(us[i], vs[i])``, OR-ed into a packed bit buffer
-    with one ``ceil(n/8)``-byte row per vertex that has an edge."""
-    rows, cols = np.concatenate((us, vs)), np.concatenate((vs, us))
-    present = np.bincount(rows, minlength=n).astype(bool)
+    """Neighbour masks of the edges ``(us[i], vs[i])``, set in one bool matrix and packed
+    in one call.  The matrix has a row of ``8*ceil(n/8)`` cells only for each vertex
+    with an edge, so a sparse host on many vertices does not cost ``n**2`` bytes."""
+    present = np.zeros(n, bool)
+    present[us] = True
+    present[vs] = True
+    rows, at = np.flatnonzero(present), np.cumsum(present) - 1
     width = (n + 7) >> 3
-    buf = np.zeros((np.count_nonzero(present), width), np.uint8)
-    bits = np.left_shift(1, cols & 7).astype(np.uint8)
-    np.bitwise_or.at(buf, ((np.cumsum(present) - 1)[rows], cols >> 3), bits)
-    raw, masks = buf.tobytes(), [0] * n
-    for i, v in enumerate(np.flatnonzero(present).tolist()):
+    cells = np.zeros(len(rows) * 8 * width, bool)
+    cells[at[us] * (8 * width) + vs] = True
+    cells[at[vs] * (8 * width) + us] = True
+    raw, masks = np.packbits(cells, bitorder="little").tobytes(), [0] * n
+    for i, v in enumerate(rows.tolist()):
         masks[v] = int.from_bytes(raw[i * width:(i + 1) * width], "little")
     return tuple(masks)
+
+
+def _unpacked_bits(masks: Iterable[int], width: int) -> np.ndarray:
+    """The masks' low ``8*width`` bits, one 0/1 byte per bit, row after row."""
+    raw = b"".join(m.to_bytes(width, "little") for m in masks)
+    return np.unpackbits(np.frombuffer(raw, np.uint8), bitorder="little")
 
 
 def pairs_of_masks(masks: Masks) -> tuple[np.ndarray, np.ndarray]:
@@ -86,12 +100,19 @@ def pairs_of_masks(masks: Masks) -> tuple[np.ndarray, np.ndarray]:
     in lexicographic order."""
     rows = [u for u, m in enumerate(masks) if m >> u + 1]
     width = (len(masks) + 7) >> 3
-    raw = b"".join((masks[u] >> u + 1 << u + 1).to_bytes(width, "little") for u in rows)
-    bits = np.unpackbits(np.frombuffer(raw, np.uint8), bitorder="little")
+    bits = _unpacked_bits((masks[u] >> u + 1 << u + 1 for u in rows), width)
     at, vs = np.divmod(np.flatnonzero(bits), 8 * width)
     us = np.array(rows, np.intp)[at]
     us.flags.writeable = vs.flags.writeable = False
     return us, vs
+
+
+def _bits_at_pairs(masks: Masks, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """Whether bit ``vs[i]`` is set in ``masks[us[i]]``, for ``us`` in ascending order."""
+    new_row = np.diff(us, prepend=-1) != 0
+    width = (len(masks) + 7) >> 3
+    bits = _unpacked_bits((masks[u] for u in us[new_row].tolist()), width)
+    return bits[(np.cumsum(new_row) - 1) * (8 * width) + vs].astype(bool)
 
 
 @dataclass(frozen=True, init=False)
@@ -117,6 +138,16 @@ class Graph:
         """The graph whose state is ``adjacency``: a symmetric, loop-free tuple of ``n`` masks."""
         g = object.__new__(cls)
         g.__dict__.update(n=n, adjacency=adjacency)
+        return g
+
+    @classmethod
+    def from_pairs(cls, n: int, us: np.ndarray, vs: np.ndarray) -> "Graph":
+        """The graph with the edges ``(us[i], vs[i])``: distinct pairs ``u < v`` inside
+        ``range(n)`` in lexicographic order.  The arrays, made read-only, become the
+        cached ``edge_pairs``."""
+        g = cls.from_adjacency(n, masks_from_pairs(n, us, vs))
+        us.flags.writeable = vs.flags.writeable = False
+        g.__dict__["edge_pairs"] = (us, vs)
         return g
 
     @classmethod
@@ -252,18 +283,19 @@ _GRAPH_TEXT = {
 def write_graph_text(g: Graph | ColouredGraph) -> str:
     n = g.n
     if isinstance(g, ColouredGraph):
-        parts = [(pairs_of_masks(g.adjacency_for(c)), f" {c.value[0]}\n") for c in Colour]
+        us, vs = g.graph.edge_pairs
+        tails = [f"{v} {c}\n" for c in "br" for v in range(n)]  # blue tails, then red
+        picks = vs + n * _bits_at_pairs(g.red_adjacency, us, vs)
     else:
-        parts = ((g.edge_pairs, "\n"),)
+        us, vs = g.edge_pairs
+        tails, picks = [f"{v}\n" for v in range(n)], vs
     rank = np.empty(n, np.intp)
     rank[sorted(range(n), key=str)] = np.arange(n)
-    heads = np.array([f"{u} " for u in range(n)], dtype=object)
-    lines, keys = [], []
-    for (us, vs), tail in parts:
-        lines.append(heads[us] + np.array([f"{v}{tail}" for v in range(n)], dtype=object)[vs])
-        keys.append(rank[us] * n + rank[vs])
-    lines = np.concatenate(lines)[np.argsort(np.concatenate(keys))]
-    return f"{n} {len(lines)}\n" + "".join(lines.tolist())
+    order = np.argsort(rank[us] * n + rank[vs])
+    parts = np.empty(2 * len(order), dtype=object)  # each line's "u " then its "v ...\n"
+    parts[0::2] = np.array([f"{u} " for u in range(n)], dtype=object)[us[order]]
+    parts[1::2] = np.array(tails, dtype=object)[picks[order]]
+    return f"{n} {len(order)}\n" + "".join(parts.tolist())
 
 
 def parse_graph_text(text: str) -> Graph | ColouredGraph:
@@ -281,12 +313,18 @@ def parse_graph_text(text: str) -> Graph | ColouredGraph:
         raise ValueError("self-loop in graph text")
     if (vs >= n).any():
         raise ValueError("edge endpoint outside range(n)")
-    graph = Graph.from_adjacency(n, masks_from_pairs(n, us, vs))
-    if graph.num_edges != m:
+    keys = us * n + vs
+    if width == 3:  # the red flag rides in the low bit, so one sort orders both
+        keys = keys << 1 | cells[:, 2]
+    keys.sort()
+    pairs = keys >> (width - 2)
+    if (pairs[1:] == pairs[:-1]).any():
         raise ValueError("duplicate edge in graph text")
+    graph = Graph.from_pairs(n, *np.divmod(pairs, n))
     if width == 2:
         return graph
-    red = cells[:, 2] == 1
+    red = (keys & 1).astype(bool)
+    us, vs = graph.edge_pairs
     return ColouredGraph.from_masks(graph, masks_from_pairs(n, us[red], vs[red]))
 
 

@@ -3,7 +3,10 @@
 Sampling uses the Philox counter-based bit generator (``numpy.random.Philox``,
 4x64 with 10 rounds) keyed directly by the seed, with one uniform draw per
 vertex pair in lexicographic order.  The stream is specified exactly so the
-same seed reproduces the same graph edge-for-edge anywhere.
+same seed reproduces the same graph edge-for-edge anywhere.  ``sample_gnp``
+reads it in blocks of whole upper-triangle rows, about ``2**16`` draws each,
+and keeps only the hits, already in lexicographic order: its buffers are
+O(m + 2**16) for m edges, plus the transient bit matrix of the mask build.
 """
 
 from __future__ import annotations
@@ -14,8 +17,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graphs import Graph, masks_from_pairs
+from .graphs import Graph
 from .patterns import PatternStats
+
+_BLOCK = 1 << 16  # draws per block of whole upper-triangle rows
 
 
 def philox_generator(seed: int) -> np.random.Generator:
@@ -39,9 +44,19 @@ def sample_gnp(n: int, p: float, seed: int) -> Graph:
         return Graph.empty(n)
     if p == 1.0:
         return Graph.complete(n)
-    us, vs = np.triu_indices(n, 1)  # row-major: pairs in lexicographic order
-    keep = philox_generator(seed).random(len(us)) < p
-    return Graph.from_adjacency(n, masks_from_pairs(n, us[keep], vs[keep]))
+    # Row u of the upper triangle holds the draws for pairs (u, u+1 .. n-1); offsets[u]
+    # counts the draws before it.  Each block is the longest run of whole rows that
+    # fits in _BLOCK draws (at least one row), so the stream is read in pair order.
+    offsets = np.concatenate(([0], np.cumsum(np.arange(n - 1, 0, -1))))
+    gen, hits, u = philox_generator(seed), [], 0
+    while u < n - 1:
+        w = max(u + 1, int(np.searchsorted(offsets, offsets[u] + _BLOCK, side="right")) - 1)
+        hits.append(offsets[u] + np.flatnonzero(gen.random(offsets[w] - offsets[u]) < p))
+        u = w
+    vs = np.concatenate(hits)  # pair positions in the stream, turned into columns in place
+    us = np.repeat(np.arange(n), np.diff(np.searchsorted(vs, offsets), append=len(vs)))
+    vs += us + 1 - offsets[us]
+    return Graph.from_pairs(n, us, vs)
 
 
 def threshold_probability(n: int, C: float, pattern: PatternStats) -> float:

@@ -11,6 +11,7 @@ from monotile.graphs import (
     colour_all,
     masks_from_pairs,
     normalize_edge,
+    pairs_of_masks,
     parse_graph_text,
     pattern_by_name,
     write_graph_text,
@@ -281,3 +282,50 @@ def test_mask_constructors_match_dict_built_objects(cg):
     assert all(built.edges_of_colour(c) == cg.edges_of_colour(c) for c in Colour)
     assert built.swap_colours() == ColouredGraph(g, {e: c.other for e, c in cg.colour.items()})
     assert Graph.from_adjacency(g.n, g.adjacency).edges == g.edges
+
+
+def _reference_masks_from_pairs(n, us, vs):
+    """The mask builder the packbits one replaced: bytes OR-ed in with ``ufunc.at``, one
+    ``ceil(n/8)``-byte row per vertex that has an edge."""
+    rows, cols = np.concatenate((us, vs)), np.concatenate((vs, us))
+    present = np.bincount(rows, minlength=n).astype(bool)
+    width = (n + 7) >> 3
+    buf = np.zeros((np.count_nonzero(present), width), np.uint8)
+    bits = np.left_shift(1, cols & 7).astype(np.uint8)
+    np.bitwise_or.at(buf, ((np.cumsum(present) - 1)[rows], cols >> 3), bits)
+    raw, masks = buf.tobytes(), [0] * n
+    for i, v in enumerate(np.flatnonzero(present).tolist()):
+        masks[v] = int.from_bytes(raw[i * width:(i + 1) * width], "little")
+    return tuple(masks)
+
+
+@st.composite
+def pair_arrays(draw):
+    """``n`` in [1, 70] and pairs of distinct vertices in either order, repeats allowed."""
+    n = draw(st.integers(1, 70))
+    vertex = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(vertex, vertex).filter(lambda e: e[0] != e[1]), max_size=120))
+    us, vs = (np.array(side, np.intp) for side in zip(*pairs)) if pairs else (np.zeros(0, np.intp),) * 2
+    return n, us, vs
+
+
+@given(pair_arrays())
+def test_masks_from_pairs_matches_reference(case):
+    n, us, vs = case
+    assert masks_from_pairs(n, us, vs) == _reference_masks_from_pairs(n, us, vs)
+
+
+@given(boundary_hosts(), st.randoms(use_true_random=False), st.sampled_from(["\n", "\r\n"]))
+def test_parsed_edge_pairs_are_the_lexicographic_pairs(g, rnd, newline):
+    """Reversed, shuffled and blank-separated lines still parse to read-only ``edge_pairs``
+    in lexicographic order, equal to the pairs read back from the masks."""
+    head, *lines = write_graph_text(g).splitlines()
+    lines = [" ".join([b, a, *c] if rnd.random() < 0.5 else [a, b, *c]) for a, b, *c in map(str.split, lines)]
+    rnd.shuffle(lines)
+    lines = [ln for line in lines for ln in ([""] if rnd.random() < 0.2 else []) + [line]]
+    parsed = parse_graph_text(newline.join([head, *lines]) + newline)
+    graph = parsed.graph if isinstance(parsed, ColouredGraph) else parsed
+    assert parsed == (g.graph if isinstance(g, ColouredGraph) and not g.graph.num_edges else g)
+    for got, want in zip(graph.edge_pairs, pairs_of_masks(graph.adjacency)):
+        assert got.dtype == want.dtype == np.intp and not got.flags.writeable
+        assert np.array_equal(got, want)

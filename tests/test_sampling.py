@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 
-from monotile.graphs import Graph
+from monotile.graphs import Graph, masks_from_pairs
 from monotile.sampling import (
     ExperimentConfig,
     derive_seed,
@@ -37,6 +39,40 @@ def test_matches_pair_list_construction(n, p):
         # Same insertion order, so edge iteration order (and everything
         # downstream that iterates the edge set) is unchanged too.
         assert list(fast.edges) == list(slow.edges)
+
+
+def _triu_gnp(n, p, seed):
+    """The sampler before blocked draws: every pair from ``np.triu_indices``, one draw each."""
+    us, vs = np.triu_indices(n, 1)  # row-major: pairs in lexicographic order
+    keep = philox_generator(seed).random(len(us)) < p
+    return Graph.from_adjacency(n, masks_from_pairs(n, us[keep], vs[keep])), (us[keep], vs[keep])
+
+
+# 362 * 361 / 2 = 65341 pairs fit in one block of 2**16 draws; 363 * 362 / 2 = 65703 do not.
+@pytest.mark.parametrize("n", [362, 363, 500, 700, 1000])
+@pytest.mark.parametrize("p", [0.001, 0.02, 0.3, 0.999])
+def test_blocked_draws_match_triu_reference(n, p):
+    for seed in (0, 7, 2**63 + 5):
+        fast = sample_gnp(n, p, seed)
+        slow, (us, vs) = _triu_gnp(n, p, seed)
+        assert fast.adjacency == slow.adjacency
+        for got, want in zip(fast.edge_pairs, (us, vs)):
+            assert got.dtype == np.intp and not got.flags.writeable
+            assert np.array_equal(got, want)
+        assert list(fast.edges) == list(slow.edges)
+
+
+def test_sampling_memory_stays_near_the_edge_arrays(k3):
+    """The draws are streamed in blocks: a G(2000, C=5) host peaks at a few times its
+    edge arrays, not at the 24 bytes per vertex pair (about 53 MB) of drawing all at once."""
+    p = threshold_probability(2000, 5.0, k3)
+    tracemalloc.start()
+    try:
+        sample_gnp(2000, p, derive_seed("memory", 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16_000_000
 
 
 def test_rejects_bad_probability():
