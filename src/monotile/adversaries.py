@@ -2,6 +2,14 @@
 
 Every strategy produces a total red/blue colouring of any input graph and is
 a pure function of (graph, spec), so sweeps replay bit-for-bit.
+
+The two greedy strategies (majority-degree, copy-avoider) share one loop:
+each edge, in a seeded order, reads its cost in both colours on the masks of
+the edges already coloured and is placed in the cheaper one; ties read the
+next of one bulk draw of Philox coins. The copy-avoider's cost counts the
+copies an edge closes: for complete patterns the ``K_(k-2)`` in the common
+neighbourhood, counted on masks (one popcount for triangles); for other
+patterns the pinned matcher under a work budget.
 """
 
 from __future__ import annotations
@@ -73,44 +81,80 @@ def _closing_estimate(G: Graph, pattern: Graph) -> int:
     return 2 * G.num_edges * sum(math.prod(width[min(c, 2)] for c in pin) for pin in pins)
 
 
-def _closing_counter(G: Graph, pattern: Graph, budget: float | None):
-    """``count(adj, u, v)``: copies of ``pattern`` through edge (u, v) in ``adj``, which holds it.
+def _clique_estimate(G: Graph, k: int) -> int:
+    """Bound on ``_cliques``' loop iterations for ``K_k`` over all host edges and both
+    colours: a level with ``t >= 2`` loops over at most ``cod`` vertices, the maximum
+    co-degree of a host edge, and ``t = 1`` is a popcount."""
+    adj = G.adjacency
+    us, vs = G.edge_pairs
+    cod = max(((adj[u] & adj[v]).bit_count() for u, v in zip(us.tolist(), vs.tolist())), default=0)
+    return 2 * G.num_edges * sum(cod**i for i in range(1, k - 2))
 
-    Triangles are common neighbours; other patterns pin each pattern edge to
-    (u, v) both ways in the matcher, under the budget, and dedupe edge sets.
+
+def _cliques(adj: list[int], cand: int, t: int) -> int:
+    """Copies of ``K_t`` inside ``cand``, each grown from its least vertex over later ones."""
+    if t == 1:
+        return cand.bit_count()
+    total = 0
+    while cand:
+        low = cand & -cand
+        cand ^= low
+        total += _cliques(adj, cand & adj[low.bit_length() - 1], t - 1)
+    return total
+
+
+def _closing_counter(G: Graph, pattern: Graph, budget: float | None):
+    """``count(adj, u, v)``: copies of ``pattern`` that edge (u, v) closes in ``adj``, which
+    holds only the edges already coloured.
+
+    A ``K_k`` through uv is uv plus a ``K_(k-2)`` in the common neighbourhood, which
+    placing uv does not change: triangles are one popcount, larger cliques ``_cliques``
+    under the budget. Other patterns set uv's bits, pin each pattern edge to (u, v)
+    both ways in the matcher, under the budget, dedupe edge sets and clear the bits.
     """
-    if pattern.n == 3 and pattern.num_edges == 3:
-        return lambda adj, u, v: (adj[u] & adj[v]).bit_count()
+    if pattern.n >= 3 and pattern.num_edges == pattern.n * (pattern.n - 1) // 2:
+        t = pattern.n - 2
+        if t == 1:
+            return lambda adj, u, v: (adj[u] & adj[v]).bit_count()
+        require_budget(_clique_estimate(G, pattern.n), budget, "copy-avoider enumeration")
+        return lambda adj, u, v: _cliques(adj, adj[u] & adj[v], t)
     require_budget(_closing_estimate(G, pattern), budget, "copy-avoider enumeration")
     universe = (1 << G.n) - 1
 
     def count(adj: list[int], u: int, v: int) -> int:
+        bu, bv = 1 << u, 1 << v
+        adj[u] |= bv
+        adj[v] |= bu
         seen: set[frozenset[Edge]] = set()
         for a, b in pattern.edges:
             for x, y in ((u, v), (v, u)):
                 for vm in iter_embeddings(adj, pattern, universe, pin=((a, x), (b, y))):
                     seen.add(frozenset(normalize_edge(vm[s], vm[t]) for s, t in pattern.edges))
+        adj[u] ^= bv
+        adj[v] ^= bu
         return len(seen)
 
     return count
 
 
 def _greedy(G: Graph, seed: int, label: str, cost) -> Masks:
-    """Each edge joins both colours' masks of assigned edges, gets ``cost(adj, u, v)`` in
-    each, and stays only in the cheaper colour; a seeded coin breaks ties."""
-    coin = philox_generator(derive_seed(label, seed))
+    """Each edge reads ``cost(adj, u, v)`` in both colours, on the masks of the edges
+    already coloured, and joins the cheaper colour. Every tie takes the next value of
+    one ``random(m)`` draw from the seeded coin: red below one half.
+
+    Reading before placing is exact for the costs used: majority-degree would add
+    the same 2 to both colours' degrees, the clique counts read only the common
+    neighbourhood of u and v (never u or v) and the edges inside it, and the pinned
+    matcher places uv itself.
+    """
+    coins = philox_generator(derive_seed(label, seed)).random(G.num_edges)
+    heads = iter((coins < 0.5).tolist())
     red, blue = [0] * G.n, [0] * G.n
     for u, v in _edge_order(G, seed):
-        bu, bv = 1 << u, 1 << v
-        red[u] |= bv
-        red[v] |= bu
-        blue[u] |= bv
-        blue[v] |= bu
         cost_red, cost_blue = cost(red, u, v), cost(blue, u, v)
-        tie_to_red = cost_red == cost_blue and coin.random() < 0.5
-        drop = blue if cost_red < cost_blue or tie_to_red else red
-        drop[u] ^= bv
-        drop[v] ^= bu
+        keep = red if cost_red < cost_blue or cost_red == cost_blue and next(heads) else blue
+        keep[u] |= 1 << v
+        keep[v] |= 1 << u
     return tuple(red)
 
 

@@ -196,7 +196,11 @@ def extract_tiling(
     seed: int = 0,
     builder_budget: int = DEFAULT_BUILDER_BUDGET,
 ) -> tuple[Tiling, ExtractionReport]:
-    """Extract a large monochromatic tiling; always returns the best one found."""
+    """Extract a large monochromatic tiling; always returns the best one found.
+
+    Extraction draws no random numbers: ``seed`` steers nothing and is only
+    recorded in ``ExtractionReport.seed`` (and so in the report JSON).
+    """
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must lie in (0, 1)")
     if H.ell == 0:

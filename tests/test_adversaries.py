@@ -5,12 +5,14 @@ from hypothesis import strategies as st
 from monotile.adversaries import (
     ADVERSARY_NAMES,
     AdversarySpec,
+    _clique_estimate,
     _closing_counter,
     _closing_estimate,
     _edge_order,
     _resolve_pattern,
     colour_with,
 )
+from monotile.budget import DEFAULT_WORK_BUDGET
 from monotile.embeddings import find_triangle, iter_embeddings
 from monotile.graphs import Colour, Edge, Graph, normalize_edge, pattern_by_name
 from monotile.patterns import PatternStats
@@ -198,3 +200,132 @@ def test_closing_estimate_admits_c4_at_n300():
     c4 = pattern_by_name("c4")
     host = sample_gnp(300, threshold_probability(300, 5.0, PatternStats.from_graph(c4)), 0)
     _closing_counter(host, c4, None)  # D^(k-2) at every later position gives 9.8e7, over budget
+
+
+# Reference greedy loop: the loop as first written, which put each edge in
+# both colours' masks, read both costs with the edge present and took it out
+# of the dearer colour, drawing one scalar coin per tie.
+
+def _reference_greedy(G: Graph, seed: int, label: str, cost) -> tuple[int, ...]:
+    coin = philox_generator(derive_seed(label, seed))
+    red, blue = [0] * G.n, [0] * G.n
+    for u, v in _edge_order(G, seed):
+        bu, bv = 1 << u, 1 << v
+        red[u] |= bv
+        red[v] |= bu
+        blue[u] |= bv
+        blue[v] |= bu
+        cost_red, cost_blue = cost(red, u, v), cost(blue, u, v)
+        tie_to_red = cost_red == cost_blue and coin.random() < 0.5
+        drop = blue if cost_red < cost_blue or tie_to_red else red
+        drop[u] ^= bv
+        drop[v] ^= bu
+    return tuple(red)
+
+
+GREEDY_REFERENCES = {
+    "majority-degree": (
+        "adversary-majority",
+        lambda adj, u, v: -adj[u].bit_count() - adj[v].bit_count(),
+    ),
+    "copy-avoider-greedy": ("adversary-avoider", lambda adj, u, v: (adj[u] & adj[v]).bit_count()),
+}
+
+
+def _assert_greedy_matches_reference(g: Graph, name: str, seed: int) -> None:
+    label, cost = GREEDY_REFERENCES[name]
+    cg = colour_with(g, AdversarySpec(name, {}, seed))
+    assert cg.red_adjacency == _reference_greedy(g, seed, label, cost)
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(max_n=12), st.sampled_from(sorted(GREEDY_REFERENCES)), st.integers(0, 2**32))
+def test_greedy_matches_reference_loop(g, name, seed):
+    _assert_greedy_matches_reference(g, name, seed)
+
+
+@pytest.mark.parametrize("name", sorted(GREEDY_REFERENCES))
+@pytest.mark.parametrize("n, C", [(500, 0.5), (100, 5.0)])
+def test_greedy_matches_reference_loop_on_random_hosts(name, n, C):
+    p = threshold_probability(n, C, PatternStats.from_graph(pattern_by_name("k3")))
+    for seed in (0, 1, 2):
+        host = sample_gnp(n, p, derive_seed("greedy-reference", n, C, seed))
+        _assert_greedy_matches_reference(host, name, seed)
+
+
+@pytest.mark.parametrize("m", [0, 1, 7, 5000])
+def test_bulk_coin_draw_equals_scalar_draws(m):
+    seed = derive_seed("adversary-avoider", m)
+    scalar = philox_generator(seed)
+    assert philox_generator(seed).random(m).tolist() == [scalar.random() for _ in range(m)]
+
+
+CLIQUES = ("k4", "k5", "k6")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 12),
+    st.sampled_from([0.3, 0.6, 0.9]),
+    st.sampled_from(CLIQUES),
+    st.integers(0, 2**32),
+)
+def test_clique_avoider_matches_reference(n, p, pattern, seed):
+    g = sample_gnp(n, p, seed)
+    spec = AdversarySpec("copy-avoider-greedy", {"pattern": pattern}, seed)
+    assert colour_with(g, spec).colour == _reference_copy_avoider(g, spec)
+
+
+@pytest.mark.parametrize("pattern", CLIQUES)
+def test_clique_avoider_matches_reference_on_complete_hosts(pattern):
+    for n in range(5, 10):
+        for seed in range(2):
+            spec = AdversarySpec("copy-avoider-greedy", {"pattern": pattern}, seed)
+            g = Graph.complete(n)
+            assert colour_with(g, spec).colour == _reference_copy_avoider(g, spec)
+
+
+class _CountingMasks(list):
+    """Adjacency masks that count their reads: the clique cost reads ``adj[u]`` and
+    ``adj[v]`` once, then one mask per loop iteration of its recursion."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+@pytest.mark.parametrize("pattern", CLIQUES)
+def test_clique_estimate_bounds_iterations_and_old_estimate(pattern):
+    clique = pattern_by_name(pattern)
+    hosts = [Graph.complete(7)] + [
+        sample_gnp(n, p, derive_seed("closing-estimate", n, p, seed))
+        for n, p in ((10, 0.3), (12, 0.6), (30, 0.7)) for seed in range(3)
+    ]
+    for host in hosts:
+        estimate = _clique_estimate(host, clique.n)
+        assert estimate <= _closing_estimate(host, clique)
+        count = _closing_counter(host, clique, float("inf"))
+        for u, v in host.edges:
+            adj = _CountingMasks(host.adjacency)
+            count(adj, u, v)
+            # each greedy edge counts twice, in colour masks that are subgraphs of the host
+            assert 2 * (adj.reads - 2) <= estimate // host.num_edges
+
+
+K34 = Graph.from_edges(7, [(a, b) for a in range(3) for b in range(3, 7)])
+
+
+@pytest.mark.parametrize("host", [Graph.cycle(9), K34], ids=["c9", "k3,4"])
+def test_clique_estimate_is_zero_without_triangles(host):
+    for k in (4, 5, 6):
+        assert _clique_estimate(host, k) == 0
+
+
+def test_k4_avoider_admitted_at_n240():
+    k4 = pattern_by_name("k4")
+    host = sample_gnp(240, threshold_probability(240, 5.0, PatternStats.from_graph(k4)), 0)
+    assert _clique_estimate(host, 4) <= DEFAULT_WORK_BUDGET < _closing_estimate(host, k4)
+    cg = colour_with(host, AdversarySpec("copy-avoider-greedy", {"pattern": k4}, 0))
+    assert set(cg.colour) == host.edges
