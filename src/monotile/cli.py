@@ -207,59 +207,66 @@ def cmd_verify_fixtures(args) -> int:
     return EXIT_OK if report.passed else EXIT_FIXTURE
 
 
+# Options that several subcommands read; each subcommand takes only the ones it reads.
+_SHARED_OPTIONS = {
+    "seed": dict(type=int, default=0),
+    "budget": dict(type=float, default=None),
+    "workers": dict(type=int, default=1),
+    "format": dict(choices=("csv", "json"), default="csv"),
+    "out": dict(type=str, default=None),
+}
+
+
+def _add_command(sub, name: str, func, help: str, *shared: str) -> _Parser:
+    p = sub.add_parser(name, help=help)
+    for option in shared + ("out",):
+        p.add_argument(f"--{option}", **_SHARED_OPTIONS[option])
+    p.set_defaults(func=func)
+    return p
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="monotile", description=__doc__)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--budget", type=float, default=None)
-    common.add_argument("--workers", type=int, default=1)
-    common.add_argument("--out", type=str, default=None)
-    common.add_argument("--format", choices=("csv", "json"), default="csv")
-
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p = sub.add_parser("sample", parents=[common], help="sample a binomial random graph")
+    p = _add_command(sub, "sample", cmd_sample, "sample a binomial random graph", "seed")
     p.add_argument("--n", type=int, required=True)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--p", type=float, default=None)
     group.add_argument("--C", type=float, default=None)
     p.add_argument("--pattern", type=str, default="k3",
                    help="pattern whose 2-density sets the exponent when using --C")
-    p.set_defaults(func=cmd_sample)
 
-    p = sub.add_parser("colour", parents=[common], help="apply an adversary colouring")
+    p = _add_command(sub, "colour", cmd_colour, "apply an adversary colouring", "seed", "budget")
     p.add_argument("--graph", required=True)
     p.add_argument("--adversary", required=True, choices=ADVERSARY_NAMES)
     p.add_argument("--pattern", type=str, default=None)
     p.add_argument("--part", type=str, default=None, help="planted part, e.g. '0,1,2'")
-    p.set_defaults(func=cmd_colour)
 
-    p = sub.add_parser("extract", parents=[common], help="extract a monochromatic tiling")
+    p = _add_command(sub, "extract", cmd_extract, "extract a monochromatic tiling", "seed")
     p.add_argument("--graph", required=True, help="coloured graph file")
     p.add_argument("--pattern", required=True)
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--eta", type=float, default=None)
     p.add_argument("--with-tiling", action="store_true")
-    p.set_defaults(func=cmd_extract)
 
-    p = sub.add_parser("rt-exact", parents=[common], help="exact tiling Ramsey number")
+    p = _add_command(sub, "rt-exact", cmd_rt_exact, "exact tiling Ramsey number", "budget")
     p.add_argument("--pattern", required=True)
     p.add_argument("--host", required=True, help="host graph name (k6) or file")
-    p.set_defaults(func=cmd_rt_exact)
 
-    p = sub.add_parser("good-count", parents=[common], help="count one-sided good copies")
+    p = _add_command(sub, "good-count", cmd_good_count, "count one-sided good copies", "budget")
     p.add_argument("--graph", required=True, help="coloured graph file")
     p.add_argument("--pattern", required=True)
     p.add_argument("--part-a", required=True, help="vertices of part A, e.g. '0,1,2'")
-    p.set_defaults(func=cmd_good_count)
 
-    p = sub.add_parser("aux-check", parents=[common], help="degree bounds of the container hypergraph")
+    p = _add_command(
+        sub, "aux-check", cmd_aux_check, "degree bounds of the container hypergraph", "budget"
+    )
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--pattern", required=True)
     p.add_argument("--part-a", type=str, default=None)
-    p.set_defaults(func=cmd_aux_check)
 
-    p = sub.add_parser("sweep", parents=[common], help="run a batch sweep")
+    p = _add_command(sub, "sweep", cmd_sweep, "run a batch sweep", "seed", "workers", "format")
     p.add_argument("--pattern", required=True)
     p.add_argument("--n-list", required=True)
     p.add_argument("--c-list", required=True)
@@ -267,11 +274,11 @@ def build_parser() -> _Parser:
     p.add_argument("--trials", type=int, default=1)
     p.add_argument("--adversaries", type=str, default=None)
     p.add_argument("--timings", action="store_true")
-    p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("verify-fixtures", parents=[common], help="recompute cached oracle values")
+    p = _add_command(
+        sub, "verify-fixtures", cmd_verify_fixtures, "recompute cached oracle values", "budget"
+    )
     p.add_argument("--dir", required=True)
-    p.set_defaults(func=cmd_verify_fixtures)
 
     return parser
 

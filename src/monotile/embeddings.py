@@ -142,27 +142,17 @@ def find_mono_copy(
     H: PatternStats,
     allowed_vertices: Iterable[int] | int | None = None,
     colour_filter: Colour | None = None,
-    cursors: dict[Colour, int | None] | None = None,
 ) -> EmbeddedCopy | None:
     """First monochromatic copy of ``H`` inside ``G[allowed_vertices]``, or ``None``.
 
-    With no colour filter, red is searched before blue.  ``cursors``, updated
-    in place, carries a greedy scan across calls on a shrinking universe: per
-    colour, the first-position vertex of its last copy, or ``None`` once it
-    found nothing.  Clear it whenever the universe grows.
+    With no colour filter, red is searched before blue.
     """
     if H.ell == 0:
         raise ValueError("monochromatic copy search needs a pattern with at least one edge")
     universe = _resolve_universe(G.n, allowed_vertices)
     colours = (colour_filter,) if colour_filter else (Colour.RED, Colour.BLUE)
-    lead = lead_vertex(H.pattern)
     for colour in colours:
-        start = 0 if cursors is None else cursors.get(colour, 0)
-        if start is None:
-            continue
-        vm = first_copy(G.adjacency_for(colour), H.pattern, universe, start=start)
-        if cursors is not None:
-            cursors[colour] = None if vm is None else vm[lead]
+        vm = first_copy(G.adjacency_for(colour), H.pattern, universe)
         if vm is not None:
             return EmbeddedCopy(vm, colour)
     return None
@@ -266,7 +256,13 @@ def find_triangle(
     seeds from side vertices only and keeps the least first triangle per ``s``.
     """
     if min_side <= 0:
-        return next(iter_triangles(adjacency, universe_mask), None)
+        for a in iter_bits(universe_mask):
+            higher = adjacency[a] & universe_mask & ~((1 << (a + 1)) - 1)
+            for b in iter_bits(higher):
+                closing = higher & adjacency[b] & ~((1 << (b + 1)) - 1)
+                if closing:
+                    return (a, b, (closing & -closing).bit_length() - 1)
+        return None
     best = None
     for s in iter_bits(side_mask & universe_mask):
         ns = adjacency[s] & universe_mask

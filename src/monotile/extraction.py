@@ -1,12 +1,11 @@
-"""Monochromatic tiling extraction: tie clusters plus one greedy packing.
+"""Monochromatic tiling extraction: the best of four candidate tilings.
 
 ``maximal_cluster_family`` sets aside tie clusters, each a red and a blue
-copy sharing at least ``alpha`` vertices, then greedily packs disjoint
-monochromatic copies into the rest and hands them back as leftovers.  Ties
-lock in one copy per ``2k - alpha`` vertices, the paper's tiling rate.
-``extract_tiling`` takes the better colour across the clusters plus the
-matching leftovers, tops up greedily on whatever is still uncovered, and
-validates the result.
+copy sharing at least ``alpha`` vertices.  Ties lock in one copy per
+``2k - alpha`` vertices, the paper's tiling rate.  ``greedy_packing`` takes
+disjoint copies of one colour in scan order.  ``extract_tiling`` builds the
+ties plus a greedy packing of the rest, per colour, and a greedy packing of
+the whole host, per colour; it validates and returns the first largest.
 
 Falling short of the density target is reported, never raised: the report
 carries achieved versus target sizes.
@@ -21,15 +20,15 @@ from fractions import Fraction
 
 from .clusters import ClusterCertificate, InvariantViolation
 from .clusters import cluster_process  # noqa: F401  perfbench's layer tracer wraps it here by name
-from .embeddings import EmbeddedCopy, find_mono_copy, iter_copies, lead_vertex
-from .graphs import Colour, ColouredGraph, Graph, exact_ratio, mask_of
+from .embeddings import EmbeddedCopy, find_mono_copy, first_copy, iter_copies, lead_vertex
+from .graphs import Colour, ColouredGraph, exact_ratio, mask_of
 from .patterns import PatternStats
 from .richness import find_side_good_copy
 from .tilings import Tiling, tiling_errors
 
 DEFAULT_BUILDER_BUDGET = 100_000
 
-ROUNDING_TABLE_VERSION = "3"
+ROUNDING_TABLE_VERSION = "4"
 
 
 @dataclass(frozen=True)
@@ -37,13 +36,11 @@ class ClusterFamily:
     """A vertex-disjoint collection of verified cluster certificates.
 
     Maximality is relative to the builder's own tie scan, not global
-    maximality.  ``leftovers`` holds the greedily packed copies outside the
-    clusters, red before blue, each colour in the order found.
+    maximality.
     """
 
     certificates: tuple[ClusterCertificate, ...]
     truncated: bool
-    leftovers: tuple[EmbeddedCopy, ...]
 
     @property
     def vertices(self) -> frozenset[int]:
@@ -124,7 +121,7 @@ def maximal_cluster_family(
     eta: float,
     builder_budget: int = DEFAULT_BUILDER_BUDGET,
 ) -> ClusterFamily:
-    """Vertex-disjoint tie clusters, then a greedy packing of the rest as ``leftovers``."""
+    """Vertex-disjoint tie clusters, found in scan order."""
     if eta < 0:
         raise ValueError("eta must be nonnegative")
     certs: list[ClusterCertificate] = []
@@ -141,7 +138,7 @@ def maximal_cluster_family(
                     eta=eta,
                 )
             )
-        return ClusterFamily(tuple(certs), False, ())
+        return ClusterFamily(tuple(certs), False)
 
     # A red copy with no blue partner keeps none as the free set shrinks, so
     # each scan resumes at the lead vertex of the last tie's red copy.
@@ -157,27 +154,27 @@ def maximal_cluster_family(
         free_mask &= ~(red.vertex_mask | blue.vertex_mask)
         start = red.vertex_map[lead]
 
-    piles: dict[Colour, list[EmbeddedCopy]] = {Colour.RED: [], Colour.BLUE: []}
-    cursors: dict[Colour, int | None] = {}
-    while (copy := find_mono_copy(G, H, free_mask, cursors=cursors)) is not None:
+    return ClusterFamily(tuple(certs), truncated=budget[0] <= 0)
+
+
+def greedy_packing(
+    G: ColouredGraph, H: PatternStats, colour: Colour, free_mask: int
+) -> tuple[EmbeddedCopy, ...]:
+    """Disjoint ``colour`` copies inside ``free_mask``, each the first left in scan order.
+
+    A copy missing from one scan stays missing as the free set shrinks, so
+    each scan resumes at the lead vertex of the last copy taken.
+    """
+    adjacency = G.adjacency_for(colour)
+    lead = lead_vertex(H.pattern)
+    copies: list[EmbeddedCopy] = []
+    start = 0
+    while (vm := first_copy(adjacency, H.pattern, free_mask, start=start)) is not None:
+        copy = EmbeddedCopy(vm, colour)
+        copies.append(copy)
         free_mask &= ~copy.vertex_mask
-        piles[copy.colour].append(copy)
-
-    return ClusterFamily(
-        tuple(certs),
-        truncated=budget[0] <= 0,
-        leftovers=tuple(piles[Colour.RED] + piles[Colour.BLUE]),
-    )
-
-
-def _flatten_to_edges(tiling: Tiling, substitute: PatternStats, original: PatternStats) -> Tiling:
-    """Split each disjoint-pair copy into two single-edge copies."""
-    copies = []
-    for c in tiling.copies:
-        for (u, v) in substitute.pattern.edges:
-            a, b = c.vertex_map[u], c.vertex_map[v]
-            copies.append(EmbeddedCopy((a, b) if a < b else (b, a), tiling.colour))
-    return Tiling(tiling.colour, tuple(copies))
+        start = vm[lead]
+    return tuple(copies)
 
 
 def _validated(G: ColouredGraph, H: PatternStats, tiling: Tiling) -> Tiling:
@@ -205,66 +202,28 @@ def extract_tiling(
         raise ValueError("epsilon must lie in (0, 1)")
     if H.ell == 0:
         raise ValueError("pattern needs at least one edge")
-    if H.k == 2:
-        # Single-edge pattern: run on disjoint edge pairs, then split the
-        # copies.  Both patterns share the n/3 density target.
-        substitute = PatternStats.from_graph(Graph.matching(2))
-        sub_eta = eta if eta is not None else epsilon / substitute.tiling_denominator
-        tiling, report = extract_tiling(G, substitute, epsilon, sub_eta, seed, builder_budget)
-        flat = _validated(G, H, _flatten_to_edges(tiling, substitute, H))
-        target = extraction_target(G.n, H, epsilon)
-        return flat, ExtractionReport(
-            target_size=target,
-            achieved_size=flat.size,
-            colour=report.colour,
-            cluster_vertices=report.cluster_vertices,
-            seed=seed,
-            eta=report.eta,
-            epsilon=epsilon,
-            rounding_table_version=ROUNDING_TABLE_VERSION,
-            red_copies=flat.size if report.colour == "red" else 0,
-            blue_copies=flat.size if report.colour == "blue" else 0,
-        )
-
     if eta is None:
         eta = epsilon / H.tiling_denominator
-    n = G.n
+    everything = (1 << G.n) - 1
     family = maximal_cluster_family(G, H, eta, builder_budget)
     certs = family.certificates
-    piles = {colour: [c for c in family.leftovers if c.colour is colour] for colour in Colour}
-    totals = {
-        colour: sum(c.tiling(colour).size for c in certs) + len(piles[colour]) for colour in Colour
-    }
-    best = Colour.RED if totals[Colour.RED] >= totals[Colour.BLUE] else Colour.BLUE
-    chosen: list[EmbeddedCopy] = []
-    for cert in certs:
-        chosen.extend(cert.tiling(best).copies)
-    chosen.extend(piles[best])
-
-    # The off-colour leftovers are not part of the tiling; their vertices are
-    # fair game for a final same-colour top-up.
-    free_mask = ((1 << n) - 1) & ~mask_of(family.vertices)
-    for copy in piles[best]:
-        free_mask &= ~copy.vertex_mask
-    cursors: dict[Colour, int | None] = {}
-    while True:
-        extra = find_mono_copy(G, H, free_mask, best, cursors)
-        if extra is None:
-            break
-        free_mask &= ~extra.vertex_mask
-        chosen.append(extra)
-
-    tiling = _validated(G, H, Tiling(best, tuple(chosen)))
+    rest = everything & ~mask_of(family.vertices)
+    tie_copies = {c: tuple(x for cert in certs for x in cert.tiling(c).copies) for c in Colour}
+    candidates = [Tiling(c, tie_copies[c] + greedy_packing(G, H, c, rest)) for c in Colour]
+    candidates += [Tiling(c, greedy_packing(G, H, c, everything)) for c in Colour]
+    # max keeps the first largest: ties before plain greedy, red before blue.
+    tiling = _validated(G, H, max(candidates, key=lambda t: t.size))
+    largest = {c: max(t.size for t in candidates if t.colour is c) for c in Colour}
     report = ExtractionReport(
-        target_size=extraction_target(n, H, epsilon),
+        target_size=extraction_target(G.n, H, epsilon),
         achieved_size=tiling.size,
-        colour=best.value,
+        colour=tiling.colour.value,
         cluster_vertices=sum(len(c.vertices) for c in certs),
         seed=seed,
         eta=eta,
         epsilon=epsilon,
         rounding_table_version=ROUNDING_TABLE_VERSION,
-        red_copies=totals[Colour.RED],
-        blue_copies=totals[Colour.BLUE],
+        red_copies=largest[Colour.RED],
+        blue_copies=largest[Colour.BLUE],
     )
     return tiling, report

@@ -154,7 +154,10 @@ def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float
     denom = 1 + z * z / trials
     centre = phat + z * z / (2 * trials)
     spread = z * math.sqrt(phat * (1 - phat) / trials + z * z / (4 * trials * trials))
-    return ((centre - spread) / denom, (centre + spread) / denom)
+    # At 0 or ``trials`` successes a bound is exactly 0 or 1, which rounding misses.
+    low = (centre - spread) / denom if successes else 0.0
+    high = (centre + spread) / denom if successes < trials else 1.0
+    return (low, high)
 
 
 def trial_seed(seed_base: int, n: int, C: float, adversary: str, trial: int) -> int:

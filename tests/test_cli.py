@@ -43,7 +43,7 @@ def test_pipeline_sample_colour_extract(tmp_path, capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["achieved_size"] >= payload["target_size"]
-    assert payload["rounding_table_version"] == "3"
+    assert payload["rounding_table_version"] == "4"
     assert all(len(c) == 3 for c in payload["copies"])
 
 
@@ -114,6 +114,21 @@ def test_usage_error_exit_code(capsys):
     assert err.value.code == 1
     with pytest.raises(SystemExit) as err:
         main(["no-such-command"])
+    assert err.value.code == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["extract", "--graph", "g.txt", "--pattern", "k3", "--epsilon", "0.2", "--workers", "2"],
+        ["extract", "--graph", "g.txt", "--pattern", "k3", "--epsilon", "0.2", "--budget", "10"],
+        ["rt-exact", "--pattern", "k3", "--host", "k6", "--seed", "1"],
+        ["sample", "--n", "6", "--p", "1.0", "--workers", "2"],
+    ],
+)
+def test_options_a_subcommand_never_reads_are_usage_errors(argv):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
     assert err.value.code == 1
 
 

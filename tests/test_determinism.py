@@ -1,13 +1,11 @@
 """Golden hashes over seeded outputs: any change to engine output shows here.
 
-``GOLDEN`` hashes every tiling, report and cluster family of the grid at
-rounding table version 3, where the cluster family is tie clusters plus one
-greedy packing, with no fold and no ``probe_failures`` field.
-``TILING_GOLDEN`` was recorded from the version 1 engine, which re-packed the
-free set after building the cluster family; it leaves out what versions 2
-and 3 changed (``probe_failures``, ``attempts``, the version, the family's
-leftovers), so the engine must reproduce every tiling, colour choice, copy
-count and cluster certificate exactly.
+``GOLDEN`` hashes every tiling, report and cluster family of the grid, and
+``TILING_GOLDEN`` every tiling, colour choice, per-colour copy count and
+cluster certificate, both at rounding table version 4: the cluster family is
+tie clusters only, and extraction returns the first largest of four
+candidates (ties plus a greedy packing of the rest, then a greedy packing of
+the whole host, red before blue in each).
 ``AVOIDER_GOLDEN`` was recorded from the copy-avoider that listed every copy
 of the pattern in the host before colouring; the incremental per-colour masks
 must reproduce every colouring.  ``ORACLE_GOLDEN`` was recorded from the
@@ -32,8 +30,8 @@ from monotile.oracles import exact_rt, good_copy_witness_count, max_mono_tiling_
 from monotile.patterns import PatternStats
 from monotile.sampling import derive_seed, sample_gnp, threshold_probability
 
-TILING_GOLDEN = "50ba7c670288c05ba42493a738cde44e7ec29c4fc9ef62df3b3c17aee0197948"
-GOLDEN = "27ebf91f23fcabf3b22e2887d8bdb6ae12d8bc8a9482251876d5000dd9666cd3"
+TILING_GOLDEN = "fa9f373b849bd2b0fe1cedfd4b9813295677230f1501725876490642f7f804be"
+GOLDEN = "d70b6c8789d8c4506c97b9ed70446fd8cadc825907b5aeb4ef5bc97504e8137c"
 
 GRID_N = {"k3": 150, "p3": 90, "c4": 60}
 GRID_C = (0.5, 3.0)

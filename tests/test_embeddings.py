@@ -1,7 +1,7 @@
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from monotile.budget import BudgetExceededError
@@ -14,6 +14,7 @@ from monotile.embeddings import (
     iter_embeddings,
     iter_triangles,
 )
+from monotile.extraction import greedy_packing
 from monotile.graphs import Colour, Graph, colour_all, mask_of, pattern_by_name
 from monotile.oracles import mono_copy_count_bruteforce
 from monotile.patterns import PatternStats
@@ -167,23 +168,35 @@ def test_side_seeded_triangle_search_matches_brute_force():
             assert find_triangle(adj, universe, side, min_side) == min(valid, default=None)
 
 
-def _greedy_packing(cg, H, resume):
-    """Disjoint copies taken first-found; ``resume`` keeps per-colour cursors."""
-    free = (1 << cg.n) - 1
-    cursors = {} if resume else None
+def _restarted_packing(cg, H, colour, free):
+    """Disjoint copies taken first-found, each scan restarted from vertex 0 of the free set."""
     out = []
-    while (copy := find_mono_copy(cg, H, free, cursors=cursors)) is not None:
+    while (copy := find_mono_copy(cg, H, free, colour)) is not None:
         assert copy.vertex_mask & free == copy.vertex_mask
         free &= ~copy.vertex_mask
         out.append(copy)
-    return out
+    return tuple(out)
+
+
+# Red triangles leading with vertices 0 and 1: a scan resumed beyond the
+# first copy's lead vertex plus one misses the second.
+_ADJACENT_LEADS = colour_all(
+    Graph.from_edges(6, [e for t in ((0, 2, 3), (1, 4, 5)) for e in combinations(t, 2)]), Colour.RED
+)
 
 
 @settings(max_examples=80, deadline=None)
-@given(coloured_graphs(min_n=3, max_n=9), st.sampled_from(["k3", "c4", "p4"]))
-def test_cursor_resumed_greedy_matches_restarts(cg, name):
+@given(
+    coloured_graphs(min_n=3, max_n=9),
+    st.sampled_from(["k3", "c4", "p4"]),
+    st.sampled_from(list(Colour)),
+    st.integers(0, (1 << 9) - 1),
+)
+@example(_ADJACENT_LEADS, "k3", Colour.RED, (1 << 9) - 1)
+def test_greedy_packing_matches_restarted_scan(cg, name, colour, free):
     H = PatternStats.from_graph(pattern_by_name(name))
-    assert _greedy_packing(cg, H, resume=True) == _greedy_packing(cg, H, resume=False)
+    free &= (1 << cg.n) - 1
+    assert greedy_packing(cg, H, colour, free) == _restarted_packing(cg, H, colour, free)
 
 
 def test_mask_and_iterable_universes_agree(k3):

@@ -12,9 +12,9 @@ from monotile.clusters import (
 )
 from monotile.embeddings import EmbeddedCopy, find_mono_copy, iter_copies
 from monotile.extraction import (
-    ClusterFamily,
     extract_tiling,
     extraction_target,
+    greedy_packing,
     maximal_cluster_family,
 )
 from monotile.graphs import Colour, ColouredGraph, Graph, colour_all, mask_of, pattern_by_name
@@ -80,7 +80,7 @@ def test_single_edge_pattern_substitution(k2):
     cg = colour_all(Graph.complete(12), Colour.RED)
     tiling, report = extract_tiling(cg, k2, epsilon=0.1, seed=0)
     assert validate_tiling(cg, k2, tiling)
-    assert tiling.size == 2 * (12 // 4)  # flattened disjoint-pair copies
+    assert tiling.size == 12 // 2  # a perfect matching
     assert report.achieved_size == tiling.size
     assert report.target_size == extraction_target(12, k2, 0.1)
 
@@ -243,7 +243,55 @@ def test_two_cliques_extract_a_red_tiling(k3):
 
 def test_invalid_result_raises(k3, monkeypatch):
     cg = _two_cliques()
-    fake = ClusterFamily((), False, leftovers=(EmbeddedCopy((6, 7, 8), Colour.RED),))
-    monkeypatch.setattr(extraction, "maximal_cluster_family", lambda *args: fake)
+    bad = (EmbeddedCopy((6, 7, 8), Colour.RED),)
+    monkeypatch.setattr(extraction, "greedy_packing", lambda G, H, colour, free: bad)
     with pytest.raises(InvariantViolation, match="blue edge"):
         extract_tiling(cg, k3, epsilon=0.1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_dense_coloured_graphs(), st.sampled_from(["k2", "k3", "c4", "p4"]))
+def test_achieved_is_at_least_every_candidate(cg, name):
+    H = PatternStats.from_graph(pattern_by_name(name))
+    tiling, report = extract_tiling(cg, H, epsilon=0.1)
+    assert validate_tiling(cg, H, tiling)
+    everything = (1 << cg.n) - 1
+    fam = maximal_cluster_family(cg, H, report.eta)
+    rest = everything & ~mask_of(fam.vertices)
+    largest = {}
+    for colour in Colour:
+        with_ties = len(fam.certificates) + len(greedy_packing(cg, H, colour, rest))
+        largest[colour] = max(with_ties, len(greedy_packing(cg, H, colour, everything)))
+    assert report.achieved_size == tiling.size == max(largest.values())
+    assert (report.red_copies, report.blue_copies) == (largest[Colour.RED], largest[Colour.BLUE])
+
+
+def test_full_slack_cluster_still_packs_greedily(k3):
+    # At eta = 1 one cluster with empty tilings covers the host; the plain
+    # greedy candidates still see every vertex.
+    cg = colour_all(Graph.complete(12), Colour.RED)
+    tiling, report = extract_tiling(cg, k3, epsilon=0.1, eta=1.0)
+    assert tiling.colour is Colour.RED
+    assert tiling.size == report.achieved_size == 4
+    assert report.cluster_vertices == 12
+
+
+def _greedy_matching(G: ColouredGraph, colour: Colour) -> int:
+    """Edges of one colour taken in lexicographic order whenever both ends are free."""
+    used: set[int] = set()
+    size = 0
+    for (u, v), c in sorted(G.colour.items()):
+        if c is colour and u not in used and v not in used:
+            used |= {u, v}
+            size += 1
+    return size
+
+
+def test_single_edge_extraction_is_at_least_a_greedy_matching(k2):
+    from monotile.sampling import sample_gnp, threshold_probability
+
+    host = sample_gnp(300, threshold_probability(300, 5.0, k2), 7)
+    cg = colour_with(host, AdversarySpec("majority-degree", {}, 7))
+    tiling, report = extract_tiling(cg, k2, epsilon=0.15)
+    assert validate_tiling(cg, k2, tiling)
+    assert report.achieved_size >= max(_greedy_matching(cg, c) for c in Colour)

@@ -189,3 +189,5 @@ def test_wilson_interval_basics():
     assert low > 0.9 and high == pytest.approx(1.0)
     low, high = wilson_interval(25, 50)
     assert low < 0.5 < high
+    assert wilson_interval(0, 10)[0] == 0.0
+    assert wilson_interval(20, 20)[1] == 1.0
