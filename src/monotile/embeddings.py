@@ -5,9 +5,13 @@ bitmask.  The generic matcher backtracks over a fixed pattern vertex order
 (connected expansion, highest degree first), trying host candidates in
 ascending order, so the first copy is the lexicographically first embedding.
 Triangles dispatch to a bitset search (Chiba-Nishizeki style) returning the
-same copy; with a side requirement it seeds only from side vertices.  Greedy
-packings on a shrinking free set pass a ``start`` cursor so each scan resumes
-where the previous copy began.
+same copy; with a side requirement it seeds only from side vertices.
+
+Every search takes a ``leads`` mask of the vertices allowed in the first scan
+position.  :func:`copy_leads` finds, once per colour class, the vertices that
+lead some copy at all; no copy inside any subset leads from elsewhere.  Greedy
+packings on a shrinking free set also cut the mask below the lead of the last
+copy taken, so each scan resumes where the previous copy began.
 
 Copies are counted as subgraphs: distinct vertex images up to pattern
 automorphism, i.e. the labelled embedding count divided by ``|Aut(H)|``.
@@ -73,7 +77,7 @@ def _cached_order(pattern: Graph, lead: tuple[int, ...] = ()):
 
 
 def lead_vertex(pattern: Graph) -> int:
-    """The pattern vertex an unpinned scan places first; ``start`` cursors bound its image."""
+    """The pattern vertex an unpinned scan places first; ``leads`` masks hold its image."""
     return _cached_order(pattern)[0][0]
 
 
@@ -83,19 +87,19 @@ def iter_embeddings(
     universe_mask: int,
     side_mask: int = 0,
     min_side: int = 0,
-    start: int = 0,
+    leads: int = -1,
     pin: tuple[tuple[int, int], ...] = (),
 ) -> Iterator[tuple[int, ...]]:
     """Yield injective maps sending every pattern edge into ``adjacency``.
 
     ``side_mask``/``min_side`` restrict output to embeddings whose image meets
     the side set in at least ``min_side`` vertices (pruned during search).
-    The first-position vertex is at least ``start``.  Each ``(pattern vertex,
+    The first-position vertex lies in ``leads``.  Each ``(pattern vertex,
     host vertex)`` pair in ``pin`` is fixed, placed first, in that order.
     """
     k = pattern.n
     order, parents = _cached_order(pattern, tuple(p for p, _ in pin) if pin else ())
-    allowed = [universe_mask & ~((1 << start) - 1)] + [universe_mask] * (k - 1)
+    allowed = [universe_mask & leads] + [universe_mask] * (k - 1)
     for pos, (_, h) in enumerate(pin):
         allowed[pos] &= 1 << h
     assign = [0] * k
@@ -194,35 +198,68 @@ def first_copy(
     universe_mask: int,
     side_mask: int = 0,
     min_side: int = 0,
-    start: int = 0,
+    leads: int = -1,
 ) -> tuple[int, ...] | None:
     """The first embedding :func:`iter_embeddings` yields, or ``None``; triangles take the fast path.
 
-    ``start`` is a resume point: the caller promises no copy has its
-    first-position vertex (for K3, its least vertex) below it.
+    ``leads`` is a promise: no copy in the universe has its first-position
+    vertex (for K3, its least vertex) outside it, so the scan skips those
+    vertices.  A resume cursor at ``v`` is ``leads & ~((1 << v) - 1)``.
     """
-    if pattern.n == 3 and pattern.num_edges == 3:
-        return find_triangle(adjacency, universe_mask & ~((1 << start) - 1), side_mask, min_side)
-    return next(iter_embeddings(adjacency, pattern, universe_mask, side_mask, min_side, start), None)
+    if _is_triangle(pattern):
+        return find_triangle(adjacency, universe_mask, side_mask, min_side, leads)
+    return next(iter_embeddings(adjacency, pattern, universe_mask, side_mask, min_side, leads), None)
 
 
 def iter_copies(
-    adjacency: Sequence[int], pattern: Graph, universe_mask: int, start: int = 0
+    adjacency: Sequence[int], pattern: Graph, universe_mask: int, leads: int = -1
 ) -> Iterator[tuple[int, ...]]:
     """One embedding per copy vertex set, the first found, in scan order.
 
-    ``start`` is a resume point as in :func:`first_copy`: the scan skips every
-    copy whose first-position vertex lies below it.
+    ``leads`` is a promise as in :func:`first_copy`: the scan skips every
+    copy whose first-position vertex lies outside it.
     """
-    if pattern.n == 3 and pattern.num_edges == 3:
-        yield from iter_triangles(adjacency, universe_mask & ~((1 << start) - 1))
+    if _is_triangle(pattern):
+        yield from iter_triangles(adjacency, universe_mask, leads)
         return
     seen: set[int] = set()
-    for vm in iter_embeddings(adjacency, pattern, universe_mask, start=start):
+    for vm in iter_embeddings(adjacency, pattern, universe_mask, leads=leads):
         m = mask_of(vm)
         if m not in seen:
             seen.add(m)
             yield vm
+
+
+def _is_triangle(pattern: Graph) -> bool:
+    return pattern.adjacency == (0b110, 0b101, 0b011)
+
+
+def copy_leads(adjacency: Sequence[int], pattern: Graph) -> int:
+    """The vertices in the first scan position of some copy in the whole colour class.
+
+    A vertex outside this mask leads no copy inside any universe, so the mask
+    is a valid ``leads`` promise for every later search of this class.  For K3
+    it holds the least vertices of triangles; other patterns take one search
+    per vertex.
+    """
+    leads = 0
+    if _is_triangle(pattern):
+        for a, row in enumerate(adjacency):
+            # a is a triangle's least vertex iff some edge joins two neighbours above a.
+            higher = row & ~((1 << (a + 1)) - 1)
+            rest = higher
+            while rest:
+                low = rest & -rest
+                if higher & adjacency[low.bit_length() - 1]:
+                    leads |= 1 << a
+                    break
+                rest ^= low
+        return leads
+    everything = (1 << len(adjacency)) - 1
+    for v in range(len(adjacency)):
+        if first_copy(adjacency, pattern, everything, leads=1 << v) is not None:
+            leads |= 1 << v
+    return leads
 
 
 # ---------------------------------------------------------------------------
@@ -233,10 +270,13 @@ def iter_copies(
 # ---------------------------------------------------------------------------
 
 def iter_triangles(
-    adjacency: Sequence[int], universe_mask: int
+    adjacency: Sequence[int], universe_mask: int, leads: int = -1
 ) -> Iterator[tuple[int, int, int]]:
-    """All triangles in ``adjacency`` within the universe, ascending, each once."""
-    for a in iter_bits(universe_mask):
+    """All triangles in ``adjacency`` within the universe, ascending, each once.
+
+    ``leads`` is a promise as in :func:`first_copy` on the least vertex.
+    """
+    for a in iter_bits(universe_mask & leads):
         # Only scan pairs above a, so each triangle is seen once, ordered.
         higher = adjacency[a] & universe_mask & ~((1 << (a + 1)) - 1)
         for b in iter_bits(higher):
@@ -249,19 +289,28 @@ def find_triangle(
     universe_mask: int,
     side_mask: int = 0,
     min_side: int = 0,
+    leads: int = -1,
 ) -> tuple[int, int, int] | None:
     """Lexicographically first triangle meeting the side set in >= ``min_side`` vertices.
 
-    Every such triangle passes through a side vertex ``s``, so the search
-    seeds from side vertices only and keeps the least first triangle per ``s``.
+    Unsided, the least vertex runs over ``leads``, a promise as in
+    :func:`first_copy`.  Every triangle meeting the side set passes through a
+    side vertex ``s``, so the sided search seeds from side vertices only and
+    keeps the least first triangle per ``s``; it does not need ``leads``.
     """
     if min_side <= 0:
-        for a in iter_bits(universe_mask):
+        for a in iter_bits(universe_mask & leads):
             higher = adjacency[a] & universe_mask & ~((1 << (a + 1)) - 1)
-            for b in iter_bits(higher):
-                closing = higher & adjacency[b] & ~((1 << (b + 1)) - 1)
+            rest = higher
+            while rest:
+                low = rest & -rest
+                b = low.bit_length() - 1
+                # The least b with a closing vertex has none below it: such a c
+                # lies in higher with b in its row, so c would be an earlier b.
+                closing = higher & adjacency[b]
                 if closing:
                     return (a, b, (closing & -closing).bit_length() - 1)
+                rest ^= low
         return None
     best = None
     for s in iter_bits(side_mask & universe_mask):

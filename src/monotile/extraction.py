@@ -6,6 +6,8 @@ copy sharing at least ``alpha`` vertices.  Ties lock in one copy per
 disjoint copies of one colour in scan order.  ``extract_tiling`` builds the
 ties plus a greedy packing of the rest, per colour, and a greedy packing of
 the whole host, per colour; it validates and returns the first largest.
+Each colour's :func:`~monotile.embeddings.copy_leads` mask is found once and
+bounds where every scan of that colour may start.
 
 Falling short of the density target is reported, never raised: the report
 carries achieved versus target sizes.
@@ -17,10 +19,12 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Mapping
 
 from .clusters import ClusterCertificate, InvariantViolation
 from .clusters import cluster_process  # noqa: F401  perfbench's layer tracer wraps it here by name
-from .embeddings import EmbeddedCopy, find_mono_copy, first_copy, iter_copies, lead_vertex
+from .embeddings import EmbeddedCopy, copy_leads, first_copy, iter_copies, lead_vertex
+from .embeddings import find_mono_copy  # noqa: F401  perfbench's layer tracer wraps it here by name
 from .graphs import Colour, ColouredGraph, exact_ratio, mask_of
 from .patterns import PatternStats
 from .richness import find_side_good_copy
@@ -84,21 +88,28 @@ def extraction_target(n: int, H: PatternStats, epsilon: float) -> int:
 
 
 def _find_tie(
-    G: ColouredGraph, H: PatternStats, free_mask: int, budget: list[int], start: int
+    G: ColouredGraph, H: PatternStats, free_mask: int, budget: list[int], leads: dict[Colour, int]
 ) -> tuple[EmbeddedCopy, EmbeddedCopy] | None:
     """A red copy and a blue copy sharing >= alpha vertices, inside the free set.
 
     Their union spans at most ``2k - alpha`` vertices, so the pair is a
     one-copy-per-colour cluster at any slack.  Red copies are scanned from the
-    ``start`` cursor on (see :func:`iter_copies`).
+    red lead mask ``leads[RED]`` (see :func:`iter_copies`).  The first blue
+    copy's lead only moves up as the free set shrinks, so the blue
+    pre-check cuts ``leads[BLUE]`` there in place; no blue copy, side-good
+    or not, leads below it.
     """
-    if find_mono_copy(G, H, free_mask, Colour.BLUE) is None:
+    blue_first = first_copy(G.blue_adjacency, H.pattern, free_mask, leads=leads[Colour.BLUE])
+    if blue_first is None:
         return None
-    for red_map in iter_copies(G.red_adjacency, H.pattern, free_mask, start):
+    leads[Colour.BLUE] &= ~((1 << blue_first[lead_vertex(H.pattern)]) - 1)
+    for red_map in iter_copies(G.red_adjacency, H.pattern, free_mask, leads[Colour.RED]):
         if budget[0] <= 0:
             return None
         budget[0] -= 1
-        blue = find_side_good_copy(G, H, Colour.BLUE, free_mask, mask_of(red_map), H.alpha)
+        blue = find_side_good_copy(
+            G, H, Colour.BLUE, free_mask, mask_of(red_map), H.alpha, leads[Colour.BLUE]
+        )
         if blue is not None:
             return EmbeddedCopy(red_map, Colour.RED), blue
     return None
@@ -120,8 +131,13 @@ def maximal_cluster_family(
     H: PatternStats,
     eta: float,
     builder_budget: int = DEFAULT_BUILDER_BUDGET,
+    leads: Mapping[Colour, int] | None = None,
 ) -> ClusterFamily:
-    """Vertex-disjoint tie clusters, found in scan order."""
+    """Vertex-disjoint tie clusters, found in scan order.
+
+    ``leads`` maps each colour to a lead mask promise (see
+    :func:`~monotile.embeddings.first_copy`); every vertex by default.
+    """
     if eta < 0:
         raise ValueError("eta must be nonnegative")
     certs: list[ClusterCertificate] = []
@@ -139,41 +155,45 @@ def maximal_cluster_family(
                 )
             )
         return ClusterFamily(tuple(certs), False)
+    if H.ell == 0:
+        raise ValueError("monochromatic copy search needs a pattern with at least one edge")
 
     # A red copy with no blue partner keeps none as the free set shrinks, so
     # each scan resumes at the lead vertex of the last tie's red copy.
+    # The cuts stay in this copy: the caller's masks also serve later scans.
     lead = lead_vertex(H.pattern)
-    start = 0
+    leads = {c: -1 for c in Colour} if leads is None else dict(leads)
     while budget[0] > 0:
         budget[0] -= 1
-        tie = _find_tie(G, H, free_mask, budget, start)
+        tie = _find_tie(G, H, free_mask, budget, leads)
         if tie is None:
             break
         red, blue = tie
         certs.append(_tie_certificate(red, blue, eta))
         free_mask &= ~(red.vertex_mask | blue.vertex_mask)
-        start = red.vertex_map[lead]
+        leads[Colour.RED] &= ~((1 << red.vertex_map[lead]) - 1)
 
     return ClusterFamily(tuple(certs), truncated=budget[0] <= 0)
 
 
 def greedy_packing(
-    G: ColouredGraph, H: PatternStats, colour: Colour, free_mask: int
+    G: ColouredGraph, H: PatternStats, colour: Colour, free_mask: int, leads: int = -1
 ) -> tuple[EmbeddedCopy, ...]:
     """Disjoint ``colour`` copies inside ``free_mask``, each the first left in scan order.
 
-    A copy missing from one scan stays missing as the free set shrinks, so
+    ``leads`` is a lead mask promise (see
+    :func:`~monotile.embeddings.first_copy`), every vertex by default.  A
+    copy missing from one scan stays missing as the free set shrinks, so
     each scan resumes at the lead vertex of the last copy taken.
     """
     adjacency = G.adjacency_for(colour)
     lead = lead_vertex(H.pattern)
     copies: list[EmbeddedCopy] = []
-    start = 0
-    while (vm := first_copy(adjacency, H.pattern, free_mask, start=start)) is not None:
+    while (vm := first_copy(adjacency, H.pattern, free_mask, leads=leads)) is not None:
         copy = EmbeddedCopy(vm, colour)
         copies.append(copy)
         free_mask &= ~copy.vertex_mask
-        start = vm[lead]
+        leads &= ~((1 << vm[lead]) - 1)
     return tuple(copies)
 
 
@@ -205,12 +225,13 @@ def extract_tiling(
     if eta is None:
         eta = epsilon / H.tiling_denominator
     everything = (1 << G.n) - 1
-    family = maximal_cluster_family(G, H, eta, builder_budget)
+    leads = {c: copy_leads(G.adjacency_for(c), H.pattern) for c in Colour}
+    family = maximal_cluster_family(G, H, eta, builder_budget, leads)
     certs = family.certificates
     rest = everything & ~mask_of(family.vertices)
     tie_copies = {c: tuple(x for cert in certs for x in cert.tiling(c).copies) for c in Colour}
-    candidates = [Tiling(c, tie_copies[c] + greedy_packing(G, H, c, rest)) for c in Colour]
-    candidates += [Tiling(c, greedy_packing(G, H, c, everything)) for c in Colour]
+    candidates = [Tiling(c, tie_copies[c] + greedy_packing(G, H, c, rest, leads[c])) for c in Colour]
+    candidates += [Tiling(c, greedy_packing(G, H, c, everything, leads[c])) for c in Colour]
     # max keeps the first largest: ties before plain greedy, red before blue.
     tiling = _validated(G, H, max(candidates, key=lambda t: t.size))
     largest = {c: max(t.size for t in candidates if t.colour is c) for c in Colour}

@@ -38,9 +38,13 @@ def find_side_good_copy(
     universe_mask: int,
     side_mask: int,
     min_side: int,
+    leads: int = -1,
 ) -> EmbeddedCopy | None:
-    """First ``colour``-monochromatic copy in the universe with >= ``min_side`` side vertices."""
-    vm = first_copy(G.adjacency_for(colour), H.pattern, universe_mask, side_mask, min_side)
+    """First ``colour``-monochromatic copy in the universe with >= ``min_side`` side vertices.
+
+    ``leads`` is a lead mask promise, as in :func:`~monotile.embeddings.first_copy`.
+    """
+    vm = first_copy(G.adjacency_for(colour), H.pattern, universe_mask, side_mask, min_side, leads)
     return None if vm is None else EmbeddedCopy(vm, colour)
 
 

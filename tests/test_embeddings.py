@@ -7,12 +7,14 @@ from hypothesis import strategies as st
 from monotile.budget import BudgetExceededError
 from monotile.embeddings import (
     automorphism_count,
+    copy_leads,
     count_mono_copies,
     find_mono_copy,
     find_triangle,
     first_copy,
     iter_embeddings,
     iter_triangles,
+    lead_vertex,
 )
 from monotile.extraction import greedy_packing
 from monotile.graphs import Colour, Graph, colour_all, mask_of, pattern_by_name
@@ -142,9 +144,12 @@ def test_triangle_fast_path_matches_generic_matcher(cg, data):
             assert first == (min(fast) if fast else None)
             generic = next(iter_embeddings(adj, pattern, universe, side, min_side), None)
             assert generic == first
-            # Any resume point at or below the first copy's lead vertex is sound.
-            start = data.draw(st.integers(0, cg.n if first is None else first[0]))
-            assert first_copy(adj, pattern, universe, side, min_side, start) == first
+            # Any superset of the class's lead mask, cut at or below the first
+            # copy's lead vertex, is a sound promise.
+            extra = data.draw(st.integers(0, (1 << cg.n) - 1))
+            cut = data.draw(st.integers(0, cg.n if first is None else first[0]))
+            leads = (copy_leads(adj, pattern) | extra) & ~((1 << cut) - 1)
+            assert first_copy(adj, pattern, universe, side, min_side, leads) == first
 
 
 def test_side_seeded_triangle_search_matches_brute_force():
@@ -166,6 +171,27 @@ def test_side_seeded_triangle_search_matches_brute_force():
         for min_side in range(4):
             valid = [t for t in triangles if sum((side >> v) & 1 for v in t) >= min_side]
             assert find_triangle(adj, universe, side, min_side) == min(valid, default=None)
+
+
+# Vertices 2 and 3 lie in both red triangles but lead neither.
+_SHARED_NON_LEADS = colour_all(
+    Graph.from_edges(4, [e for t in ((0, 2, 3), (1, 2, 3)) for e in combinations(t, 2)]), Colour.RED
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(coloured_graphs(min_n=1, max_n=8), st.sampled_from(["k3", "k4", "c4", "p4"]))
+@example(_SHARED_NON_LEADS, "k3")
+def test_copy_leads_match_brute_force(cg, name):
+    pattern = pattern_by_name(name)
+    everything = (1 << cg.n) - 1
+    for adj in (cg.red_adjacency, cg.blue_adjacency):
+        if name == "k3":
+            expected = mask_of({t[0] for t in iter_triangles(adj, everything)})
+        else:
+            lead = lead_vertex(pattern)
+            expected = mask_of({vm[lead] for vm in iter_embeddings(adj, pattern, everything)})
+        assert copy_leads(adj, pattern) == expected
 
 
 def _restarted_packing(cg, H, colour, free):

@@ -10,7 +10,7 @@ from monotile.clusters import (
     ClusterCertificate, FailureReport, InvariantViolation, cluster_process, probe_window_size,
     verify_cluster,
 )
-from monotile.embeddings import EmbeddedCopy, find_mono_copy, iter_copies
+from monotile.embeddings import EmbeddedCopy, copy_leads, find_mono_copy, iter_copies
 from monotile.extraction import (
     extract_tiling,
     extraction_target,
@@ -130,6 +130,12 @@ def test_family_eta_one_covers_everything(k3):
     assert verify_cluster(cg, k3, fam.certificates[0])
 
 
+def test_family_rejects_an_edgeless_pattern():
+    cg = colour_all(Graph.complete(5), Colour.RED)
+    with pytest.raises(ValueError, match="at least one edge"):
+        maximal_cluster_family(cg, PatternStats.from_graph(Graph(2)), eta=0.1)
+
+
 def test_family_budget_truncation(k3):
     cg = bowtie_union(4)
     fam = maximal_cluster_family(cg, k3, eta=0.0, builder_budget=2)
@@ -192,6 +198,17 @@ def test_cursor_resumed_ties_match_restarted_scan(cg, name):
     assert ties == _reference_ties(cg, H)
 
 
+@settings(max_examples=200, deadline=None)
+@given(_dense_coloured_graphs(), st.sampled_from(["k3", "c4", "p4"]))
+@example(_ADJACENT_LEADS, "k3")
+def test_ties_under_copy_leads_match_restarted_scan(cg, name):
+    H = PatternStats.from_graph(pattern_by_name(name))
+    leads = {c: copy_leads(cg.adjacency_for(c), H.pattern) for c in Colour}
+    fam = maximal_cluster_family(cg, H, eta=0.0, leads=leads)
+    ties = [(c.red_tiling.copies[0], c.blue_tiling.copies[0]) for c in fam.certificates]
+    assert ties == _reference_ties(cg, H)
+
+
 def test_disjoint_colour_blocks_still_give_greedy_tiling(k3):
     # Two far-apart colour classes leave no ties; the extraction must still
     # return its greedy result.
@@ -244,9 +261,25 @@ def test_two_cliques_extract_a_red_tiling(k3):
 def test_invalid_result_raises(k3, monkeypatch):
     cg = _two_cliques()
     bad = (EmbeddedCopy((6, 7, 8), Colour.RED),)
-    monkeypatch.setattr(extraction, "greedy_packing", lambda G, H, colour, free: bad)
+    monkeypatch.setattr(extraction, "greedy_packing", lambda G, H, colour, free, leads: bad)
     with pytest.raises(InvariantViolation, match="blue edge"):
         extract_tiling(cg, k3, epsilon=0.1)
+
+
+def test_lead_masks_found_once_per_colour(monkeypatch):
+    # Every scan of one extraction shares its colour's mask; none walks the class again.
+    from monotile.sampling import sample_gnp
+
+    cg = colour_with(sample_gnp(150, 0.08, 3), AdversarySpec("majority-degree", {}, 3))
+    for name in ("k3", "c4"):
+        H = PatternStats.from_graph(pattern_by_name(name))
+        calls = []
+        monkeypatch.setattr(
+            extraction, "copy_leads", lambda adj, pattern: calls.append(adj) or copy_leads(adj, pattern)
+        )
+        tiling, report = extract_tiling(cg, H, epsilon=0.1)
+        assert report.achieved_size > 0
+        assert calls == [cg.red_adjacency, cg.blue_adjacency]
 
 
 @settings(max_examples=150, deadline=None)
