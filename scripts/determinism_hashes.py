@@ -8,9 +8,12 @@ avoids the swept pattern, as in ``run_sweep``), a hash of the extracted
 tiling's ``repr``, a hash of the extraction report JSON, and a hash of the
 ``run_sweep`` CSV for the cell alone.  The report carries
 ``rounding_table_version`` and the CSV its schema line, so across a version
-or schema bump compare the host, colouring and tiling columns.  Run it on two checkouts
-and diff the outputs: a change that claims byte-identical results must
-print the same lines.
+or schema bump compare the host, colouring and tiling columns.  After the
+cells come one line per desk-scale oracle output that the golden oracle
+test does not pin: the hyperedge count and degree report of the container
+hypergraph for K3 and P4 at n = 8, 10, 12, 14, and ``exact_rt`` for K3, P3
+and P4 on K3 to K7.  Run it on two checkouts and diff the outputs: a change
+that claims byte-identical results must print the same lines.
 
     PYTHONPATH=src python scripts/determinism_hashes.py > hashes.txt
 """
@@ -19,8 +22,10 @@ import argparse
 import hashlib
 
 from monotile.adversaries import AdversarySpec, colour_with
+from monotile.aux_hypergraph import aux_degree_check, build_aux_hypergraph
 from monotile.extraction import extract_tiling
-from monotile.graphs import pattern_by_name
+from monotile.graphs import Graph, pattern_by_name
+from monotile.oracles import exact_rt
 from monotile.patterns import PatternStats
 from monotile.sampling import derive_seed, sample_gnp, threshold_probability
 from monotile.sweep import SweepPlan, run_sweep, trial_seed
@@ -50,6 +55,18 @@ def cell_line(pattern_name: str, n: int, C: float, adversary: str, seed: int, ep
     )
 
 
+def oracle_lines():
+    for name in ("k3", "p4"):
+        stats = PatternStats.from_graph(pattern_by_name(name))
+        for n in (8, 10, 12, 14):
+            aux = build_aux_hypergraph(n, range(n // 2), range(n // 2, n), stats)
+            yield f"aux {name} n={n} {(len(aux.hyperedges), aux_degree_check(aux))!r}"
+    for name in ("k3", "p3", "p4"):
+        stats = PatternStats.from_graph(pattern_by_name(name))
+        for n in range(3, 8):
+            yield f"rt {name} K{n} {exact_rt(stats, Graph.complete(n))!r}"
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--pattern", type=str, default="k3")
@@ -69,6 +86,8 @@ def main() -> int:
             for C in (float(x) for x in args.c_list.split(",") if x):
                 for adversary in args.adversaries.split(","):
                     print(cell_line(args.pattern, n, C, adversary, seed, args.epsilon), flush=True)
+    for line in oracle_lines():
+        print(line, flush=True)
     return 0
 
 

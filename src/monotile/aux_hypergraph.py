@@ -6,32 +6,53 @@ meeting part A in at least alpha vertices contributes its edge set tagged
 all red, each copy meeting part B likewise tagged all blue.  The degree
 bounds below are theorem-backed, so a violation on an exhaustively built
 instance is a hard failure of the build, never of the instance.
+
+The build reads the oracles' copy table of the complete host and keeps each
+hyperedge as a sorted row of int codes, ``(u*n + v) << 1 | red`` per
+hypervertex; the degree check counts j-subsets of the rows as packed ints.
+The frozenset form of the hyperedges is a view built on first use.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations, repeat
+from functools import cached_property
+from itertools import combinations
 from typing import Iterable
 
+import numpy as np
+
 from .budget import require_budget
-from .graphs import Colour, Edge, Graph, mask_of
-from .oracles import iter_copies_bruteforce
+from .graphs import Colour, Edge, Graph, _unpacked_bits, mask_of
+from .oracles import host_copies
 from .patterns import PatternStats
 
 HVertex = tuple[Edge, Colour]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AuxHypergraph:
+    """Compared by identity; compare ``hyperedges`` for the value."""
+
     n: int
     part_a: frozenset[int]
     part_b: frozenset[int]
     pattern: PatternStats
-    hyperedges: frozenset[frozenset[HVertex]]
+    rows: np.ndarray  # read-only, one sorted row of hypervertex codes per hyperedge
+
+    @cached_property
+    def hyperedges(self) -> frozenset[frozenset[HVertex]]:
+        n = self.n
+        return frozenset(
+            frozenset((divmod(c >> 1, n), Colour.RED if c & 1 else Colour.BLUE) for c in row)
+            for row in self.rows.tolist()
+        )
+
+    @property
+    def num_hyperedges(self) -> int:
+        return len(self.rows)
 
     @property
     def uniformity(self) -> int:
@@ -45,6 +66,17 @@ class AuxHypergraph:
     def tau(self) -> float:
         """``n ** (-1 / max(m2, 1))``, the scale of the degree condition."""
         return float(self.n) ** (-float(Fraction(1) / self.pattern.m2_or_one))
+
+
+def _code_rows(n: int, ell: int, pair_masks: list[int], red: int) -> np.ndarray:
+    """One row per pair mask: the codes of its ``ell`` pairs, in ascending order."""
+    us, vs = np.triu_indices(n, 1)
+    width = (len(us) + 7) >> 3
+    bits = _unpacked_bits(pair_masks, width).reshape(len(pair_masks), 8 * width)
+    if (np.count_nonzero(bits, axis=1) != ell).any():
+        raise AssertionError("hyperedge breaks uniformity")
+    pairs = np.nonzero(bits)[1].reshape(len(pair_masks), ell)
+    return ((us * n + vs) << 1 | red)[pairs]
 
 
 def build_aux_hypergraph(
@@ -64,32 +96,25 @@ def build_aux_hypergraph(
         raise ValueError("pattern needs at least one edge")
     require_budget(float(n) ** H.k, budget, "good-copy enumeration")
 
-    host = Graph.complete(n)
-    red = {e: (e, Colour.RED) for e in host.edges}
-    blue = {e: (e, Colour.BLUE) for e in host.edges}
     a_mask, b_mask = mask_of(part_a), mask_of(part_b)
-    hyperedges: set[frozenset[HVertex]] = set()
-    for subset, edge_set in iter_copies_bruteforce(host.adjacency, H.pattern, range(n)):
-        m = mask_of(subset)
-        if (m & a_mask).bit_count() >= H.alpha:
-            hyperedges.add(frozenset(map(red.__getitem__, edge_set)))
-        if (m & b_mask).bit_count() >= H.alpha:
-            hyperedges.add(frozenset(map(blue.__getitem__, edge_set)))
-
-    aux = AuxHypergraph(n, part_a, part_b, H, frozenset(hyperedges))
+    red: dict[int, None] = {}  # distinct pair masks of the copies each colour tags
+    blue: dict[int, None] = {}
+    for vm, em in host_copies(Graph.complete(n), H.pattern):
+        if (vm & a_mask).bit_count() >= H.alpha:
+            red[em] = None
+        if (vm & b_mask).bit_count() >= H.alpha:
+            blue[em] = None
+    rows = np.concatenate([_code_rows(n, H.ell, list(red), 1), _code_rows(n, H.ell, list(blue), 0)])
+    rows.flags.writeable = False
+    aux = AuxHypergraph(n, part_a, part_b, H, rows)
     _check_build(aux)
     return aux
 
 
 def _check_build(aux: AuxHypergraph) -> None:
-    ell = aux.uniformity
-    if any(len(h) != ell for h in aux.hyperedges):
-        raise AssertionError("hyperedge breaks uniformity")
-    for h in aux.hyperedges:
-        seen_edges = {e for e, _ in h}
-        if len(seen_edges) != len(h):
-            raise AssertionError("hyperedge carries one host edge in both colours")
-    if len(aux.hyperedges) > 2**ell * aux.n**aux.pattern.k:
+    if (np.diff(aux.rows >> 1, axis=1) <= 0).any():
+        raise AssertionError("hyperedge carries one host edge in both colours")
+    if aux.num_hyperedges > 2**aux.uniformity * aux.n**aux.pattern.k:
         raise AssertionError("hyperedge count exceeds the coarse upper bound")
 
 
@@ -128,18 +153,20 @@ def aux_degree_check(aux: AuxHypergraph) -> DegreeReport:
     m2m = aux.pattern.m2_or_one
     fact = math.factorial(ell)
 
-    # Int codes ordered like the sort key (edge, colour.value): blue before red.
-    code = {
-        ((u, v), c): (u * n + v) << 1 | (c is Colour.RED)
-        for u, v in combinations(range(n), 2)
-        for c in Colour
-    }
-    rows = [sorted(map(code.__getitem__, h)) for h in aux.hyperedges]
-
+    # A j-subset of a sorted row is one int, its codes in base 2n^2; object
+    # arrays keep Python ints where that overflows int64.
+    base = 2 * n * n
+    rows = aux.rows.astype(np.int64 if base**ell < 2**63 else object)
     checks = []
     for j in range(1, ell + 1):
-        counts = Counter(chain.from_iterable(map(combinations, rows, repeat(j))))
-        delta = max(counts.values(), default=0)
+        keys = []
+        for cols in combinations(range(ell), j):
+            key = rows[:, cols[0]]
+            for c in cols[1:]:
+                key = key * base + rows[:, c]
+            keys.append(key)
+        counts = np.unique(np.concatenate(keys), return_counts=True)[1]
+        delta = int(counts.max(initial=0))
         passed = _bound_holds(delta, fact, n, k, j, m2m)
         bound = fact * aux.tau ** (j - 1) * n ** (k - 2)
         checks.append(DegreeCheck(j, delta, bound, passed))

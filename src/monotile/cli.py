@@ -155,7 +155,7 @@ def cmd_aux_check(args) -> int:
         json.dumps(
             {
                 "n": args.n,
-                "hyperedges": len(aux.hyperedges),
+                "hyperedges": aux.num_hyperedges,
                 "uniformity": aux.uniformity,
                 "tau": aux.tau,
                 "single_degree_refined": report.single_degree_refined,

@@ -10,10 +10,17 @@ Copy enumeration reads host adjacency masks.  The pattern's permutations
 are swept once per pattern, into its distinct edge images over position
 pairs; each vertex subset then reads its present pairs from the masks, is
 skipped when they are fewer than the pattern's edges, and holds exactly the
-images inside them.  The good-copy and tiling oracles list a colouring's
-copies once per pattern and colour, as vertex masks kept as long as the
-colouring lives, and filter that list for every side pair they are asked
-about.
+images inside them.  A host coloured more than once is swept once per
+pattern, into a table of ``(vertex mask, pair mask)`` entries kept as long
+as the host lives; a pair mask sets one bit per edge, pairs ``u < v``
+numbered in lexicographic order.  A colour class is read once into its own
+pair mask, and its copies are the entries it covers, in the order a sweep of
+the class alone lists them.  The colouring sweep of ``exact_rt`` and the
+container hypergraph read the table of their host; the good-copy and tiling
+oracles list a colouring's red and blue copies once, as vertex masks kept as
+long as the colouring lives, by sweeping its two colour classes for a host's
+first colouring and from the host's table for later ones, and filter those
+lists for every side pair they are asked about.
 
 Exhaustive colouring sweeps over complete hosts dedup colourings up to
 relabelling through the networkx graph atlas (all isomorphism classes up to
@@ -156,25 +163,91 @@ def mono_copy_count_bruteforce(
     return sum(len(held) for _, held in _iter_subset_images(G.adjacency_for(colour), H.pattern, verts))
 
 
-# Per colouring, the vertex masks of its copies of each (pattern, colour), one
-# entry per copy.  Weak keys: an entry lives exactly as long as its colouring.
-_COPY_MASKS: weakref.WeakKeyDictionary[ColouredGraph, dict[tuple[Graph, Colour], tuple[int, ...]]] = (
+def pair_mask(adjacency: Masks) -> int:
+    """The edges of ``adjacency`` as one mask over the pairs ``u < v``, numbered
+    in lexicographic order: row ``u`` starts at bit ``u*(2n-u-1)/2``."""
+    n = len(adjacency)
+    pm = 0
+    for u, m in enumerate(adjacency):
+        pm |= (m >> (u + 1)) << (u * (2 * n - u - 1) // 2)
+    return pm
+
+
+# Per host graph, its copies of each pattern as (vertex mask, pair mask), one
+# entry per copy, or None while only one colouring of the host has listed its
+# copies.  Weak keys: a table lives exactly as long as its host.
+_HOST_COPIES: weakref.WeakKeyDictionary[Graph, dict[Graph, tuple[tuple[int, int], ...] | None]] = (
     weakref.WeakKeyDictionary()
 )
 
 
-def _copy_masks(G: ColouredGraph, pattern: Graph, colour: Colour) -> tuple[int, ...]:
-    """Vertex masks of every ``colour`` copy of ``pattern`` in ``G``, enumerated
-    once per colouring over all of ``range(G.n)``."""
+def host_copies(host: Graph, pattern: Graph) -> tuple[tuple[int, int], ...]:
+    """``(vertex mask, pair mask)`` of every copy of ``pattern`` in ``host``, in
+    ``iter_copies_bruteforce`` order, enumerated once per host and pattern."""
+    tables = _HOST_COPIES.setdefault(host, {})
+    table = tables.get(pattern)
+    if table is None:
+        n = host.n
+        positions = tuple(combinations(range(pattern.n), 2))
+        image_pairs = {
+            image: tuple(bit for bit in range(len(positions)) if image >> bit & 1)
+            for image in _pattern_images(pattern)
+        }
+        start = [u * (2 * n - u - 1) // 2 - u - 1 for u in range(n)]  # pair (u, v) is bit start[u] + v
+        listed: list[tuple[int, int]] = []
+        for subset, held in _iter_subset_images(host.adjacency, pattern, range(n)):
+            vm = mask_of(subset)
+            bits = [1 << (start[subset[i]] + subset[j]) for i, j in positions]
+            for image in held:
+                em = 0
+                for bit in image_pairs[image]:
+                    em |= bits[bit]
+                listed.append((vm, em))
+        table = tables[pattern] = tuple(listed)
+    return table
+
+
+def _covered(table: tuple[tuple[int, int], ...], pm: int) -> list[int]:
+    """Vertex masks of the table's copies whose edges all lie in ``pm``."""
+    return [vm for vm, em in table if pm & em == em]
+
+
+def _swept(adjacency: Masks, pattern: Graph) -> tuple[int, ...]:
+    """Vertex masks of the copies of ``pattern`` in ``adjacency``, by its own sweep."""
+    listed: list[int] = []
+    for subset, held in _iter_subset_images(adjacency, pattern, range(len(adjacency))):
+        listed += [mask_of(subset)] * len(held)
+    return tuple(listed)
+
+
+# Per colouring, the vertex masks of its red and its blue copies of each
+# pattern, one entry per copy.  Weak keys: an entry lives exactly as long as
+# its colouring.
+_COPY_MASKS: weakref.WeakKeyDictionary[ColouredGraph, dict[Graph, tuple[tuple[int, ...], tuple[int, ...]]]] = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def _copy_masks(G: ColouredGraph, pattern: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Vertex masks of every red and of every blue copy of ``pattern`` in ``G``,
+    listed once per colouring.  The first colouring of a host sweeps its two
+    colour classes; later ones filter the host's table, built on the second."""
     memo = _COPY_MASKS.get(G)
     if memo is None:
         memo = _COPY_MASKS[G] = {}
-    masks = memo.get((pattern, colour))
+    masks = memo.get(pattern)
     if masks is None:
-        listed: list[int] = []
-        for subset, held in _iter_subset_images(G.adjacency_for(colour), pattern, range(G.n)):
-            listed += [mask_of(subset)] * len(held)
-        masks = memo[pattern, colour] = tuple(listed)
+        tables = _HOST_COPIES.setdefault(G.graph, {})
+        if pattern in tables:
+            table = host_copies(G.graph, pattern)
+            masks = (
+                tuple(_covered(table, pair_mask(G.red_adjacency))),
+                tuple(_covered(table, pair_mask(G.blue_adjacency))),
+            )
+        else:
+            tables[pattern] = None
+            masks = (_swept(G.red_adjacency, pattern), _swept(G.blue_adjacency, pattern))
+        memo[pattern] = masks
     return masks
 
 
@@ -184,8 +257,8 @@ def _count_good_copies(G: ColouredGraph, H: PatternStats, red_side: int, blue_si
     universe = red_side | blue_side
     alpha = H.alpha
     count = 0
-    for colour, side in ((Colour.RED, red_side), (Colour.BLUE, blue_side)):
-        for m in _copy_masks(G, H.pattern, colour):
+    for masks, side in zip(_copy_masks(G, H.pattern), (red_side, blue_side)):
+        for m in masks:
             if m & universe == m and (m & side).bit_count() >= alpha:
                 count += 1
     return count
@@ -218,10 +291,10 @@ def good_copy_witness_count(
     Y: Iterable[int],
 ) -> int:
     """Witness count for a pair of disjoint sets, restricted to their union."""
-    x_set, y_set = frozenset(X), frozenset(Y)
-    if x_set & y_set:
+    x_mask, y_mask = mask_of(X), mask_of(Y)
+    if x_mask & y_mask:
         raise ValueError("X and Y must be disjoint")
-    return _count_good_copies(G, H, mask_of(x_set), mask_of(y_set))
+    return _count_good_copies(G, H, x_mask, y_mask)
 
 
 # ---------------------------------------------------------------------------
@@ -278,33 +351,39 @@ def iter_colourings(G: Graph, budget: float | None = None, reduce: bool = True):
         yield ColouredGraph(G, colour)
 
 
-def max_disjoint_copies(copy_masks: Iterable[int], k: int) -> int:
+def max_disjoint_copies(copy_masks: Iterable[int], k: int, stop: int | None = None) -> int:
     """Largest number of pairwise vertex-disjoint ``k``-vertex copies, by branch
     and bound: a branch is cut when its copies left to try, or its covered
-    vertices left unused split into ``k``-sets, cannot beat the best found."""
+    vertices left unused split into ``k``-sets, cannot beat the best found.
+    With ``stop``, the search ends at the first ``stop`` disjoint copies and
+    returns ``stop``, a lower bound on the largest number."""
     masks = sorted(set(copy_masks))
     covered = 0
     for m in masks:
         covered |= m
+    goal = len(masks) if stop is None else stop
     best = 0
 
     def branch(index: int, used: int, size: int) -> None:
         nonlocal best
-        if size + min(len(masks) - index, (covered & ~used).bit_count() // k) <= best:
+        if size > best:
+            best = size
+        if best >= goal or size + min(len(masks) - index, (covered & ~used).bit_count() // k) <= best:
             return
         for i in range(index, len(masks)):
             m = masks[i]
             if m & used:
                 continue
             branch(i + 1, used | m, size + 1)
-        if size > best:
-            best = size
+            if best >= goal:
+                return
     branch(0, 0, 0)
     return best
 
 
 def max_mono_tiling_size(G: ColouredGraph, H: PatternStats, colour: Colour) -> int:
-    return max_disjoint_copies(_copy_masks(G, H.pattern, colour), H.k)
+    red, blue = _copy_masks(G, H.pattern)
+    return max_disjoint_copies(red if colour is Colour.RED else blue, H.k)
 
 
 @dataclass(frozen=True)
@@ -338,17 +417,18 @@ def exact_rt(H: PatternStats, G: Graph, budget: float | None = None) -> RtResult
     limit = float("inf") if budget is None else budget
     per_colouring = max(1.0, float(G.n) ** H.k)  # copy enumeration dominates
     exhausted = False
+    table = host_copies(G, H.pattern) if per_colouring <= limit else ()  # no table past the budget
     for coloured in iter_colourings(G, budget=float("inf")):
         if spent + per_colouring > limit:
             exhausted = True
             break
         spent += per_colouring
         checked += 1
-        size = max(
-            max_mono_tiling_size(coloured, H, Colour.RED),
-            max_mono_tiling_size(coloured, H, Colour.BLUE),
-        )
-        best_upper = min(best_upper, size)
+        # A colour whose search reaches best_upper cannot lower it: stop there.
+        red = max_disjoint_copies(_covered(table, pair_mask(coloured.red_adjacency)), H.k, best_upper)
+        if red < best_upper:
+            blue = max_disjoint_copies(_covered(table, pair_mask(coloured.blue_adjacency)), H.k, best_upper)
+            best_upper = max(red, blue)
         if best_upper == 0:
             break  # nothing can go lower
     mode = "atlas" if atlas_mode else "raw"

@@ -3,6 +3,7 @@ from collections import Counter
 from itertools import combinations
 from typing import Iterable
 
+import numpy as np
 import pytest
 
 from monotile.aux_hypergraph import (
@@ -16,6 +17,7 @@ from monotile.aux_hypergraph import (
 )
 from monotile.budget import BudgetExceededError
 from monotile.graphs import Colour, Graph, pattern_by_name
+from monotile.oracles import iter_copies_bruteforce
 from monotile.patterns import PatternStats
 
 from .test_oracles import _reference_iter_copies
@@ -156,3 +158,48 @@ def test_build_and_degree_check_match_reference(name, n):
     aux = build_aux_hypergraph(n, range(n // 2), range(n // 2, n), H)
     assert aux.hyperedges == _reference_hyperedges(n, H)
     assert aux_degree_check(aux) == _reference_aux_degree_check(aux)
+
+
+# Frozenset reference from the oracles' edge-set enumeration: j-degrees as a
+# Counter over sorted j-subsets of each hyperedge.
+
+def _frozenset_build_and_deltas(n: int, H: PatternStats) -> tuple[frozenset[frozenset[HVertex]], list[int]]:
+    part_a, part_b = frozenset(range(n // 2)), frozenset(range(n // 2, n))
+    hyperedges = set()
+    for subset, edge_set in iter_copies_bruteforce(Graph.complete(n).adjacency, H.pattern, range(n)):
+        if len(part_a.intersection(subset)) >= H.alpha:
+            hyperedges.add(frozenset((e, Colour.RED) for e in edge_set))
+        if len(part_b.intersection(subset)) >= H.alpha:
+            hyperedges.add(frozenset((e, Colour.BLUE) for e in edge_set))
+    deltas = []
+    for j in range(1, H.ell + 1):
+        counts = Counter(sub for h in hyperedges for sub in combinations(sorted(h), j))
+        deltas.append(max(counts.values(), default=0))
+    return frozenset(hyperedges), deltas
+
+
+@pytest.mark.parametrize("name", ["k3", "p4"])
+@pytest.mark.parametrize("n", [6, 12])
+def test_int_rows_match_frozenset_reference(name, n):
+    H = PatternStats.from_graph(pattern_by_name(name))
+    aux = build_aux_hypergraph(n, range(n // 2), range(n // 2, n), H)
+    hyperedges, deltas = _frozenset_build_and_deltas(n, H)
+    assert aux.num_hyperedges == len(hyperedges)
+    assert [check.delta for check in aux_degree_check(aux).checks] == deltas
+    assert aux.hyperedges == hyperedges
+    assert aux.rows.shape == (len(hyperedges), H.ell) and not aux.rows.flags.writeable
+
+
+def test_degree_keys_stay_exact_past_int64():
+    # K5 has 10 edges, so at n = 8 ten codes in base 2n^2 = 2^7 pass 2^63.
+    H = PatternStats.from_graph(pattern_by_name("k5"))
+    aux = build_aux_hypergraph(8, range(4), range(4, 8), H)
+    assert (2 * 8 * 8) ** H.ell >= 2**63
+    assert aux_degree_check(aux) == _reference_aux_degree_check(aux)
+    # Two red rows that differ only in their first code, 3 against 5: modulo
+    # 2^64 their packed 10-subsets would be equal.
+    rest = [(0, 3), (0, 4), (0, 5), (0, 6), (0, 7), (1, 2), (1, 3), (1, 4), (1, 5)]
+    rows = np.array([[(u * 8 + v) << 1 | 1 for u, v in [first] + rest] for first in ((0, 1), (0, 2))])
+    crafted = AuxHypergraph(8, aux.part_a, aux.part_b, H, rows)
+    assert aux_degree_check(crafted) == _reference_aux_degree_check(crafted)
+    assert aux_degree_check(crafted).checks[-1].delta == 1

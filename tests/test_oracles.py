@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from monotile import oracles
 from monotile.budget import BudgetExceededError
-from monotile.graphs import Colour, ColouredGraph, Edge, Graph, colour_all, normalize_edge, pattern_by_name
+from monotile.graphs import Colour, ColouredGraph, Edge, Graph, colour_all, mask_of, normalize_edge, pattern_by_name
 from monotile.oracles import (
     RAMSEY_TABLE,
     _atlas,
@@ -67,6 +67,8 @@ def test_witness_count_restricted(k3):
     # copies confined to X+Y; a red copy must still hit X
     assert good_copy_witness_count(g, k3, [0, 1], [2, 3]) > 0
     assert good_copy_witness_count(g, k3, [], [0, 1, 2]) == 0  # red can't hit empty X
+    with pytest.raises(ValueError):
+        good_copy_witness_count(g, k3, [0, 1], iter([1, 2]))
 
 
 def test_max_disjoint_copies():
@@ -260,6 +262,106 @@ def test_copy_masks_live_as_long_as_the_colouring(k3, p4):
     gc.collect()
     assert all(ref() is None for ref in refs)
     assert len(oracles._COPY_MASKS) == before
+
+
+# Reference listing: the per-colour sweep the host tables replaced, over the
+# colour class's own masks.
+
+def _reference_colour_copies(G: ColouredGraph, pattern: Graph, colour: Colour) -> tuple[int, ...]:
+    listed: list[int] = []
+    for subset, held in oracles._iter_subset_images(G.adjacency_for(colour), pattern, range(G.n)):
+        listed += [mask_of(subset)] * len(held)
+    return tuple(listed)
+
+
+@settings(max_examples=200, deadline=None)
+@given(coloured_graphs(max_n=8), st.sampled_from(ENUMERATION_PATTERNS))
+def test_host_table_listings_match_colour_sweeps(cg, pattern):
+    expected = tuple(_reference_colour_copies(cg, pattern, c) for c in Colour)
+    assert oracles._copy_masks(cg, pattern) == expected  # first colouring of the host: sweeps
+    swapped = cg.swap_colours()
+    assert oracles._copy_masks(swapped, pattern) == expected[::-1]  # second: filters the table
+    table = oracles.host_copies(cg.graph, pattern)
+    whole = colour_all(cg.graph, Colour.RED)
+    assert tuple(vm for vm, _ in table) == _reference_colour_copies(whole, pattern, Colour.RED)
+    for c, listing in zip(Colour, expected):
+        assert tuple(oracles._covered(table, oracles.pair_mask(cg.adjacency_for(c)))) == listing
+
+
+def test_pair_mask_numbers_pairs_lexicographically():
+    g = Graph.from_edges(5, [(0, 1), (0, 4), (1, 2), (2, 4), (3, 4)])
+    pairs = list(combinations(range(5), 2))
+    pm = oracles.pair_mask(g.adjacency)
+    assert [pairs[b] for b in range(len(pairs)) if pm >> b & 1] == sorted(g.edges)
+
+
+def test_host_tables_live_as_long_as_the_host(k3, p4):
+    gc.collect()
+    before = len(oracles._HOST_COPIES)
+    host = Graph.complete(9)
+    twin = Graph.from_edges(9, host.edges)
+    assert twin == host and twin is not host
+    X, Y = range(4), range(4, 9)
+    first = ColouredGraph.from_masks(host, Graph.path(9).adjacency)
+    expected = [good_copy_witness_count(first, H, X, Y) for H in (k3, p4)]
+    # One colouring of a host sweeps its colour classes and builds no table.
+    assert oracles._HOST_COPIES[host] == {k3.pattern: None, p4.pattern: None}
+    second = first.swap_colours()
+    assert [good_copy_witness_count(second, H, Y, X) for H in (k3, p4)] == expected
+    tables = [oracles._HOST_COPIES[twin][H.pattern] for H in (k3, p4)]
+    assert [len(t) for t in tables] == [math.comb(9, 3), 12 * math.comb(9, 4)]
+    assert all(oracles.host_copies(twin, H.pattern) is t for H, t in zip((k3, p4), tables))
+    assert len(oracles._HOST_COPIES) == before + 1  # equal hosts share one entry
+    refs = [weakref.ref(host), weakref.ref(twin)]
+    del host, twin, first, second
+    gc.collect()
+    assert all(ref() is None for ref in refs)
+    assert len(oracles._HOST_COPIES) == before
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(1, 2**9 - 1), max_size=12), st.integers(1, 4), st.integers(0, 5))
+def test_stopped_packing_is_the_packing_cut_at_stop(masks, k, stop):
+    assert max_disjoint_copies(masks, k, stop) == min(stop, max_disjoint_copies(masks, k))
+
+
+# Reference tiling Ramsey sweep: both colours' full packings for every
+# colouring, with the same budget accounting and zero cut.
+
+def _reference_exact_rt(H: PatternStats, G: Graph, budget: float | None = None) -> tuple[int, int, bool]:
+    best = G.n // max(H.k, 1)
+    checked, spent = 0, 0.0
+    limit = float("inf") if budget is None else budget
+    per_colouring = max(1.0, float(G.n) ** H.k)
+    for coloured in iter_colourings(G, budget=float("inf")):
+        if spent + per_colouring > limit:
+            return best, checked, False
+        spent += per_colouring
+        checked += 1
+        best = min(best, max(max_mono_tiling_size(coloured, H, c) for c in Colour))
+        if best == 0:
+            break
+    return best, checked, True
+
+
+RT_STATS = tuple(PatternStats.from_graph(pattern_by_name(name)) for name in ("k2", "k3", "p3", "p4"))
+
+
+@pytest.mark.parametrize("H", RT_STATS, ids=("k2", "k3", "p3", "p4"))
+def test_rt_stop_matches_full_packings(H):
+    hosts = [Graph.complete(n) for n in range(3, 8)]
+    hosts.append(Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 2), (0, 3)]))
+    hosts.append(Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (1, 4)]))
+    hosts.append(Graph.from_edges(4, [(0, 1)]))  # no colouring's blue side beats its red one
+    for G in hosts:
+        res = exact_rt(H, G)
+        assert res.mode == ("atlas" if oracles.is_complete_host(G) else "raw")
+        assert (res.upper, res.colourings_checked, res.exact) == _reference_exact_rt(H, G)
+        assert res.lower == res.upper
+    for budget in (250.0, 5000.0, 30000.0):
+        res = exact_rt(H, Graph.complete(7), budget=budget)
+        assert (res.upper, res.colourings_checked, res.exact) == _reference_exact_rt(H, Graph.complete(7), budget)
+        assert not res.exact and res.lower == 0
 
 
 def test_iter_colourings_raw_counts():
