@@ -60,7 +60,7 @@ def oracle_lines():
         stats = PatternStats.from_graph(pattern_by_name(name))
         for n in (8, 10, 12, 14):
             aux = build_aux_hypergraph(n, range(n // 2), range(n // 2, n), stats)
-            yield f"aux {name} n={n} {(len(aux.hyperedges), aux_degree_check(aux))!r}"
+            yield f"aux {name} n={n} {(aux.num_hyperedges, aux_degree_check(aux))!r}"
     for name in ("k3", "p3", "p4"):
         stats = PatternStats.from_graph(pattern_by_name(name))
         for n in range(3, 8):

@@ -103,9 +103,7 @@ def cmd_colour(args) -> int:
 def cmd_extract(args) -> int:
     coloured = _require_coloured(load_graph_file(args.graph))
     stats = PatternStats.from_graph(_load_pattern(args.pattern))
-    tiling, report = extract_tiling(
-        coloured, stats, args.epsilon, eta=args.eta, seed=args.seed
-    )
+    tiling, report = extract_tiling(coloured, stats, args.epsilon, seed=args.seed)
     payload = json.loads(report.to_json())
     if args.with_tiling:
         payload["copies"] = [list(c.vertex_map) for c in tiling.copies]
@@ -247,7 +245,6 @@ def build_parser() -> _Parser:
     p.add_argument("--graph", required=True, help="coloured graph file")
     p.add_argument("--pattern", required=True)
     p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--eta", type=float, default=None)
     p.add_argument("--with-tiling", action="store_true")
 
     p = _add_command(sub, "rt-exact", cmd_rt_exact, "exact tiling Ramsey number", "budget")

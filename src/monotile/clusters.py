@@ -183,7 +183,7 @@ def cluster_process(
         )
     k, alpha = H.k, H.alpha
     if k < 3:
-        raise ValueError("patterns on fewer than 3 vertices go through pattern substitution")
+        raise ValueError("the cluster process needs a pattern on at least 3 vertices")
     s = len(x_set)
     if len(y_set) != s:
         raise ValueError("X and Y must have equal size")

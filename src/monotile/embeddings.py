@@ -13,8 +13,8 @@ lead some copy at all; no copy inside any subset leads from elsewhere.  Greedy
 packings on a shrinking free set also cut the mask below the lead of the last
 copy taken, so each scan resumes where the previous copy began.
 
-Copies are counted as subgraphs: distinct vertex images up to pattern
-automorphism, i.e. the labelled embedding count divided by ``|Aut(H)|``.
+:func:`iter_copies` lists one embedding per copy vertex set.  Counting copies
+as subgraphs is left to the brute-force oracles in :mod:`monotile.oracles`.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
-from .budget import require_budget
 from .graphs import Colour, ColouredGraph, Graph, iter_bits, mask_of
 from .patterns import PatternStats
 
@@ -125,13 +124,6 @@ def iter_embeddings(
     yield from rec(0, 0, 0)
 
 
-@lru_cache(maxsize=256)
-def automorphism_count(pattern: Graph) -> int:
-    """|Aut(pattern)|, counted as embeddings of the pattern into itself."""
-    full = (1 << pattern.n) - 1
-    return sum(1 for _ in iter_embeddings(pattern.adjacency, pattern, full))
-
-
 def _resolve_universe(n: int, allowed_vertices: Iterable[int] | int | None) -> int:
     full = (1 << n) - 1
     if allowed_vertices is None:
@@ -160,36 +152,6 @@ def find_mono_copy(
         if vm is not None:
             return EmbeddedCopy(vm, colour)
     return None
-
-
-def count_mono_embeddings(
-    G: ColouredGraph,
-    H: PatternStats,
-    colour: Colour,
-    allowed_vertices: Iterable[int] | None = None,
-    budget: float | None = None,
-) -> int:
-    universe = _resolve_universe(G.n, allowed_vertices)
-    require_budget(float(universe.bit_count()) ** H.k, budget, "embedding enumeration")
-    adj = G.adjacency_for(colour)
-    return sum(1 for _ in iter_embeddings(adj, H.pattern, universe))
-
-
-def count_mono_copies(
-    G: ColouredGraph,
-    H: PatternStats,
-    colour: Colour,
-    allowed_vertices: Iterable[int] | None = None,
-    budget: float | None = None,
-) -> int:
-    """Number of monochromatic copies of ``H`` in colour ``colour``, as subgraphs."""
-    if H.ell == 0:
-        raise ValueError("monochromatic copy counting needs a pattern with at least one edge")
-    labelled = count_mono_embeddings(G, H, colour, allowed_vertices, budget)
-    aut = automorphism_count(H.pattern)
-    if labelled % aut:
-        raise AssertionError("labelled embedding count not divisible by |Aut(H)|")
-    return labelled // aut
 
 
 def first_copy(

@@ -2,7 +2,8 @@
 
 ``maximal_cluster_family`` sets aside tie clusters, each a red and a blue
 copy sharing at least ``alpha`` vertices.  Ties lock in one copy per
-``2k - alpha`` vertices, the paper's tiling rate.  ``greedy_packing`` takes
+``2k - alpha`` vertices, the paper's tiling rate, so each is a cluster at
+slack 0 and extraction takes no cluster slack.  ``greedy_packing`` takes
 disjoint copies of one colour in scan order.  ``extract_tiling`` builds the
 ties plus a greedy packing of the rest, per colour, and a greedy packing of
 the whole host, per colour; it validates and returns the first largest.
@@ -32,7 +33,7 @@ from .tilings import Tiling, tiling_errors
 
 DEFAULT_BUILDER_BUDGET = 100_000
 
-ROUNDING_TABLE_VERSION = "4"
+ROUNDING_TABLE_VERSION = "5"
 
 
 @dataclass(frozen=True)
@@ -61,7 +62,6 @@ class ExtractionReport:
     colour: str
     cluster_vertices: int
     seed: int
-    eta: float
     epsilon: float
     rounding_table_version: str
     red_copies: int
@@ -74,7 +74,6 @@ class ExtractionReport:
             "colour": self.colour,
             "cluster_vertices": self.cluster_vertices,
             "seed": self.seed,
-            "eta": self.eta,
             "epsilon": self.epsilon,
             "rounding_table_version": self.rounding_table_version,
         }
@@ -93,7 +92,7 @@ def _find_tie(
     """A red copy and a blue copy sharing >= alpha vertices, inside the free set.
 
     Their union spans at most ``2k - alpha`` vertices, so the pair is a
-    one-copy-per-colour cluster at any slack.  Red copies are scanned from the
+    one-copy-per-colour cluster at slack 0.  Red copies are scanned from the
     red lead mask ``leads[RED]`` (see :func:`iter_copies`).  The first blue
     copy's lead only moves up as the free set shrinks, so the blue
     pre-check cuts ``leads[BLUE]`` there in place; no blue copy, side-good
@@ -115,48 +114,22 @@ def _find_tie(
     return None
 
 
-def _tie_certificate(
-    red: EmbeddedCopy, blue: EmbeddedCopy, eta: float
-) -> ClusterCertificate:
-    return ClusterCertificate(
-        vertices=red.vertices | blue.vertices,
-        red_tiling=Tiling(Colour.RED, (red,)),
-        blue_tiling=Tiling(Colour.BLUE, (blue,)),
-        eta=eta,
-    )
-
-
 def maximal_cluster_family(
     G: ColouredGraph,
     H: PatternStats,
-    eta: float,
     builder_budget: int = DEFAULT_BUILDER_BUDGET,
     leads: Mapping[Colour, int] | None = None,
 ) -> ClusterFamily:
-    """Vertex-disjoint tie clusters, found in scan order.
+    """Vertex-disjoint tie clusters at slack 0, found in scan order.
 
     ``leads`` maps each colour to a lead mask promise (see
     :func:`~monotile.embeddings.first_copy`); every vertex by default.
     """
-    if eta < 0:
-        raise ValueError("eta must be nonnegative")
+    if H.ell == 0:
+        raise ValueError("monochromatic copy search needs a pattern with at least one edge")
     certs: list[ClusterCertificate] = []
     free_mask = (1 << G.n) - 1
     budget = [builder_budget]
-
-    if eta >= 1:
-        if G.n >= 1:
-            certs.append(
-                ClusterCertificate(
-                    vertices=frozenset(range(G.n)),
-                    red_tiling=Tiling(Colour.RED, ()),
-                    blue_tiling=Tiling(Colour.BLUE, ()),
-                    eta=eta,
-                )
-            )
-        return ClusterFamily(tuple(certs), False)
-    if H.ell == 0:
-        raise ValueError("monochromatic copy search needs a pattern with at least one edge")
 
     # A red copy with no blue partner keeps none as the free set shrinks, so
     # each scan resumes at the lead vertex of the last tie's red copy.
@@ -169,7 +142,14 @@ def maximal_cluster_family(
         if tie is None:
             break
         red, blue = tie
-        certs.append(_tie_certificate(red, blue, eta))
+        certs.append(
+            ClusterCertificate(
+                vertices=red.vertices | blue.vertices,
+                red_tiling=Tiling(Colour.RED, (red,)),
+                blue_tiling=Tiling(Colour.BLUE, (blue,)),
+                eta=0.0,
+            )
+        )
         free_mask &= ~(red.vertex_mask | blue.vertex_mask)
         leads[Colour.RED] &= ~((1 << red.vertex_map[lead]) - 1)
 
@@ -209,9 +189,7 @@ def extract_tiling(
     G: ColouredGraph,
     H: PatternStats,
     epsilon: float,
-    eta: float | None = None,
     seed: int = 0,
-    builder_budget: int = DEFAULT_BUILDER_BUDGET,
 ) -> tuple[Tiling, ExtractionReport]:
     """Extract a large monochromatic tiling; always returns the best one found.
 
@@ -222,11 +200,9 @@ def extract_tiling(
         raise ValueError("epsilon must lie in (0, 1)")
     if H.ell == 0:
         raise ValueError("pattern needs at least one edge")
-    if eta is None:
-        eta = epsilon / H.tiling_denominator
     everything = (1 << G.n) - 1
     leads = {c: copy_leads(G.adjacency_for(c), H.pattern) for c in Colour}
-    family = maximal_cluster_family(G, H, eta, builder_budget, leads)
+    family = maximal_cluster_family(G, H, leads=leads)
     certs = family.certificates
     rest = everything & ~mask_of(family.vertices)
     tie_copies = {c: tuple(x for cert in certs for x in cert.tiling(c).copies) for c in Colour}
@@ -241,7 +217,6 @@ def extract_tiling(
         colour=tiling.colour.value,
         cluster_vertices=sum(len(c.vertices) for c in certs),
         seed=seed,
-        eta=eta,
         epsilon=epsilon,
         rounding_table_version=ROUNDING_TABLE_VERSION,
         red_copies=largest[Colour.RED],

@@ -105,6 +105,3 @@ class PatternStats:
     @property
     def m2_or_one(self) -> Fraction:
         return max(self.m2, Fraction(1))
-
-    def is_triangle(self) -> bool:
-        return self.k == 3 and self.ell == 3

@@ -1,10 +1,12 @@
-"""Richness probes: one-sided good copies and bow ties.
+"""Richness probes: one-sided good copies.
 
 A pair of disjoint sets ``(X, Y)`` is *served* when the coloured host has a
 red copy of the pattern inside ``G[X + Y]`` meeting ``X`` in at least
 ``alpha`` vertices, or a blue copy meeting ``Y`` likewise.  A host is rich at
 size ``s`` when every disjoint pair of ``s``-sets is served under every
 colouring; a single failed probe is the counterexample certificate.
+:func:`find_side_good_copy` also finds the blue half of each extraction tie
+(for K3, a bow tie: two triangles of different colours sharing one vertex).
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
 
-from .embeddings import EmbeddedCopy, find_triangle, first_copy, iter_triangles
+from .embeddings import EmbeddedCopy, first_copy
 from .graphs import Colour, ColouredGraph, mask_of
 from .patterns import PatternStats
 
@@ -66,34 +68,4 @@ def richness_probe(
     blue = find_side_good_copy(G, H, Colour.BLUE, universe, y_mask, H.alpha)
     if blue is not None:
         return GoodCopy(blue, Side.Y)
-    return None
-
-
-def find_bowtie(
-    G: ColouredGraph,
-    forbidden: Iterable[int] = (),
-    pattern: PatternStats | None = None,
-) -> tuple[EmbeddedCopy, EmbeddedCopy] | None:
-    """Two monochromatic triangles of different colours sharing exactly one vertex.
-
-    Bow ties are the triangle specialisation; other patterns go through the
-    cluster machinery instead, so a non-triangle ``pattern`` is rejected.
-    """
-    if pattern is not None and not pattern.is_triangle():
-        raise ValueError("bow tie search is defined for the triangle pattern only")
-    universe = ((1 << G.n) - 1) & ~mask_of(forbidden)
-    red_adj = G.red_adjacency
-    blue_adj = G.blue_adjacency
-    for tri in iter_triangles(red_adj, universe):
-        tri_mask = mask_of(tri)
-        for shared in tri:
-            # Allow only the shared vertex from the red triangle.
-            window = (universe & ~tri_mask) | (1 << shared)
-            other = find_triangle(blue_adj, window, 1 << shared, 1)
-            if other is not None:
-                red_copy = EmbeddedCopy(tri, Colour.RED)
-                blue_copy = EmbeddedCopy(other, Colour.BLUE)
-                if len(red_copy.vertices & blue_copy.vertices) != 1:
-                    raise AssertionError("bow tie triangles must share exactly one vertex")
-                return (red_copy, blue_copy)
     return None

@@ -12,7 +12,6 @@ O(m + 2**16) for m edges, plus the transient bit matrix of the mask build.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -63,28 +62,3 @@ def threshold_probability(n: int, C: float, pattern: PatternStats) -> float:
     """``min(1, C * n**(-1/max(m2, 1)))`` with the exponent compared exactly."""
     exponent = Fraction(1) / pattern.m2_or_one
     return min(1.0, C * float(n) ** (-float(exponent)))
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """One extraction run's knobs, with the derived edge probability."""
-
-    n: int
-    C: float
-    epsilon: float
-    seed: int
-    p: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.epsilon < 1.0:
-            raise ValueError("epsilon must lie in (0, 1)")
-        if self.C <= 0:
-            raise ValueError("threshold constant C must be positive")
-        if not 0.0 < self.p <= 1.0:
-            raise ValueError("derived probability must lie in (0, 1]")
-
-    @classmethod
-    def for_pattern(
-        cls, n: int, C: float, epsilon: float, seed: int, pattern: PatternStats
-    ) -> "ExperimentConfig":
-        return cls(n=n, C=C, epsilon=epsilon, seed=seed, p=threshold_probability(n, C, pattern))

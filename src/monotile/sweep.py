@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 
 from .adversaries import ADVERSARY_NAMES, AdversarySpec, colour_with
 from .extraction import extract_tiling, extraction_target
-from .graphs import Graph, write_graph_text
+from .graphs import Graph
 from .patterns import PatternStats
 from .sampling import derive_seed, sample_gnp, threshold_probability
 
@@ -165,17 +165,13 @@ def trial_seed(seed_base: int, n: int, C: float, adversary: str, trial: int) -> 
 
 
 def _run_trial(args: tuple) -> TrialRow:
-    pattern_text, n, C, adversary, trial, seed_base, epsilon = args
-    from .graphs import parse_graph_text
-
-    pattern = parse_graph_text(pattern_text)
-    stats = PatternStats.from_graph(pattern)
+    stats, n, C, adversary, trial, seed_base, epsilon = args
     seed = trial_seed(seed_base, n, C, adversary, trial)
     start = time.perf_counter()
     try:
         p = threshold_probability(n, C, stats)
         host = sample_gnp(n, p, derive_seed(seed, "sample"))
-        spec = AdversarySpec(adversary, {"pattern": pattern}, derive_seed(seed, "colour"))
+        spec = AdversarySpec(adversary, {"pattern": stats.pattern}, derive_seed(seed, "colour"))
         coloured = colour_with(host, spec)
         _, report = extract_tiling(coloured, stats, epsilon, seed=derive_seed(seed, "extract"))
         wall = (time.perf_counter() - start) * 1000
@@ -190,7 +186,7 @@ def _run_trial(args: tuple) -> TrialRow:
         return TrialRow(
             n=n, C=C, adversary=adversary, trial=trial, seed=seed,
             p=float("nan"), achieved=0,
-            target=extraction_target(n, PatternStats.from_graph(pattern), epsilon),
+            target=extraction_target(n, stats, epsilon),
             success=False,
             error=type(exc).__name__ + ": " + str(exc).replace(",", ";"),
             wall_ms=wall,
@@ -198,9 +194,9 @@ def _run_trial(args: tuple) -> TrialRow:
 
 
 def run_sweep(plan: SweepPlan, workers: int = 1) -> SweepResult:
-    pattern_text = write_graph_text(plan.pattern)
+    stats = PatternStats.from_graph(plan.pattern)
     tasks = [
-        (pattern_text, n, C, adversary, trial, plan.seed_base, plan.epsilon)
+        (stats, n, C, adversary, trial, plan.seed_base, plan.epsilon)
         for n in plan.n_list
         for C in plan.C_list
         for adversary in plan.adversaries

@@ -1,0 +1,39 @@
+"""The names and signatures the benchmark harness in ``perfbench/`` relies on.
+
+``perfbench/run.py --trace 1`` wraps engine functions by module attribute and
+its host workloads call ``extract_tiling(..., seed=...)``; a rename or a
+signature change breaks the benchmark, so it should fail here first.
+"""
+
+from __future__ import annotations
+
+import sys
+from pathlib import Path
+
+import pytest
+
+BENCH = Path(__file__).resolve().parents[1] / "perfbench"
+sys.path[:0] = [str(BENCH), str(BENCH.parent / "src")]
+
+import workloads  # noqa: E402
+from monotile.sampling import threshold_probability  # noqa: E402
+from tracing import Probe, Tracer  # noqa: E402
+
+HOST_WORKLOADS = [w for w in workloads.WORKLOADS.values() if isinstance(w, workloads.HostWorkload)]
+
+
+@pytest.mark.parametrize("workload", HOST_WORKLOADS, ids=lambda w: w.name)
+def test_a_traced_host_op_runs_clean(workload):
+    tracer = Tracer()
+    try:
+        workloads.install_layer_spans(tracer)
+        # The warm-up op of HostWorkload.setup, traced.
+        small = workloads.HostWorkload(
+            workload.name, 40, workload.C, workload.adversary, workload.text_round_trip
+        )
+        probe = Probe(tracer)
+        small.op({"p": threshold_probability(40, workload.C, workloads.K3), "seed": 1}, 0, probe)
+    finally:
+        tracer.unwrap_all()
+    assert probe.errors == []
+    assert {"extraction.extract_tiling", "extraction.maximal_cluster_family"} <= {s[0] for s in tracer.spans}

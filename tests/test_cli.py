@@ -43,8 +43,16 @@ def test_pipeline_sample_colour_extract(tmp_path, capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["achieved_size"] >= payload["target_size"]
-    assert payload["rounding_table_version"] == "4"
+    assert payload["rounding_table_version"] == "5"
     assert all(len(c) == 3 for c in payload["copies"])
+    code, out = run(
+        capsys, "extract", "--graph", str(coloured), "--pattern", "k3", "--epsilon", "0.2",
+    )
+    assert code == 0
+    assert set(json.loads(out)) == {
+        "target_size", "achieved_size", "colour", "cluster_vertices",
+        "seed", "epsilon", "rounding_table_version",
+    }
 
 
 def test_rt_exact_subcommand(capsys):
@@ -124,6 +132,7 @@ def test_usage_error_exit_code(capsys):
         ["extract", "--graph", "g.txt", "--pattern", "k3", "--epsilon", "0.2", "--budget", "10"],
         ["rt-exact", "--pattern", "k3", "--host", "k6", "--seed", "1"],
         ["sample", "--n", "6", "--p", "1.0", "--workers", "2"],
+        ["extract", "--graph", "g.txt", "--pattern", "k3", "--epsilon", "0.2", "--eta", "0.5"],
     ],
 )
 def test_options_a_subcommand_never_reads_are_usage_errors(argv):

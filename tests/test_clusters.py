@@ -157,7 +157,7 @@ def test_process_validates_inputs(k3):
 
 def test_process_rejects_tiny_patterns(k2, k3):
     inst = planted_process_instance(k3, 12)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="at least 3 vertices"):
         cluster_process(
             inst.coloured, k2, inst.x_vertices, inst.y_vertices, 0.3,
             inst.blue_tiling, inst.red_tiling,

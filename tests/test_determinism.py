@@ -2,10 +2,12 @@
 
 ``GOLDEN`` hashes every tiling, report and cluster family of the grid, and
 ``TILING_GOLDEN`` every tiling, colour choice, per-colour copy count and
-cluster certificate, both at rounding table version 4: the cluster family is
-tie clusters only, and extraction returns the first largest of four
-candidates (ties plus a greedy packing of the rest, then a greedy packing of
-the whole host, red before blue in each).
+cluster certificate, both at rounding table version 5: the cluster family is
+tie clusters at slack 0 only, and extraction returns the first largest of
+four candidates (ties plus a greedy packing of the rest, then a greedy
+packing of the whole host, red before blue in each).  Version 5 only drops
+the cluster slack from the report and the certificates; the tilings, copy
+counts and certificate vertex sets are those of version 4.
 ``AVOIDER_GOLDEN`` was recorded from the copy-avoider that listed every copy
 of the pattern in the host before colouring; the incremental per-colour masks
 must reproduce every colouring.  ``ORACLE_GOLDEN`` was recorded from the
@@ -30,8 +32,8 @@ from monotile.oracles import exact_rt, good_copy_witness_count, max_mono_tiling_
 from monotile.patterns import PatternStats
 from monotile.sampling import derive_seed, sample_gnp, threshold_probability
 
-TILING_GOLDEN = "fa9f373b849bd2b0fe1cedfd4b9813295677230f1501725876490642f7f804be"
-GOLDEN = "d70b6c8789d8c4506c97b9ed70446fd8cadc825907b5aeb4ef5bc97504e8137c"
+TILING_GOLDEN = "46fb4aaa924d84337629c916ac092ce54131ae731720bacdd1c8144bec801eff"
+GOLDEN = "a2ff413601146e61a7e7e828c04bb82a2a10c7ee4da7e8824fd7fdfbc87ed3d9"
 
 GRID_N = {"k3": 150, "p3": 90, "c4": 60}
 GRID_C = (0.5, 3.0)
@@ -52,7 +54,7 @@ def grid_cells():
                     cg = colour_with(host, AdversarySpec(adversary, {}, derive_seed("golden", seed)))
                     for eps in GRID_EPSILONS:
                         tiling, report = extract_tiling(cg, H, eps, seed=seed)
-                        family = maximal_cluster_family(cg, H, eps / H.tiling_denominator)
+                        family = maximal_cluster_family(cg, H)
                         yield tiling, report, family
 
 

@@ -4,21 +4,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from monotile.budget import BudgetExceededError
 from monotile.embeddings import (
-    automorphism_count,
     copy_leads,
-    count_mono_copies,
     find_mono_copy,
     find_triangle,
     first_copy,
+    iter_copies,
     iter_embeddings,
     iter_triangles,
     lead_vertex,
 )
 from monotile.extraction import greedy_packing
 from monotile.graphs import Colour, Graph, colour_all, mask_of, pattern_by_name
-from monotile.oracles import mono_copy_count_bruteforce
+from monotile.oracles import iter_copies_bruteforce, mono_copy_count_bruteforce
 from monotile.patterns import PatternStats
 from monotile.sampling import philox_generator
 
@@ -43,15 +41,16 @@ def test_cycle_has_no_triangle_under_any_colouring(k3):
     [(4, Colour.RED, 4), (4, Colour.BLUE, 0), (6, Colour.RED, 20)],
 )
 def test_count_on_complete_red_hosts(k3, n, colour, expect):
+    # A triangle is its own vertex set, so one listed copy per triangle.
     g = colour_all(Graph.complete(n), Colour.RED)
-    assert count_mono_copies(g, k3, colour) == expect
+    assert len(list(iter_copies(g.adjacency_for(colour), k3.pattern, (1 << n) - 1))) == expect
 
 
 def test_counts_are_subgraph_counts_not_embeddings():
     # three perfect matchings of K4, not 24 labelled embeddings
     two_k2 = PatternStats.from_graph(Graph.matching(2))
     g = colour_all(Graph.complete(4), Colour.RED)
-    assert count_mono_copies(g, two_k2, Colour.RED) == 3
+    assert mono_copy_count_bruteforce(g, two_k2, Colour.RED) == 3
 
 
 @pytest.mark.parametrize(
@@ -65,19 +64,15 @@ def test_counts_are_subgraph_counts_not_embeddings():
     ],
 )
 def test_automorphism_counts(pattern, expect):
-    assert automorphism_count(pattern) == expect
+    # The matcher lists every embedding of a pattern into itself once: |Aut(H)| of them.
+    full = (1 << pattern.n) - 1
+    assert sum(1 for _ in iter_embeddings(pattern.adjacency, pattern, full)) == expect
 
 
 def test_allowed_vertices_restrict_search(k3):
     g = colour_all(Graph.complete(6), Colour.RED)
     assert find_mono_copy(g, k3, allowed_vertices=[0, 1]) is None
-    assert count_mono_copies(g, k3, Colour.RED, allowed_vertices=[0, 1, 2, 3]) == 4
-
-
-def test_budget_refusal(k3):
-    g = colour_all(Graph.complete(30), Colour.RED)
-    with pytest.raises(BudgetExceededError):
-        count_mono_copies(g, k3, Colour.RED, budget=10.0)
+    assert len(list(iter_copies(g.red_adjacency, k3.pattern, 0b1111))) == 4
 
 
 def test_find_is_deterministic(k3):
@@ -90,28 +85,30 @@ def test_edgeless_pattern_rejected():
     g = colour_all(Graph.complete(4), Colour.RED)
     with pytest.raises(ValueError):
         find_mono_copy(g, stats)
-    with pytest.raises(ValueError):
-        count_mono_copies(g, stats, Colour.RED)
 
 
 def test_find_none_iff_count_zero_exhaustive_k5(k3):
     for cg in all_colourings(Graph.complete(5)):
         for colour in (Colour.RED, Colour.BLUE):
             found = find_mono_copy(cg, k3, colour_filter=colour)
-            count = count_mono_copies(cg, k3, colour)
+            count = mono_copy_count_bruteforce(cg, k3, colour)
             assert (found is None) == (count == 0)
 
 
-@settings(max_examples=80, deadline=None)
-@given(coloured_graphs(max_n=6), st.sampled_from([Colour.RED, Colour.BLUE]))
-def test_count_matches_bruteforce_oracle(k3, cg, colour):
-    assert count_mono_copies(cg, k3, colour) == mono_copy_count_bruteforce(cg, k3, colour)
-
-
-@settings(max_examples=80, deadline=None)
-@given(coloured_graphs(min_n=4, max_n=7), st.sampled_from([Colour.RED, Colour.BLUE]))
-def test_p4_count_matches_bruteforce_oracle(p4, cg, colour):
-    assert count_mono_copies(cg, p4, colour) == mono_copy_count_bruteforce(cg, p4, colour)
+@settings(max_examples=160, deadline=None)
+@given(
+    coloured_graphs(min_n=3, max_n=7),
+    st.sampled_from(["k3", "p4", "c4"]),
+    st.sampled_from([Colour.RED, Colour.BLUE]),
+)
+def test_copy_vertex_sets_match_bruteforce_oracle(cg, name, colour):
+    # One mask per vertex subset holding a copy; the order is not compared.
+    pattern = pattern_by_name(name)
+    adj = cg.adjacency_for(colour)
+    masks = [mask_of(vm) for vm in iter_copies(adj, pattern, (1 << cg.n) - 1)]
+    assert len(masks) == len(set(masks))
+    subsets = {mask_of(subset) for subset, _ in iter_copies_bruteforce(adj, pattern, range(cg.n))}
+    assert set(masks) == subsets
 
 
 @settings(max_examples=120, deadline=None)

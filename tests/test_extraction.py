@@ -55,10 +55,10 @@ def test_report_json_schema(k3):
     payload = json.loads(report.to_json())
     assert set(payload) == {
         "target_size", "achieved_size", "colour", "cluster_vertices",
-        "seed", "eta", "epsilon", "rounding_table_version",
+        "seed", "epsilon", "rounding_table_version",
     }
     assert payload["colour"] == "blue"
-    assert payload["eta"] == pytest.approx(0.2 / 5)
+    assert payload["rounding_table_version"] == "5"
 
 
 def test_extraction_deterministic(k3):
@@ -76,7 +76,7 @@ def test_epsilon_validation(k3):
         extract_tiling(cg, k3, epsilon=1.0)
 
 
-def test_single_edge_pattern_substitution(k2):
+def test_single_edge_pattern_extracts_a_perfect_matching(k2):
     cg = colour_all(Graph.complete(12), Colour.RED)
     tiling, report = extract_tiling(cg, k2, epsilon=0.1, seed=0)
     assert validate_tiling(cg, k2, tiling)
@@ -94,7 +94,7 @@ def test_edgeless_pattern_rejected():
 
 def test_family_empty_on_all_red(k3):
     cg = colour_all(Graph.complete(15), Colour.RED)
-    fam = maximal_cluster_family(cg, k3, eta=0.05)
+    fam = maximal_cluster_family(cg, k3)
     assert fam.certificates == ()
     assert not fam.truncated
 
@@ -102,7 +102,7 @@ def test_family_empty_on_all_red(k3):
 def test_family_finds_planted_bowties(k3):
     for b in (1, 3, 5):
         cg = bowtie_union(b, isolated=4)
-        fam = maximal_cluster_family(cg, k3, eta=0.0)
+        fam = maximal_cluster_family(cg, k3)
         assert len(fam.certificates) == b
         for cert in fam.certificates:
             assert verify_cluster(cg, k3, cert)
@@ -113,7 +113,7 @@ def test_family_members_disjoint_and_verified_on_random_host(k3):
 
     host = sample_gnp(50, 1.0, 0)
     cg = colour_with(host, AdversarySpec("uniform-random", {}, 77))
-    fam = maximal_cluster_family(cg, k3, eta=0.05)
+    fam = maximal_cluster_family(cg, k3)
     assert fam.certificates
     seen = set()
     for cert in fam.certificates:
@@ -122,23 +122,15 @@ def test_family_members_disjoint_and_verified_on_random_host(k3):
         seen |= cert.vertices
 
 
-def test_family_eta_one_covers_everything(k3):
-    cg = bowtie_union(2)
-    fam = maximal_cluster_family(cg, k3, eta=1.0)
-    assert len(fam.certificates) == 1
-    assert fam.certificates[0].vertices == frozenset(range(10))
-    assert verify_cluster(cg, k3, fam.certificates[0])
-
-
 def test_family_rejects_an_edgeless_pattern():
     cg = colour_all(Graph.complete(5), Colour.RED)
     with pytest.raises(ValueError, match="at least one edge"):
-        maximal_cluster_family(cg, PatternStats.from_graph(Graph(2)), eta=0.1)
+        maximal_cluster_family(cg, PatternStats.from_graph(Graph(2)))
 
 
 def test_family_budget_truncation(k3):
     cg = bowtie_union(4)
-    fam = maximal_cluster_family(cg, k3, eta=0.0, builder_budget=2)
+    fam = maximal_cluster_family(cg, k3, builder_budget=2)
     assert fam.truncated
     assert len(fam.certificates) < 4
 
@@ -193,7 +185,7 @@ _ADJACENT_LEADS = _coloured(
 @example(_ADJACENT_LEADS, "k3")
 def test_cursor_resumed_ties_match_restarted_scan(cg, name):
     H = PatternStats.from_graph(pattern_by_name(name))
-    fam = maximal_cluster_family(cg, H, eta=0.0)
+    fam = maximal_cluster_family(cg, H)
     ties = [(c.red_tiling.copies[0], c.blue_tiling.copies[0]) for c in fam.certificates]
     assert ties == _reference_ties(cg, H)
 
@@ -204,7 +196,7 @@ def test_cursor_resumed_ties_match_restarted_scan(cg, name):
 def test_ties_under_copy_leads_match_restarted_scan(cg, name):
     H = PatternStats.from_graph(pattern_by_name(name))
     leads = {c: copy_leads(cg.adjacency_for(c), H.pattern) for c in Colour}
-    fam = maximal_cluster_family(cg, H, eta=0.0, leads=leads)
+    fam = maximal_cluster_family(cg, H, leads=leads)
     ties = [(c.red_tiling.copies[0], c.blue_tiling.copies[0]) for c in fam.certificates]
     assert ties == _reference_ties(cg, H)
 
@@ -252,7 +244,7 @@ def test_process_residual_case_on_two_cliques(k3):
 
 def test_two_cliques_extract_a_red_tiling(k3):
     cg = _two_cliques()
-    tiling, report = extract_tiling(cg, k3, epsilon=0.1, eta=0.75)
+    tiling, report = extract_tiling(cg, k3, epsilon=0.1)
     assert tiling.colour is Colour.RED
     assert tiling.size == report.achieved_size == 2
     assert validate_tiling(cg, k3, tiling)
@@ -289,7 +281,7 @@ def test_achieved_is_at_least_every_candidate(cg, name):
     tiling, report = extract_tiling(cg, H, epsilon=0.1)
     assert validate_tiling(cg, H, tiling)
     everything = (1 << cg.n) - 1
-    fam = maximal_cluster_family(cg, H, report.eta)
+    fam = maximal_cluster_family(cg, H)
     rest = everything & ~mask_of(fam.vertices)
     largest = {}
     for colour in Colour:
@@ -297,16 +289,6 @@ def test_achieved_is_at_least_every_candidate(cg, name):
         largest[colour] = max(with_ties, len(greedy_packing(cg, H, colour, everything)))
     assert report.achieved_size == tiling.size == max(largest.values())
     assert (report.red_copies, report.blue_copies) == (largest[Colour.RED], largest[Colour.BLUE])
-
-
-def test_full_slack_cluster_still_packs_greedily(k3):
-    # At eta = 1 one cluster with empty tilings covers the host; the plain
-    # greedy candidates still see every vertex.
-    cg = colour_all(Graph.complete(12), Colour.RED)
-    tiling, report = extract_tiling(cg, k3, epsilon=0.1, eta=1.0)
-    assert tiling.colour is Colour.RED
-    assert tiling.size == report.achieved_size == 4
-    assert report.cluster_vertices == 12
 
 
 def _greedy_matching(G: ColouredGraph, colour: Colour) -> int:

@@ -95,7 +95,7 @@ def test_p4_extraction_on_random_hosts(p4):
 def test_p4_family_certificates_verify_on_random_host(p4):
     host = Graph.complete(36)
     cg = colour_with(host, AdversarySpec("uniform-random", {}, 9))
-    fam = maximal_cluster_family(cg, p4, eta=0.1)
+    fam = maximal_cluster_family(cg, p4)
     assert fam.certificates
     seen = set()
     for cert in fam.certificates:

@@ -91,8 +91,6 @@ def test_pattern_stats_caches():
     assert stats.m2 == 1
     assert stats.tiling_denominator == 6
     assert stats.m2_or_one == Fraction(1)
-    assert not stats.is_triangle()
-    assert PatternStats.from_graph(Graph.complete(3)).is_triangle()
 
 
 def test_pattern_stats_rejects_bad_cache():

@@ -2,9 +2,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from monotile.extraction import maximal_cluster_family
 from monotile.graphs import Colour, ColouredGraph, Graph, colour_all
 from monotile.oracles import good_copy_witness_count
-from monotile.richness import Side, find_bowtie, richness_probe
+from monotile.richness import Side, richness_probe
 from monotile.instances import bowtie_union
 
 from .conftest import all_colourings, coloured_graphs
@@ -56,15 +57,13 @@ def test_probe_agrees_with_witness_enumeration(k3, cg, data):
     assert (hit is None) == (count == 0)
 
 
-def _naive_bowtie_exists(cg, forbidden=frozenset()):
+def _naive_bowtie_exists(cg):
     """Double loop over all red and blue triangles."""
     from itertools import combinations
 
     def mono_triangles(colour):
         out = []
         for tri in combinations(range(cg.n), 3):
-            if any(v in forbidden for v in tri):
-                continue
             edges = [(tri[0], tri[1]), (tri[0], tri[2]), (tri[1], tri[2])]
             if all(cg.colour.get(e) is colour for e in edges):
                 out.append(set(tri))
@@ -77,31 +76,23 @@ def _naive_bowtie_exists(cg, forbidden=frozenset()):
     return False
 
 
-def test_bowtie_on_planted_instance():
+# A K3 tie is a bow tie: a red and a blue triangle sharing alpha = 1 vertex
+# (two shared vertices would share an edge of both colours).
+
+def test_bowtie_on_planted_instance(k3):
     cg = bowtie_union(1, isolated=3)
-    pair = find_bowtie(cg)
-    assert pair is not None
-    red, blue = pair
+    (cert,) = maximal_cluster_family(cg, k3).certificates
+    (red,), (blue,) = cert.red_tiling.copies, cert.blue_tiling.copies
     assert red.colour is Colour.RED and blue.colour is Colour.BLUE
     assert len(red.vertices & blue.vertices) == 1
 
 
 def test_bowtie_none_on_all_red(k3):
     g = colour_all(Graph.complete(7), Colour.RED)
-    assert find_bowtie(g) is None
+    assert maximal_cluster_family(g, k3).certificates == ()
 
 
-def test_bowtie_respects_forbidden():
-    cg = bowtie_union(1)
-    assert find_bowtie(cg, forbidden=[2]) is None  # 2 is the shared vertex
-
-
-def test_bowtie_rejects_non_triangle_pattern(p4):
-    cg = bowtie_union(1)
-    with pytest.raises(ValueError):
-        find_bowtie(cg, pattern=p4)
-
-
-def test_bowtie_matches_naive_oracle_on_all_k5_colourings():
+def test_bowtie_matches_naive_oracle_on_all_k5_colourings(k3):
     for cg in all_colourings(Graph.complete(5)):
-        assert (find_bowtie(cg) is not None) == _naive_bowtie_exists(cg)
+        family = maximal_cluster_family(cg, k3)
+        assert bool(family.certificates) == _naive_bowtie_exists(cg)

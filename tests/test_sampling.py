@@ -6,7 +6,6 @@ import pytest
 
 from monotile.graphs import Graph, masks_from_pairs
 from monotile.sampling import (
-    ExperimentConfig,
     derive_seed,
     philox_generator,
     sample_gnp,
@@ -107,15 +106,6 @@ def test_threshold_probability_uses_m2_exponent(k3, k2):
     assert threshold_probability(100, 2.0, k3) == pytest.approx(0.2)
     assert threshold_probability(100, 2.0, k2) == pytest.approx(0.02)
     assert threshold_probability(4, 10.0, k3) == 1.0
-
-
-def test_experiment_config_validation(k3):
-    cfg = ExperimentConfig.for_pattern(100, 2.0, 0.1, 7, k3)
-    assert cfg.p == pytest.approx(0.2)
-    with pytest.raises(ValueError):
-        ExperimentConfig.for_pattern(100, 2.0, 1.5, 7, k3)
-    with pytest.raises(ValueError):
-        ExperimentConfig.for_pattern(100, -1.0, 0.1, 7, k3)
 
 
 def test_derive_seed_stable():

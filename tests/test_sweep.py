@@ -2,10 +2,12 @@ import csv
 import dataclasses
 import io
 import json
+import pickle
 
 import pytest
 
-from monotile.graphs import Graph
+from monotile.graphs import Graph, parse_graph_text, pattern_by_name, write_graph_text
+from monotile.patterns import PatternStats
 from monotile.sweep import SweepPlan, SweepResult, run_sweep, trial_seed, wilson_interval
 
 
@@ -181,6 +183,15 @@ def test_parallel_matches_serial():
     serial = run_sweep(plan, workers=1).to_csv()
     parallel = run_sweep(plan, workers=2).to_csv()
     assert serial == parallel
+
+
+@pytest.mark.parametrize("name", ["k2", "k3", "p4", "c5", "matching-2"])
+def test_worker_pattern_stats_match_the_text_route(name):
+    # Workers get the plan's PatternStats pickled, not the pattern's text.
+    pattern = pattern_by_name(name)
+    stats = PatternStats.from_graph(pattern)
+    assert pickle.loads(pickle.dumps(stats)) == stats
+    assert stats == PatternStats.from_graph(parse_graph_text(write_graph_text(pattern)))
 
 
 def test_wilson_interval_basics():
