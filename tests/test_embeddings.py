@@ -95,6 +95,27 @@ def test_find_none_iff_count_zero_exhaustive_k5(k3):
             assert (found is None) == (count == 0)
 
 
+def _matcher_copy_count(cg, stats, colour):
+    # Labelled embeddings over |Aut(H)|: each subgraph copy is reached |Aut(H)| times.
+    pattern = stats.pattern
+    aut = sum(1 for _ in iter_embeddings(pattern.adjacency, pattern, (1 << pattern.n) - 1))
+    embeddings = sum(1 for _ in iter_embeddings(cg.adjacency_for(colour), pattern, (1 << cg.n) - 1))
+    assert embeddings % aut == 0
+    return embeddings // aut
+
+
+@settings(max_examples=80, deadline=None)
+@given(coloured_graphs(max_n=6), st.sampled_from([Colour.RED, Colour.BLUE]))
+def test_count_matches_bruteforce_oracle(k3, cg, colour):
+    assert _matcher_copy_count(cg, k3, colour) == mono_copy_count_bruteforce(cg, k3, colour)
+
+
+@settings(max_examples=80, deadline=None)
+@given(coloured_graphs(min_n=4, max_n=7), st.sampled_from([Colour.RED, Colour.BLUE]))
+def test_p4_count_matches_bruteforce_oracle(p4, cg, colour):
+    assert _matcher_copy_count(cg, p4, colour) == mono_copy_count_bruteforce(cg, p4, colour)
+
+
 @settings(max_examples=160, deadline=None)
 @given(
     coloured_graphs(min_n=3, max_n=7),
