@@ -23,8 +23,11 @@ first colouring and from the host's table for later ones, and filter those
 lists for every side pair they are asked about.
 
 Exhaustive colouring sweeps over complete hosts dedup colourings up to
-relabelling through the networkx graph atlas (all isomorphism classes up to
-seven vertices), read once per process; general hosts enumerate raw with a
+relabelling through the graph atlas (all isomorphism classes up to seven
+vertices, in the order and labelling of ``networkx.graph_atlas_g()``).  The
+atlas is the checked-in table ``atlas.txt`` next to this module, read once per
+process: one line per graph, its order and its pair mask in hex, written by
+``scripts/build_atlas_table.py``.  General hosts enumerate raw with a
 colour-swap cut.
 """
 
@@ -35,9 +38,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, permutations
+from pathlib import Path
 from typing import Iterable, Iterator, Mapping
-
-import networkx as nx
 
 from .budget import require_budget
 from .graphs import Colour, ColouredGraph, Edge, Graph, Masks, iter_bits, mask_of
@@ -305,13 +307,28 @@ def is_complete_host(G: Graph) -> bool:
     return G.num_edges == G.n * (G.n - 1) // 2
 
 
+def _read_atlas_table() -> str:
+    return (Path(__file__).parent / "atlas.txt").read_text()
+
+
 @cache
 def _atlas() -> dict[int, tuple[Graph, ...]]:
-    """The networkx atlas, parsed once per process, grouped by order in atlas order."""
+    """The atlas table, read once per process, grouped by order in atlas order.
+
+    A line ``n mask`` is the graph on ``n`` vertices whose edges are the pairs
+    of ``combinations(range(n), 2)`` at the set bits of the hex ``mask``.
+    """
+    pairs = [tuple(combinations(range(n), 2)) for n in range(8)]
     by_order: dict[int, list[Graph]] = {}
-    for g in nx.graph_atlas_g():
-        n = g.number_of_nodes()
-        by_order.setdefault(n, []).append(Graph.from_edges(n, g.edges()))
+    for line in _read_atlas_table().splitlines():
+        order, hex_mask = line.split()
+        n = int(order)
+        adjacency = [0] * n
+        for bit in iter_bits(int(hex_mask, 16)):
+            u, v = pairs[n][bit]
+            adjacency[u] |= 1 << v
+            adjacency[v] |= 1 << u
+        by_order.setdefault(n, []).append(Graph.from_adjacency(n, tuple(adjacency)))
     return {n: tuple(graphs) for n, graphs in by_order.items()}
 
 

@@ -15,7 +15,6 @@ import io
 import json
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 
 from .adversaries import ADVERSARY_NAMES, AdversarySpec, colour_with
@@ -203,6 +202,8 @@ def run_sweep(plan: SweepPlan, workers: int = 1) -> SweepResult:
         for trial in range(plan.trials)
     ]
     if workers > 1 and len(tasks) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # not at module top: it pulls in multiprocessing
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_run_trial, tasks))
     else:

@@ -97,16 +97,31 @@ def test_atlas_lists_are_copies():
 
 def test_atlas_read_once_per_process(monkeypatch, k3):
     calls = []
-    real = oracles.nx.graph_atlas_g
+    real = oracles._read_atlas_table
 
     def counting():
         calls.append(1)
         return real()
 
-    monkeypatch.setattr(oracles.nx, "graph_atlas_g", counting)
+    monkeypatch.setattr(oracles, "_read_atlas_table", counting)
     _atlas.cache_clear()
     assert exact_rt(k3, Graph.complete(6)) == exact_rt(k3, Graph.complete(6))
     assert len(calls) == 1
+
+
+def test_atlas_table_equals_the_networkx_atlas():
+    import networkx as nx
+
+    expected: dict[int, list[Graph]] = {}
+    for g in nx.graph_atlas_g():
+        n = g.number_of_nodes()
+        expected.setdefault(n, []).append(Graph.from_edges(n, g.edges()))
+    regenerate = "src/monotile/atlas.txt is stale: regenerate it with scripts/build_atlas_table.py"
+    for n in range(8):
+        table = atlas_graphs(n)
+        assert len(table) == len(expected[n]), regenerate
+        for i, (ours, theirs) in enumerate(zip(table, expected[n])):
+            assert ours == theirs and ours.edges == theirs.edges, f"order {n}, graph {i}: {regenerate}"
 
 
 # Reference enumeration: every permutation of every vertex subset, with no

@@ -2,10 +2,15 @@ import csv
 import dataclasses
 import io
 import json
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import monotile
 from monotile.graphs import Graph, parse_graph_text, pattern_by_name, write_graph_text
 from monotile.patterns import PatternStats
 from monotile.sweep import SweepPlan, SweepResult, run_sweep, trial_seed, wilson_interval
@@ -179,10 +184,28 @@ def test_csv_quotes_error_text():
 
 
 def test_parallel_matches_serial():
+    # workers=2 imports the process pool lazily; its rows, wall times aside,
+    # and its default CSV must match the serial run's.
     plan = _small_plan(n_list=(12,))
-    serial = run_sweep(plan, workers=1).to_csv()
-    parallel = run_sweep(plan, workers=2).to_csv()
-    assert serial == parallel
+    serial, parallel = run_sweep(plan, workers=1), run_sweep(plan, workers=2)
+    assert [dataclasses.replace(row, wall_ms=0.0) for row in serial.rows] == [
+        dataclasses.replace(row, wall_ms=0.0) for row in parallel.rows
+    ]
+    assert serial.to_csv() == parallel.to_csv()
+
+
+def test_cold_import_leaves_networkx_and_the_process_pool_out():
+    # Every CLI step and sweep worker starts a fresh interpreter: the run path
+    # must not pay for networkx (the atlas is a checked-in table) or for the
+    # process pool (imported only when a sweep asks for workers).
+    src = Path(monotile.__file__).resolve().parent.parent
+    code = (
+        "import sys, monotile, monotile.cli; "
+        "print(sorted(m for m in ('networkx', 'multiprocessing', 'concurrent.futures') if m in sys.modules))"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("name", ["k2", "k3", "p4", "c5", "matching-2"])
