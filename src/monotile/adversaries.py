@@ -3,13 +3,15 @@
 Every strategy produces a total red/blue colouring of any input graph and is
 a pure function of (graph, spec), so sweeps replay bit-for-bit.
 
-The two greedy strategies (majority-degree, copy-avoider) share one loop:
-each edge, in a seeded order, reads its cost in both colours on the masks of
-the edges already coloured and is placed in the cheaper one; ties read the
-next of one bulk draw of Philox coins. The copy-avoider's cost counts the
-copies an edge closes: for complete patterns the ``K_(k-2)`` in the common
-neighbourhood, counted on masks (one popcount for triangles); for other
-patterns the pinned matcher under a work budget.
+The two greedy strategies (majority-degree, copy-avoider) visit the edges in
+one seeded order and send each edge to the colour its rule prefers; every tie
+reads the next of one bulk draw of Philox coins. Majority-degree keeps one
+signed degree difference (red minus blue) per vertex and sends an edge red
+when its endpoints' differences sum above zero. The copy-avoider reads, on
+the masks of the edges already coloured, the copies an edge closes in each
+colour: for complete patterns the ``K_(k-2)`` in the common neighbourhood,
+counted on masks (one popcount for triangles); for other patterns the pinned
+matcher under a work budget.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ import math
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterator, Mapping
+
+import numpy as np
 
 from .budget import require_budget
 from .embeddings import _cached_order, iter_embeddings
@@ -44,10 +48,14 @@ class AdversarySpec:
             raise ValueError(f"unknown adversary {self.name!r}; known: {ADVERSARY_NAMES}")
 
 
-def _edge_order(G: Graph, seed: int) -> Iterator[Edge]:
+def _visit_order(G: Graph, seed: int, label: str) -> tuple[np.ndarray, np.ndarray, Iterator[bool]]:
+    """The greedy strategies' draws: the host edges' endpoints ``(us, vs)`` in the
+    seeded visiting order, and the tie coins, one bulk ``random(m)`` draw under
+    ``label`` read as heads (red) below one half."""
     us, vs = G.edge_pairs
     perm = philox_generator(derive_seed("adversary-order", seed)).permutation(len(us))
-    return zip(us[perm].tolist(), vs[perm].tolist())
+    coins = philox_generator(derive_seed(label, seed)).random(len(us))
+    return us[perm], vs[perm], iter((coins < 0.5).tolist())
 
 
 def _uniform_random(G: Graph, spec: AdversarySpec) -> Masks:
@@ -139,18 +147,15 @@ def _closing_counter(G: Graph, pattern: Graph, budget: float | None):
 
 def _greedy(G: Graph, seed: int, label: str, cost) -> Masks:
     """Each edge reads ``cost(adj, u, v)`` in both colours, on the masks of the edges
-    already coloured, and joins the cheaper colour. Every tie takes the next value of
-    one ``random(m)`` draw from the seeded coin: red below one half.
+    already coloured, and joins the cheaper colour; a tie takes the next coin.
 
-    Reading before placing is exact for the costs used: majority-degree would add
-    the same 2 to both colours' degrees, the clique counts read only the common
-    neighbourhood of u and v (never u or v) and the edges inside it, and the pinned
-    matcher places uv itself.
+    Reading before placing is exact for the copy-avoider's costs: the clique counts
+    read only the common neighbourhood of u and v (never u or v) and the edges
+    inside it, and the pinned matcher places uv itself.
     """
-    coins = philox_generator(derive_seed(label, seed)).random(G.num_edges)
-    heads = iter((coins < 0.5).tolist())
+    us, vs, heads = _visit_order(G, seed, label)
     red, blue = [0] * G.n, [0] * G.n
-    for u, v in _edge_order(G, seed):
+    for u, v in zip(us.tolist(), vs.tolist()):
         cost_red, cost_blue = cost(red, u, v), cost(blue, u, v)
         keep = red if cost_red < cost_blue or cost_red == cost_blue and next(heads) else blue
         keep[u] |= 1 << v
@@ -159,10 +164,23 @@ def _greedy(G: Graph, seed: int, label: str, cost) -> Masks:
 
 
 def _majority_degree(G: Graph, spec: AdversarySpec) -> Masks:
-    """Rich-get-richer: follow the majority colour already at the endpoints."""
-    return _greedy(
-        G, spec.seed, "adversary-majority", lambda adj, u, v: -adj[u].bit_count() - adj[v].bit_count()
-    )
+    """Rich-get-richer: follow the majority colour already at the endpoints.
+
+    ``lead[v]`` is v's red minus blue degree over the edges already coloured, so an
+    edge goes red iff its two endpoints together have more red than blue edges,
+    ``lead[u] + lead[v] > 0``, and a zero sum takes the next coin.
+    """
+    us, vs, heads = _visit_order(G, spec.seed, "adversary-majority")
+    lead = [0] * G.n
+    signs = []
+    for u, v in zip(us.tolist(), vs.tolist()):
+        total = lead[u] + lead[v]
+        sign = 1 if total > 0 or total == 0 and next(heads) else -1
+        lead[u] += sign
+        lead[v] += sign
+        signs.append(sign)
+    red = np.array(signs, dtype=np.int8) > 0
+    return masks_from_pairs(G.n, us[red], vs[red])
 
 
 _STRATEGIES = {

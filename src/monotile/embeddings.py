@@ -258,7 +258,10 @@ def find_triangle(
     Unsided, the least vertex runs over ``leads``, a promise as in
     :func:`first_copy`.  Every triangle meeting the side set passes through a
     side vertex ``s``, so the sided search seeds from side vertices only and
-    keeps the least first triangle per ``s``; it does not need ``leads``.
+    keeps the least first triangle per ``s``.  There ``leads`` cuts the second
+    vertex ``v``, which lies below the third, of a seed outside ``leads``: such
+    a seed leads no triangle, so ``v`` does and lies below ``s``.  (Cutting a
+    lead seed's non-lead neighbours below it too costs more than it saves.)
     """
     if min_side <= 0:
         for a in iter_bits(universe_mask & leads):
@@ -277,8 +280,11 @@ def find_triangle(
     best = None
     for s in iter_bits(side_mask & universe_mask):
         ns = adjacency[s] & universe_mask
+        seconds = ns
+        if leads != -1 and not leads >> s & 1:
+            seconds &= leads & ((1 << s) - 1)
         # The least neighbour v closing a triangle above v gives s's first one.
-        for v in iter_bits(ns):
+        for v in iter_bits(seconds):
             if best is not None and v > best[0]:
                 break  # best[0] lies below s too, so nothing here can beat it
             need = min_side - 1 - ((side_mask >> v) & 1)  # side hits owed by the third

@@ -33,6 +33,7 @@ colour-swap cut.
 
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
@@ -230,17 +231,32 @@ _COPY_MASKS: weakref.WeakKeyDictionary[ColouredGraph, dict[Graph, tuple[tuple[in
 )
 
 
+# A host table holds one pair mask of n(n-1)/2 bits per copy.  A host whose
+# table could pass this many pair-mask bits (2 MiB), counting every image in
+# every vertex subset as a copy, gets no table: K_46 with K3 is the largest
+# complete host that gets one.
+_HOST_TABLE_BITS = 1 << 24
+
+
+def _table_fits(host: Graph, pattern: Graph) -> bool:
+    n = host.n
+    copies = math.comb(n, pattern.n) * len(_pattern_images(pattern))
+    return copies * (n * (n - 1) // 2) <= _HOST_TABLE_BITS
+
+
 def _copy_masks(G: ColouredGraph, pattern: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Vertex masks of every red and of every blue copy of ``pattern`` in ``G``,
     listed once per colouring.  The first colouring of a host sweeps its two
-    colour classes; later ones filter the host's table, built on the second."""
+    colour classes; later ones filter the host's table, built on the second,
+    unless the table could outgrow ``_HOST_TABLE_BITS``: then every colouring
+    sweeps."""
     memo = _COPY_MASKS.get(G)
     if memo is None:
         memo = _COPY_MASKS[G] = {}
     masks = memo.get(pattern)
     if masks is None:
         tables = _HOST_COPIES.setdefault(G.graph, {})
-        if pattern in tables:
+        if pattern in tables and _table_fits(G.graph, pattern):
             table = host_copies(G.graph, pattern)
             masks = (
                 tuple(_covered(table, pair_mask(G.red_adjacency))),

@@ -8,8 +8,8 @@ from monotile.adversaries import (
     _clique_estimate,
     _closing_counter,
     _closing_estimate,
-    _edge_order,
     _resolve_pattern,
+    _visit_order,
     colour_with,
 )
 from monotile.budget import DEFAULT_WORK_BUDGET
@@ -110,14 +110,16 @@ def test_edge_order_permutes_the_sorted_edge_list(seed):
     host = sample_gnp(60, 0.3, derive_seed("edge-order", seed))
     edges = sorted(host.edges)
     perm = philox_generator(derive_seed("adversary-order", seed)).permutation(len(edges)).tolist()
-    assert list(_edge_order(host, seed)) == [edges[i] for i in perm]
+    us, vs, _ = _visit_order(host, seed, "adversary-majority")
+    assert list(zip(us.tolist(), vs.tolist())) == [edges[i] for i in perm]
 
 
 def _reference_copy_avoider(G: Graph, spec: AdversarySpec) -> dict[Edge, Colour]:
     by_edge = _reference_copies_by_edge(G, _resolve_pattern(spec))
     coin = philox_generator(derive_seed("adversary-avoider", spec.seed))
     assigned: dict[Edge, Colour] = {}
-    for e in _edge_order(G, spec.seed):
+    us, vs, _ = _visit_order(G, spec.seed, "adversary-avoider")  # ties draw scalar coins below
+    for e in zip(us.tolist(), vs.tolist()):
         closed = {Colour.RED: 0, Colour.BLUE: 0}
         for copy_edges in by_edge[e]:
             colours = {assigned.get(other) for other in copy_edges if other != e}
@@ -209,7 +211,8 @@ def test_closing_estimate_admits_c4_at_n300():
 def _reference_greedy(G: Graph, seed: int, label: str, cost) -> tuple[int, ...]:
     coin = philox_generator(derive_seed(label, seed))
     red, blue = [0] * G.n, [0] * G.n
-    for u, v in _edge_order(G, seed):
+    us, vs, _ = _visit_order(G, seed, label)
+    for u, v in zip(us.tolist(), vs.tolist()):
         bu, bv = 1 << u, 1 << v
         red[u] |= bv
         red[v] |= bu
@@ -244,12 +247,19 @@ def test_greedy_matches_reference_loop(g, name, seed):
     _assert_greedy_matches_reference(g, name, seed)
 
 
+# C=None is the complete host K_n, where every early edge is a tie.
 @pytest.mark.parametrize("name", sorted(GREEDY_REFERENCES))
-@pytest.mark.parametrize("n, C", [(500, 0.5), (100, 5.0)])
+@pytest.mark.parametrize(
+    "n, C", [(500, 0.5), (100, 5.0), (1500, 1.0)] + [(n, None) for n in range(9, 13)]
+)
 def test_greedy_matches_reference_loop_on_random_hosts(name, n, C):
-    p = threshold_probability(n, C, PatternStats.from_graph(pattern_by_name("k3")))
+    k3 = PatternStats.from_graph(pattern_by_name("k3"))
     for seed in (0, 1, 2):
-        host = sample_gnp(n, p, derive_seed("greedy-reference", n, C, seed))
+        if C is None:
+            host = Graph.complete(n)
+        else:
+            p = threshold_probability(n, C, k3)
+            host = sample_gnp(n, p, derive_seed("greedy-reference", n, C, seed))
         _assert_greedy_matches_reference(host, name, seed)
 
 

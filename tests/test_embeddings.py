@@ -191,6 +191,23 @@ def test_side_seeded_triangle_search_matches_brute_force():
             assert find_triangle(adj, universe, side, min_side) == min(valid, default=None)
 
 
+@settings(max_examples=150, deadline=None)
+@given(coloured_graphs(min_n=3, max_n=12), st.integers(0, 2**12 - 1), st.integers(0, 2**12 - 1))
+@example(colour_all(Graph.complete(3), Colour.RED), 0b111, 0b001)  # the side vertex leads
+@example(colour_all(Graph.complete(3), Colour.RED), 0b111, 0b100)  # a lower neighbour leads
+def test_sided_triangle_search_under_lead_mask_matches_unmasked(cg, universe, side):
+    n = cg.n
+    universe &= (1 << n) - 1
+    for adj in (cg.red_adjacency, cg.blue_adjacency):
+        first = find_triangle(adj, universe)
+        # No triangle in the universe leads below the first one's lead vertex.
+        cut = n if first is None else first[0]
+        leads = copy_leads(adj, Graph.complete(3)) & ~((1 << cut) - 1)
+        for min_side in range(4):
+            expected = find_triangle(adj, universe, side, min_side)
+            assert find_triangle(adj, universe, side, min_side, leads=leads) == expected
+
+
 # Vertices 2 and 3 lie in both red triangles but lead neither.
 _SHARED_NON_LEADS = colour_all(
     Graph.from_edges(4, [e for t in ((0, 2, 3), (1, 2, 3)) for e in combinations(t, 2)]), Colour.RED

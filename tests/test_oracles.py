@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monotile import oracles
+from monotile.adversaries import AdversarySpec, colour_with
 from monotile.budget import BudgetExceededError
 from monotile.graphs import Colour, ColouredGraph, Edge, Graph, colour_all, mask_of, normalize_edge, pattern_by_name
 from monotile.oracles import (
@@ -332,6 +333,16 @@ def test_host_tables_live_as_long_as_the_host(k3, p4):
     gc.collect()
     assert all(ref() is None for ref in refs)
     assert len(oracles._HOST_COPIES) == before
+
+
+def test_host_too_large_for_a_table_sweeps_every_colouring(k3):
+    host = Graph.complete(80)  # its K3 table would hold 82,160 pair masks of 3,160 bits
+    X, Y = range(40), range(40, 80)
+    first = colour_with(host, AdversarySpec("uniform-random", {}, 0))
+    expected = good_copy_witness_count(first, k3, X, Y)
+    second = first.swap_colours()
+    assert good_copy_witness_count(second, k3, Y, X) == expected
+    assert oracles._HOST_COPIES[host][k3.pattern] is None
 
 
 @settings(max_examples=200, deadline=None)
