@@ -12,21 +12,30 @@ or schema bump compare the host, colouring and tiling columns.  After the
 cells come one line per desk-scale oracle output that the golden oracle
 test does not pin: the hyperedge count and degree report of the container
 hypergraph for K3 and P4 at n = 8, 10, 12, 14, and ``exact_rt`` for K3, P3
-and P4 on K3 to K7.  Run it on two checkouts and diff the outputs: a change
-that claims byte-identical results must print the same lines.
+and P4 on K3 to K7.  Last come the probe lines: a hash of the ``repr`` of the
+K3 ``richness_probe`` witnesses on each of 16 seeded uniform-random K6
+colourings, over every disjoint pair of a 2- or 3-set and a 2- or 3-set, and
+a hash of the ``repr`` of each ``cluster_process`` result and trace on
+planted K3 hosts at s = 24 and 48 for four slacks.  Run it on two checkouts
+and diff the outputs: a change that claims byte-identical results must print
+the same lines.
 
     PYTHONPATH=src python scripts/determinism_hashes.py > hashes.txt
 """
 
 import argparse
 import hashlib
+from itertools import combinations
 
 from monotile.adversaries import AdversarySpec, colour_with
 from monotile.aux_hypergraph import aux_degree_check, build_aux_hypergraph
+from monotile.clusters import cluster_process
 from monotile.extraction import extract_tiling
 from monotile.graphs import Graph, pattern_by_name
+from monotile.instances import planted_process_instance
 from monotile.oracles import exact_rt
 from monotile.patterns import PatternStats
+from monotile.richness import richness_probe
 from monotile.sampling import derive_seed, sample_gnp, threshold_probability
 from monotile.sweep import SweepPlan, run_sweep, trial_seed
 
@@ -67,6 +76,32 @@ def oracle_lines():
             yield f"rt {name} K{n} {exact_rt(stats, Graph.complete(n))!r}"
 
 
+def probe_lines():
+    k3 = PatternStats.from_graph(pattern_by_name("k3"))
+    pairs = [
+        (xs, ys)
+        for a in (2, 3)
+        for b in (2, 3)
+        for xs in combinations(range(6), a)
+        for ys in combinations([v for v in range(6) if v not in xs], b)
+    ]
+    for seed in range(16):
+        spec = AdversarySpec("uniform-random", {}, derive_seed("hashes-probe", seed))
+        cg = colour_with(Graph.complete(6), spec)
+        witnesses = [richness_probe(cg, k3, xs, ys) for xs, ys in pairs]
+        yield f"probe K6 seed={seed} {_digest(repr(witnesses))}"
+    for eta in (0.3, 0.35, 0.4, 0.5):
+        for s in (24, 48):
+            for i, (fraction, cross) in enumerate(((1.0, True), (0.0, True), (0.45, True), (0.5, False))):
+                inst = planted_process_instance(k3, s, derive_seed("hashes-process", eta, s, i), fraction, cross)
+                trace = []
+                out = cluster_process(
+                    inst.coloured, k3, inst.x_vertices, inst.y_vertices, eta,
+                    inst.blue_tiling, inst.red_tiling, seed=i, trace=trace,
+                )
+                yield f"process eta={eta:g} s={s} fraction={fraction:g} cross={cross} {_digest(repr((out, trace)))}"
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--pattern", type=str, default="k3")
@@ -87,6 +122,8 @@ def main() -> int:
                 for adversary in args.adversaries.split(","):
                     print(cell_line(args.pattern, n, C, adversary, seed, args.epsilon), flush=True)
     for line in oracle_lines():
+        print(line, flush=True)
+    for line in probe_lines():
         print(line, flush=True)
     return 0
 

@@ -18,7 +18,6 @@ shuffle, so runs replay exactly from the recorded seed.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -82,26 +81,30 @@ class StepRecord:
 
 def required_tiling_size(t_size: int, H: PatternStats, eta) -> int:
     """Clamped lower bound each colour's tiling must meet inside a cluster."""
-    bound = Fraction(t_size, H.tiling_denominator) - exact_ratio(eta) * t_size
-    return max(0, math.ceil(bound))
+    # t/D - eta*t over the common denominator D * eta.denominator, rounded up.
+    eta, d = exact_ratio(eta), H.tiling_denominator
+    return max(0, -(-t_size * (eta.denominator - d * eta.numerator) // (d * eta.denominator)))
 
 
 def probe_window_size(eta, s: int) -> int:
     """Vertices per side in each probe window, and the loop guard: ``ceil(eta^2 * s)``."""
-    return math.ceil(exact_ratio(eta) ** 2 * s)
+    eta = exact_ratio(eta)
+    return -(-(eta.numerator ** 2 * s) // eta.denominator ** 2)
 
 
 def cluster_errors(G: ColouredGraph, H: PatternStats, cert: ClusterCertificate) -> list[str]:
     problems: list[str] = []
-    if not cert.vertices:
+    vertices = cert.vertices
+    if not vertices:
         problems.append("cluster vertex set is empty")
-    if any(not 0 <= v < G.n for v in cert.vertices):
+    elif min(vertices) < 0 or max(vertices) >= G.n:
         problems.append("cluster vertex set leaves the host")
         return problems
-    need = required_tiling_size(len(cert.vertices), H, cert.eta)
+    inside = mask_of(vertices)
+    need = required_tiling_size(len(vertices), H, cert.eta)
     for tiling in (cert.red_tiling, cert.blue_tiling):
         name = tiling.colour.value
-        problems += [f"{name} tiling: {p}" for p in tiling_errors(G, H, tiling, cert.vertices)]
+        problems += [f"{name} tiling: {p}" for p in tiling_errors(G, H, tiling, inside)]
         if tiling.size < need:
             problems.append(f"{name} tiling has {tiling.size} copies, bound requires {need}")
     if cert.red_tiling.colour is not Colour.RED or cert.blue_tiling.colour is not Colour.BLUE:
@@ -203,7 +206,7 @@ def cluster_process(
     y1_mask = mask_of(v for c in y1_copies for v in c.vertex_map)
 
     eta_exact = exact_ratio(eta)
-    guard = probe_window_size(eta, s)
+    guard = probe_window_size(eta_exact, s)
     q_cross = half  # crossing-case event quota
     q_res = m // 2  # residual-case tiling target
 

@@ -1,11 +1,12 @@
 """Monochromatic copy search behind one mask-only entry point, :func:`first_copy`.
 
 Searches take one colour class's per-vertex adjacency bitmasks and a universe
-bitmask.  The generic matcher backtracks over a fixed pattern vertex order
-(connected expansion, highest degree first), trying host candidates in
-ascending order, so the first copy is the lexicographically first embedding.
-Triangles dispatch to a bitset search (Chiba-Nishizeki style) returning the
-same copy; with a side requirement it seeds only from side vertices.
+bitmask, clipped to the host's vertices.  The generic matcher backtracks over
+a fixed pattern vertex order (connected expansion, highest degree first),
+trying host candidates in ascending order, so the first copy is the
+lexicographically first embedding.  Triangles dispatch to a bitset search
+(Chiba-Nishizeki style) returning the same copy; with a side requirement it
+seeds only from side vertices.
 
 Every search takes a ``leads`` mask of the vertices allowed in the first scan
 position.  :func:`copy_leads` finds, once per colour class, the vertices that
@@ -95,8 +96,10 @@ def iter_embeddings(
     the side set in at least ``min_side`` vertices (pruned during search).
     The first-position vertex lies in ``leads``.  Each ``(pattern vertex,
     host vertex)`` pair in ``pin`` is fixed, placed first, in that order.
+    The universe is clipped to the host.
     """
     k = pattern.n
+    universe_mask &= (1 << len(adjacency)) - 1
     order, parents = _cached_order(pattern, tuple(p for p, _ in pin) if pin else ())
     allowed = [universe_mask & leads] + [universe_mask] * (k - 1)
     for pos, (_, h) in enumerate(pin):
@@ -162,13 +165,16 @@ def first_copy(
     min_side: int = 0,
     leads: int = -1,
 ) -> tuple[int, ...] | None:
-    """The first embedding :func:`iter_embeddings` yields, or ``None``; triangles take the fast path.
+    """The first embedding :func:`iter_embeddings` yields, or ``None``; triangles take
+    the bit-loop fast path, :func:`find_triangle`.
 
-    ``leads`` is a promise: no copy in the universe has its first-position
-    vertex (for K3, its least vertex) outside it, so the scan skips those
-    vertices.  A resume cursor at ``v`` is ``leads & ~((1 << v) - 1)``.
+    Universe bits outside the host are ignored: both searches clip the
+    universe to ``range(len(adjacency))``.  ``leads`` is a promise: no copy in
+    the universe has its first-position vertex (for K3, its least vertex)
+    outside it, so the scan skips those vertices.  A resume cursor at ``v`` is
+    ``leads & ~((1 << v) - 1)``.
     """
-    if _is_triangle(pattern):
+    if pattern.adjacency == _TRIANGLE:
         return find_triangle(adjacency, universe_mask, side_mask, min_side, leads)
     return next(iter_embeddings(adjacency, pattern, universe_mask, side_mask, min_side, leads), None)
 
@@ -178,10 +184,11 @@ def iter_copies(
 ) -> Iterator[tuple[int, ...]]:
     """One embedding per copy vertex set, the first found, in scan order.
 
-    ``leads`` is a promise as in :func:`first_copy`: the scan skips every
-    copy whose first-position vertex lies outside it.
+    The universe is clipped to the host, and ``leads`` is a promise, both as
+    in :func:`first_copy`: the scan skips every copy whose first-position
+    vertex lies outside it.
     """
-    if _is_triangle(pattern):
+    if pattern.adjacency == _TRIANGLE:
         yield from iter_triangles(adjacency, universe_mask, leads)
         return
     seen: set[int] = set()
@@ -192,8 +199,7 @@ def iter_copies(
             yield vm
 
 
-def _is_triangle(pattern: Graph) -> bool:
-    return pattern.adjacency == (0b110, 0b101, 0b011)
+_TRIANGLE = Graph.complete(3).adjacency
 
 
 def copy_leads(adjacency: Sequence[int], pattern: Graph) -> int:
@@ -205,7 +211,7 @@ def copy_leads(adjacency: Sequence[int], pattern: Graph) -> int:
     per vertex.
     """
     leads = 0
-    if _is_triangle(pattern):
+    if pattern.adjacency == _TRIANGLE:
         for a, row in enumerate(adjacency):
             # a is a triangle's least vertex iff some edge joins two neighbours above a.
             higher = row & ~((1 << (a + 1)) - 1)
@@ -226,9 +232,10 @@ def copy_leads(adjacency: Sequence[int], pattern: Graph) -> int:
 
 # ---------------------------------------------------------------------------
 # Triangle fast path.  Cluster extraction and richness sweeps probe triangles
-# millions of times, so K3 avoids the generic machinery.  Triangles come out
-# as ascending tuples in lexicographic order, which is also the generic
-# matcher's order for K3; equivalence is property-tested.
+# millions of times, so K3 avoids the generic machinery: plain ``x & -x`` bit
+# loops, no generator and no sort per call.  Triangles come out as ascending
+# tuples in lexicographic order, which is also the generic matcher's order for
+# K3; equivalence is property-tested.
 # ---------------------------------------------------------------------------
 
 def iter_triangles(
@@ -236,14 +243,27 @@ def iter_triangles(
 ) -> Iterator[tuple[int, int, int]]:
     """All triangles in ``adjacency`` within the universe, ascending, each once.
 
-    ``leads`` is a promise as in :func:`first_copy` on the least vertex.
+    The universe is clipped to the host.  ``leads`` is a promise as in
+    :func:`first_copy` on the least vertex.
     """
-    for a in iter_bits(universe_mask & leads):
+    universe_mask &= (1 << len(adjacency)) - 1
+    firsts = universe_mask & leads
+    while firsts:
+        low_a = firsts & -firsts
+        firsts ^= low_a
+        a = low_a.bit_length() - 1
         # Only scan pairs above a, so each triangle is seen once, ordered.
-        higher = adjacency[a] & universe_mask & ~((1 << (a + 1)) - 1)
-        for b in iter_bits(higher):
-            for c in iter_bits(higher & adjacency[b] & ~((1 << (b + 1)) - 1)):
-                yield (a, b, c)
+        higher = adjacency[a] & universe_mask & -(low_a << 1)
+        seconds = higher
+        while seconds:
+            low_b = seconds & -seconds
+            seconds ^= low_b
+            b = low_b.bit_length() - 1
+            thirds = higher & adjacency[b] & -(low_b << 1)
+            while thirds:
+                low_c = thirds & -thirds
+                thirds ^= low_c
+                yield (a, b, low_c.bit_length() - 1)
 
 
 def find_triangle(
@@ -255,45 +275,62 @@ def find_triangle(
 ) -> tuple[int, int, int] | None:
     """Lexicographically first triangle meeting the side set in >= ``min_side`` vertices.
 
-    Unsided, the least vertex runs over ``leads``, a promise as in
+    The universe is clipped to the host, and every scan is a bit loop over a
+    mask.  Unsided, the least vertex runs over ``leads``, a promise as in
     :func:`first_copy`.  Every triangle meeting the side set passes through a
     side vertex ``s``, so the sided search seeds from side vertices only and
-    keeps the least first triangle per ``s``.  There ``leads`` cuts the second
-    vertex ``v``, which lies below the third, of a seed outside ``leads``: such
-    a seed leads no triangle, so ``v`` does and lies below ``s``.  (Cutting a
-    lead seed's non-lead neighbours below it too costs more than it saves.)
+    keeps the least first triangle per ``s``; two comparisons order its three
+    vertices.  There ``leads`` cuts the second vertex ``v``, which lies below
+    the third, of a seed outside ``leads``: such a seed leads no triangle, so
+    ``v`` does and lies below ``s``.  (Cutting a lead seed's non-lead
+    neighbours below it too costs more than it saves.)
     """
+    universe_mask &= (1 << len(adjacency)) - 1
     if min_side <= 0:
-        for a in iter_bits(universe_mask & leads):
-            higher = adjacency[a] & universe_mask & ~((1 << (a + 1)) - 1)
-            rest = higher
-            while rest:
-                low = rest & -rest
+        firsts = universe_mask & leads
+        while firsts:
+            low_a = firsts & -firsts
+            firsts ^= low_a
+            higher = adjacency[low_a.bit_length() - 1] & universe_mask & -(low_a << 1)
+            seconds = higher
+            while seconds:
+                low = seconds & -seconds
                 b = low.bit_length() - 1
                 # The least b with a closing vertex has none below it: such a c
                 # lies in higher with b in its row, so c would be an earlier b.
                 closing = higher & adjacency[b]
                 if closing:
-                    return (a, b, (closing & -closing).bit_length() - 1)
-                rest ^= low
+                    return (low_a.bit_length() - 1, b, (closing & -closing).bit_length() - 1)
+                seconds ^= low
         return None
     best = None
-    for s in iter_bits(side_mask & universe_mask):
+    below_best = -1  # second vertices that can still beat best: at most its least vertex
+    seeds = side_mask & universe_mask
+    while seeds:
+        low_s = seeds & -seeds
+        seeds ^= low_s
+        s = low_s.bit_length() - 1
         ns = adjacency[s] & universe_mask
-        seconds = ns
-        if leads != -1 and not leads >> s & 1:
-            seconds &= leads & ((1 << s) - 1)
+        seconds = ns & below_best
+        if not leads & low_s:
+            seconds &= leads & (low_s - 1)
         # The least neighbour v closing a triangle above v gives s's first one.
-        for v in iter_bits(seconds):
-            if best is not None and v > best[0]:
-                break  # best[0] lies below s too, so nothing here can beat it
-            need = min_side - 1 - ((side_mask >> v) & 1)  # side hits owed by the third
-            closing = ns & adjacency[v] & ~((1 << (v + 1)) - 1)
-            if need == 1:
-                closing &= side_mask
-            if closing and need <= 1:
-                tri = tuple(sorted((s, v, (closing & -closing).bit_length() - 1)))
+        while seconds:
+            low = seconds & -seconds
+            seconds ^= low
+            v = low.bit_length() - 1
+            closing = ns & adjacency[v] & -(low << 1)
+            if min_side > 1:
+                need = min_side - 1 - (side_mask >> v & 1)  # side hits owed by the third
+                if need > 1:
+                    continue
+                if need == 1:
+                    closing &= side_mask
+            if closing:
+                c = (closing & -closing).bit_length() - 1
+                tri = (s, v, c) if s < v else (v, s, c) if s < c else (v, c, s)
                 if best is None or tri < best:
                     best = tri
+                    below_best = (2 << tri[0]) - 1
                 break
     return best

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
@@ -199,6 +199,14 @@ class Graph:
         """Stable hash of the graph's canonical text form."""
         return hashlib.sha256(write_graph_text(self).encode()).hexdigest()[:16]
 
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        """The dataclass field-tuple hash, computed once: memo tables key on graphs."""
+        return hash((self.n, self.adjacency))
+
 
 @dataclass(frozen=True, init=False)
 class ColouredGraph:
@@ -254,6 +262,14 @@ class ColouredGraph:
 
     def content_hash(self) -> str:
         return hashlib.sha256(write_graph_text(self).encode()).hexdigest()[:16]
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        """The dataclass field-tuple hash, computed once: memo tables key on colourings."""
+        return hash((self.graph, self.red_adjacency, self.blue_adjacency))
 
 
 def colour_all(graph: Graph, colour: Colour) -> ColouredGraph:
@@ -359,12 +375,15 @@ def pattern_by_name(name: str) -> Graph:
     return Graph.cycle(size)
 
 
+@lru_cache(maxsize=1024, typed=True)
 def exact_ratio(value: float | int | Fraction) -> Fraction:
     """Exact rational view of a numeric parameter.
 
     Floats convert through their shortest round-trip decimal, so 0.1 means
     1/10: thresholds like ``floor(n/5 - 0.1*n)`` land where the decimal
-    constant says, not where its binary approximation does.
+    constant says, not where its binary approximation does.  Results are
+    memoised per value and type: ``Fraction(0.1)`` equals ``0.1`` and hashes
+    the same, but is a different ratio.
     """
     if isinstance(value, Fraction):
         return value

@@ -62,10 +62,10 @@ def richness_probe(
     if x_mask & y_mask:
         raise ValueError("X and Y must be disjoint")
     universe = x_mask | y_mask
-    red = find_side_good_copy(G, H, Colour.RED, universe, x_mask, H.alpha)
-    if red is not None:
-        return GoodCopy(red, Side.X)
-    blue = find_side_good_copy(G, H, Colour.BLUE, universe, y_mask, H.alpha)
-    if blue is not None:
-        return GoodCopy(blue, Side.Y)
+    vm = first_copy(G.red_adjacency, H.pattern, universe, x_mask, H.alpha)
+    if vm is not None:
+        return GoodCopy(EmbeddedCopy(vm, Colour.RED), Side.X)
+    vm = first_copy(G.blue_adjacency, H.pattern, universe, y_mask, H.alpha)
+    if vm is not None:
+        return GoodCopy(EmbeddedCopy(vm, Colour.BLUE), Side.Y)
     return None

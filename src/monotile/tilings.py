@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .embeddings import EmbeddedCopy
-from .graphs import Colour, ColouredGraph, normalize_edge
+from .graphs import Colour, ColouredGraph, mask_of, normalize_edge
 from .patterns import PatternStats
 
 
@@ -39,49 +39,54 @@ class Tiling:
         return m
 
 
-def copy_errors(
-    G: ColouredGraph,
-    H: PatternStats,
-    copy: EmbeddedCopy,
-    colour: Colour | None,
-) -> list[str]:
-    """Why ``copy`` fails to be an embedded (optionally monochromatic) copy."""
-    problems: list[str] = []
-    vm = copy.vertex_map
-    if len(vm) != H.k:
-        return [f"vertex map has {len(vm)} entries for a {H.k}-vertex pattern"]
-    if len(set(vm)) != len(vm):
-        return ["vertex map is not injective"]
-    if any(not 0 <= v < G.n for v in vm):
-        problems.append("vertex map leaves the host vertex range")
-        return problems
-    for u, v in H.pattern.edges:
-        a, b = vm[u], vm[v]
-        if not G.graph.adjacency[a] >> b & 1:
-            problems.append(f"pattern edge ({u},{v}) maps to the non-edge {normalize_edge(a, b)}")
-        elif colour is not None and not G.adjacency_for(colour)[a] >> b & 1:
-            problems.append(f"pattern edge ({u},{v}) maps to a {colour.other.value} edge, wanted {colour.value}")
-    return problems
-
-
 def tiling_errors(
     G: ColouredGraph,
     H: PatternStats,
     tiling: Tiling,
-    inside: Iterable[int] | None = None,
+    inside: Iterable[int] | int | None = None,
 ) -> list[str]:
-    """All violations of the tiling contract, empty when valid."""
+    """All violations of the tiling contract, empty when valid.
+
+    Each copy is read as one vertex mask; ``inside`` is a vertex iterable or
+    a vertex mask.  A copy's map must have one entry per pattern vertex, be
+    injective, stay in the host and send every pattern edge to an edge of the
+    tiling's colour; copies must be disjoint and lie inside ``inside``.
+    """
+    masks = [mask_of(c.vertex_map) for c in tiling.copies]  # ValueError on a negative vertex
+    if inside is None:
+        allowed = -1
+    elif isinstance(inside, int):
+        allowed = inside
+    else:
+        # An entry that no copy vertex can equal, negative or past them all, drops out.
+        top = max(G.n, max(masks, default=0).bit_length())
+        allowed = mask_of(v for v in inside if 0 <= v < top)
+    n, k, colour = G.n, H.k, tiling.colour
+    adjacency = G.graph.adjacency
+    wanted = G.adjacency_for(colour)
     problems: list[str] = []
     seen = 0
-    allowed = None if inside is None else frozenset(inside)
-    for i, copy in enumerate(tiling.copies):
-        for p in copy_errors(G, H, copy, tiling.colour):
-            problems.append(f"copy {i}: {p}")
-        m = copy.vertex_mask
+    for i, (copy, m) in enumerate(zip(tiling.copies, masks)):
+        vm = copy.vertex_map
+        if len(vm) != k:
+            problems.append(f"copy {i}: vertex map has {len(vm)} entries for a {k}-vertex pattern")
+        elif m.bit_count() != k:
+            problems.append(f"copy {i}: vertex map is not injective")
+        elif m >> n:
+            problems.append(f"copy {i}: vertex map leaves the host vertex range")
+        else:
+            for u, v in H.pattern.edges:
+                a, b = vm[u], vm[v]
+                if not adjacency[a] >> b & 1:
+                    problems.append(f"copy {i}: pattern edge ({u},{v}) maps to the non-edge {normalize_edge(a, b)}")
+                elif not wanted[a] >> b & 1:
+                    problems.append(
+                        f"copy {i}: pattern edge ({u},{v}) maps to a {colour.other.value} edge, wanted {colour.value}"
+                    )
         if m & seen:
             problems.append(f"copy {i} overlaps an earlier copy")
         seen |= m
-        if allowed is not None and not copy.vertices <= allowed:
+        if m & ~allowed:
             problems.append(f"copy {i} leaves the allowed vertex set")
     return problems
 
@@ -90,6 +95,6 @@ def validate_tiling(
     G: ColouredGraph,
     H: PatternStats,
     tiling: Tiling,
-    inside: Iterable[int] | None = None,
+    inside: Iterable[int] | int | None = None,
 ) -> bool:
     return not tiling_errors(G, H, tiling, inside)

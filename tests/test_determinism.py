@@ -16,7 +16,12 @@ permutation of every subset; the cached atlas and the edge-count cut must
 reproduce every verdict, count and planted host.  ``TEXT_GOLDEN`` was
 recorded from the per-edge f-string writer over hosts stored as edge sets;
 the mask-stored hosts and the bulk writer must reproduce every byte of the
-canonical text.  A change that means to alter results must say so and bump
+canonical text.  ``PROBE_GOLDEN`` was recorded from the sided K3 search that
+walked ``iter_bits`` generators and sorted each triangle, with
+``richness_probe`` going through ``find_side_good_copy`` and the set-based
+validator behind ``cluster_process``; the bit loops and the mask validator
+must reproduce every probe witness and every process result and trace.  A
+change that means to alter results must say so and bump
 ``rounding_table_version``.
 """
 
@@ -24,12 +29,14 @@ import hashlib
 from itertools import combinations
 
 from monotile.adversaries import ADVERSARY_NAMES, AdversarySpec, colour_with
+from monotile.clusters import cluster_process
 from monotile.aux_hypergraph import aux_degree_check, build_aux_hypergraph
 from monotile.extraction import extract_tiling, maximal_cluster_family
 from monotile.graphs import Colour, Graph, pattern_by_name, write_graph_text
 from monotile.instances import planted_process_instance
 from monotile.oracles import exact_rt, good_copy_witness_count, max_mono_tiling_size, richness_decide
 from monotile.patterns import PatternStats
+from monotile.richness import richness_probe
 from monotile.sampling import derive_seed, sample_gnp, threshold_probability
 
 TILING_GOLDEN = "46fb4aaa924d84337629c916ac092ce54131ae731720bacdd1c8144bec801eff"
@@ -173,3 +180,40 @@ def text_hash() -> str:
 
 def test_golden_canonical_text():
     assert text_hash() == TEXT_GOLDEN
+
+
+PROBE_GOLDEN = "7ceed0ef62333620691a3b68b445abd34563ee9245f205c8e93a30e6d384f2e1"
+
+PROBE_SIZES = ((2, 2), (2, 3), (3, 3))
+PROBE_SEEDS = range(8)
+PROCESS_ETAS = (0.3, 0.35, 0.4, 0.5)
+PROCESS_CROSSINGS = ((1.0, True), (0.0, True), (0.5, True), (0.5, False))
+
+
+def probe_outputs():
+    """``richness_probe`` witnesses on seeded K6 colourings, then ``cluster_process``
+    results and traces on planted hosts, one ``repr`` per line."""
+    k3 = PatternStats.from_graph(pattern_by_name("k3"))
+    pairs = [
+        (xs, ys)
+        for a, b in PROBE_SIZES
+        for xs in combinations(range(6), a)
+        for ys in combinations([v for v in range(6) if v not in xs], b)
+    ]
+    for seed in PROBE_SEEDS:
+        cg = colour_with(Graph.complete(6), AdversarySpec("uniform-random", {}, derive_seed("golden-probe", seed)))
+        yield repr([richness_probe(cg, k3, xs, ys) for xs, ys in pairs])
+    for eta in PROCESS_ETAS:
+        for s in (24, 48):
+            for i, (fraction, cross) in enumerate(PROCESS_CROSSINGS):
+                inst = planted_process_instance(k3, s, derive_seed("golden-process", eta, s, i), fraction, cross)
+                trace = []
+                out = cluster_process(
+                    inst.coloured, k3, inst.x_vertices, inst.y_vertices, eta,
+                    inst.blue_tiling, inst.red_tiling, seed=i, trace=trace,
+                )
+                yield repr((out, trace))
+
+
+def test_golden_probe_witnesses_and_processes():
+    assert _hash_lines(probe_outputs()) == PROBE_GOLDEN

@@ -197,7 +197,6 @@ def test_side_seeded_triangle_search_matches_brute_force():
 @example(colour_all(Graph.complete(3), Colour.RED), 0b111, 0b100)  # a lower neighbour leads
 def test_sided_triangle_search_under_lead_mask_matches_unmasked(cg, universe, side):
     n = cg.n
-    universe &= (1 << n) - 1
     for adj in (cg.red_adjacency, cg.blue_adjacency):
         first = find_triangle(adj, universe)
         # No triangle in the universe leads below the first one's lead vertex.
@@ -206,6 +205,29 @@ def test_sided_triangle_search_under_lead_mask_matches_unmasked(cg, universe, si
         for min_side in range(4):
             expected = find_triangle(adj, universe, side, min_side)
             assert find_triangle(adj, universe, side, min_side, leads=leads) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    coloured_graphs(min_n=3, max_n=10),
+    st.sampled_from(["k3", "p3"]),
+    st.integers(0, 2**14 - 1),
+    st.integers(0, 2**14 - 1),
+    st.integers(1, 4),
+)
+@example(colour_all(Graph.complete(3), Colour.RED), "k3", 0b1000, 0b1000, 1)
+@example(colour_all(Graph.complete(3), Colour.RED), "p3", 0b1111, 0b1000, 1)
+def test_copy_search_clips_the_universe_to_the_host(cg, name, universe, side, extra_bits):
+    pattern = pattern_by_name(name)
+    host = (1 << cg.n) - 1
+    # Both masks get bits past the host, on top of the random 14-bit draws.
+    wide_universe, wide_side = universe | extra_bits << cg.n, side | extra_bits << cg.n
+    for adj in (cg.red_adjacency, cg.blue_adjacency):
+        for min_side in range(4):
+            expected = first_copy(adj, pattern, universe & host, side & host, min_side)
+            assert first_copy(adj, pattern, wide_universe, wide_side, min_side) == expected
+        assert list(iter_copies(adj, pattern, wide_universe)) == list(iter_copies(adj, pattern, universe & host))
+    assert find_triangle(Graph.complete(3).adjacency, 0b1000, 0b1000, 1) is None
 
 
 # Vertices 2 and 3 lie in both red triangles but lead neither.

@@ -1,3 +1,6 @@
+import dataclasses
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -9,6 +12,7 @@ from monotile.graphs import (
     Edge,
     Graph,
     colour_all,
+    exact_ratio,
     masks_from_pairs,
     normalize_edge,
     pairs_of_masks,
@@ -329,3 +333,35 @@ def test_parsed_edge_pairs_are_the_lexicographic_pairs(g, rnd, newline):
     for got, want in zip(graph.edge_pairs, pairs_of_masks(graph.adjacency)):
         assert got.dtype == want.dtype == np.intp and not got.flags.writeable
         assert np.array_equal(got, want)
+
+
+def _field_tuple_hash(obj) -> int:
+    """The hash a frozen dataclass generates: that of its field values as a tuple."""
+    return hash(tuple(getattr(obj, f.name) for f in dataclasses.fields(obj)))
+
+
+@given(coloured_graphs(max_n=12))
+def test_cached_hashes_are_the_field_tuple_hashes(cg):
+    g = cg.graph
+    edges = sorted(g.edges)
+    us, vs = (np.array(side, dtype=np.intp) for side in zip(*edges)) if edges else (np.zeros(0, np.intp),) * 2
+    hosts = [Graph(g.n, frozenset(edges)), Graph.from_adjacency(g.n, g.adjacency), Graph.from_pairs(g.n, us, vs)]
+    for host in hosts:
+        assert host == g
+        assert hash(host) == hash(host) == _field_tuple_hash(host) == hash(g)
+    colourings = [cg, ColouredGraph(hosts[0], dict(cg.colour)), ColouredGraph.from_masks(hosts[2], cg.red_adjacency)]
+    for coloured in colourings:
+        assert coloured == cg
+        assert hash(coloured) == hash(coloured) == _field_tuple_hash(coloured) == hash(cg)
+    assert hash(cg.swap_colours()) == _field_tuple_hash(cg.swap_colours())
+
+
+def test_exact_ratio_memo_keys_on_the_type():
+    # Fraction(0.1) equals 0.1 and hashes the same, but it is the binary value.
+    exact_ratio.cache_clear()
+    binary = Fraction(0.1)
+    assert exact_ratio(binary) == Fraction(3602879701896397, 36028797018963968)
+    assert exact_ratio(0.1) == Fraction(1, 10)
+    assert exact_ratio(binary) is binary
+    assert exact_ratio(1) == 1 and exact_ratio(1.0) == 1 and exact_ratio(True) == 1
+    assert exact_ratio(0.35) == Fraction(7, 20)

@@ -1,6 +1,14 @@
+from typing import Iterable
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
 from monotile.embeddings import EmbeddedCopy
-from monotile.graphs import Colour, ColouredGraph, Graph, colour_all
+from monotile.graphs import Colour, ColouredGraph, Graph, colour_all, mask_of, normalize_edge, pattern_by_name
+from monotile.patterns import PatternStats
 from monotile.tilings import Tiling, tiling_errors, validate_tiling
+
+from .conftest import coloured_graphs
 
 
 def _red_k6():
@@ -63,3 +71,86 @@ def test_non_injective_map_detected(k3):
 def test_wrong_arity_detected(k3):
     tiling = Tiling(Colour.RED, (EmbeddedCopy((0, 1), Colour.RED),))
     assert not validate_tiling(_red_k6(), k3, tiling)
+
+
+def _reference_copy_errors(G: ColouredGraph, H: PatternStats, copy: EmbeddedCopy, colour: Colour | None) -> list[str]:
+    """The per-copy check the mask validator replaced, on vertex sets and per-edge lookups."""
+    problems: list[str] = []
+    vm = copy.vertex_map
+    if len(vm) != H.k:
+        return [f"vertex map has {len(vm)} entries for a {H.k}-vertex pattern"]
+    if len(set(vm)) != len(vm):
+        return ["vertex map is not injective"]
+    if any(not 0 <= v < G.n for v in vm):
+        problems.append("vertex map leaves the host vertex range")
+        return problems
+    for u, v in H.pattern.edges:
+        a, b = vm[u], vm[v]
+        if not G.graph.adjacency[a] >> b & 1:
+            problems.append(f"pattern edge ({u},{v}) maps to the non-edge {normalize_edge(a, b)}")
+        elif colour is not None and not G.adjacency_for(colour)[a] >> b & 1:
+            problems.append(f"pattern edge ({u},{v}) maps to a {colour.other.value} edge, wanted {colour.value}")
+    return problems
+
+
+def _reference_tiling_errors(
+    G: ColouredGraph, H: PatternStats, tiling: Tiling, inside: Iterable[int] | None = None
+) -> list[str]:
+    """The validator the mask one replaced: frozenset containment for ``inside``."""
+    problems: list[str] = []
+    seen = 0
+    allowed = None if inside is None else frozenset(inside)
+    for i, copy in enumerate(tiling.copies):
+        for p in _reference_copy_errors(G, H, copy, tiling.colour):
+            problems.append(f"copy {i}: {p}")
+        m = copy.vertex_mask
+        if m & seen:
+            problems.append(f"copy {i} overlaps an earlier copy")
+        seen |= m
+        if allowed is not None and not copy.vertices <= allowed:
+            problems.append(f"copy {i} leaves the allowed vertex set")
+    return problems
+
+
+def _outcome(validator, *args):
+    """The message list, or the type and text of the exception raised."""
+    try:
+        return validator(*args)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+@st.composite
+def _tilings(draw):
+    """A host, a pattern and a tiling whose maps are drawn near the host: wrong lengths,
+    repeats, overlaps and vertices past the host (and, rarely, negative) all turn up."""
+    cg = draw(coloured_graphs(min_n=1, max_n=8))
+    H = PatternStats.from_graph(pattern_by_name(draw(st.sampled_from(["k2", "k3", "p3", "p4"]))))
+    low = draw(st.sampled_from([0, 0, 0, -2]))
+    vertex = st.integers(low, cg.n + 2)
+    maps = st.lists(vertex, min_size=max(H.k - 1, 0), max_size=H.k + 1).filter(lambda vm: len(vm) != H.k) | st.lists(
+        vertex, min_size=H.k, max_size=H.k
+    )
+    copies = draw(st.lists(maps, max_size=4))
+    colour = draw(st.sampled_from(list(Colour)))
+    tiling = Tiling(colour, tuple(EmbeddedCopy(tuple(vm), colour) for vm in copies))
+    inside = draw(st.none() | st.lists(st.integers(-3, cg.n + 3), max_size=cg.n + 3))
+    return cg, H, tiling, inside
+
+
+_K6 = colour_all(Graph.complete(6), Colour.RED)
+_K3 = PatternStats.from_graph(Graph.complete(3))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_tilings())
+@example((_K6, _K3, Tiling(Colour.RED, (EmbeddedCopy((0, 1, 7), Colour.RED),)), [0, 1, 7, -1]))
+@example((_K6, _K3, Tiling(Colour.RED, (EmbeddedCopy((0, 1, 2), Colour.RED),)), [-1, 0, 1, 2, 10**6]))
+@example((_K6, _K3, Tiling(Colour.BLUE, (EmbeddedCopy((0, -1, 2), Colour.BLUE),)), None))
+def test_mask_validator_matches_reference(case):
+    cg, H, tiling, inside = case
+    expected = _outcome(_reference_tiling_errors, cg, H, tiling, inside)
+    assert _outcome(tiling_errors, cg, H, tiling, inside) == expected
+    if inside is not None and all(v >= 0 for v in inside):
+        # The same set handed over as a vertex mask.
+        assert _outcome(tiling_errors, cg, H, tiling, mask_of(inside)) == expected
