@@ -16,9 +16,12 @@ and P4 on K3 to K7.  Last come the probe lines: a hash of the ``repr`` of the
 K3 ``richness_probe`` witnesses on each of 16 seeded uniform-random K6
 colourings, over every disjoint pair of a 2- or 3-set and a 2- or 3-set, and
 a hash of the ``repr`` of each ``cluster_process`` result and trace on
-planted K3 hosts at s = 24 and 48 for four slacks.  Run it on two checkouts
-and diff the outputs: a change that claims byte-identical results must print
-the same lines.
+planted K3 hosts at s = 24 and 48 for four slacks.  The text lines close the
+list: a hash of each parse outcome (the graph's ``repr`` or the ``ValueError``
+message) for a fixed list of loose and malformed graph texts, and for the
+plain and coloured texts of a G(700, C=5) host sampled with seed 7 (coloured
+uniformly at random, seed 7).  Run it on two checkouts and diff the outputs: a
+change that claims byte-identical results must print the same lines.
 
     PYTHONPATH=src python scripts/determinism_hashes.py > hashes.txt
 """
@@ -31,7 +34,7 @@ from monotile.adversaries import AdversarySpec, colour_with
 from monotile.aux_hypergraph import aux_degree_check, build_aux_hypergraph
 from monotile.clusters import cluster_process
 from monotile.extraction import extract_tiling
-from monotile.graphs import Graph, pattern_by_name
+from monotile.graphs import Graph, parse_graph_text, pattern_by_name, write_graph_text
 from monotile.instances import planted_process_instance
 from monotile.oracles import exact_rt
 from monotile.patterns import PatternStats
@@ -102,6 +105,54 @@ def probe_lines():
                 yield f"process eta={eta:g} s={s} fraction={fraction:g} cross={cross} {_digest(repr((out, trace)))}"
 
 
+# Texts the parser must read the same way on every checkout: CRLF, tabs, blank lines,
+# leading \f and \v, zero-padded and overlong tokens, and one text per way to fail.
+LOOSE_TEXTS = (
+    "3 2\r\n0 1\r\n1 2\r\n",
+    "3 2\n0\t1\n\t1 \t 2\t\n",
+    "\n\n 3 2 \n\n0 1 b\n \t\n1 2 r\n",
+    "3 2\n\x0c0 1 r\n\x0b 1 2 b\r",
+    "3 1\n\x0b0 1",
+    "003 0001\n0000000000000000000000001 02",
+    "3 1\n0 0000000000000000000000001",
+    "3 1\n0 1\r",
+    "3 1\n0 1 r\x0b",
+    "3 1\n0 1\r\r\n",
+    "3 1\n0 1r",
+    "3 1\n0 1 rb",
+    "3 1\n0 \u0663",
+    "1 0\n\r\n00000000000000000000022 1 b\n\x0c",
+    "",
+    "3",
+    "3 1 1\n0 1",
+    "3 2\n0 1",
+    "3 2\n0 1\n1 2 b",
+    "3 1\n0 1 x",
+    "3 1\n1 1",
+    "3 1\n0 3",
+    "3 1\n99999999999999999999 99999999999999999998",
+    "3 2\n0 1\n1 0",
+    "3 2\n0 1 r\n1 0 b",
+)
+
+
+def _parse_outcome(text: str) -> str:
+    try:
+        return repr(parse_graph_text(text))
+    except ValueError as exc:
+        return str(exc)
+
+
+def text_lines():
+    for text in LOOSE_TEXTS:
+        yield f"text {text!r} {_digest(_parse_outcome(text))}"
+    k3 = PatternStats.from_graph(pattern_by_name("k3"))
+    host = sample_gnp(700, threshold_probability(700, 5.0, k3), 7)
+    coloured = colour_with(host, AdversarySpec("uniform-random", {}, 7))
+    for name, g in (("plain", host), ("coloured", coloured)):
+        yield f"text G(700, C=5) seed=7 {name} {_digest(_parse_outcome(write_graph_text(g)))}"
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--pattern", type=str, default="k3")
@@ -124,6 +175,8 @@ def main() -> int:
     for line in oracle_lines():
         print(line, flush=True)
     for line in probe_lines():
+        print(line, flush=True)
+    for line in text_lines():
         print(line, flush=True)
     return 0
 

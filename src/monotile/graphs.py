@@ -278,22 +278,136 @@ def colour_all(graph: Graph, colour: Colour) -> ColouredGraph:
 
 
 # ---------------------------------------------------------------------------
-# Text format: first line "n m", then m lines "u v" (plain) or "u v c" with
-# c in {r, b} (coloured).  Output lines are sorted as strings, which is
-# (str(u), str(v)) order because a space sorts before every digit.
+# Text format: a header line "n m", then m edge lines "u v" (plain) or "u v c"
+# with c in {r, b} (coloured).  The writer ends every line with "\n" and sorts
+# the edge lines as strings, which is (str(u), str(v)) order because a space
+# sorts before every digit.
+#
+# The parser reads ASCII text only.  A token is a run of the digits 0-9 and
+# the letters r and b; a line is the bytes up to a "\n" or the end of the
+# text.  A blank line holds only whitespace: spaces, tabs, "\r", "\f" and
+# "\v".  Every other line holds tokens separated by spaces and tabs.  "\r",
+# "\f" and "\v" may stand before its first token, and one "\r" may end it,
+# after any spaces and tabs.  The first non-blank line is the header: two
+# digit tokens, n and m.  Each later non-blank line holds two digit tokens,
+# u and v, and, in a text with any r or b at all, a one-letter third token r
+# or b.  Digit tokens may be zero-padded; one past the int64 range reads as
+# the int64 maximum.  An n for which 2*n*n passes the int64 range is
+# rejected before anything is allocated.
 # ---------------------------------------------------------------------------
 
-# One whole-text grammar per line width: the header `n m`, then lines of `width` tokens
-# with spaces, tabs, blank lines and \r\n endings allowed.  Possessive quantifiers keep
-# the match from backtracking.
-_GRAPH_TEXT = {
-    width: re.compile(
-        r"\s*+\d++[ \t]++\d++[ \t]*+\r?"
-        r"(?:\n\s*+(?:\d++[ \t]++\d++%s[ \t]*+\r?(?:\n\s*+|\Z))*+|\Z)" % tail,
-        re.ASCII,
+_TEXT_GRAMMAR = "graph text is not a line 'n m' then lines all 'u v' or all 'u v c'"
+_INT64_MAX = (1 << 63) - 1
+_BLOCK = 1 << 16  # body bytes per tokenizer pass, cut after a newline
+_HEADER = re.compile(rb"(\d+)[ \t]+(\d+)[ \t]*\r?")
+
+
+def _byte_classes() -> bytes:
+    r"""A ``bytes.translate`` table onto one byte per class: "0" digit, "r" r or b,
+    " " space or tab, "\n", "\r", "\f" for "\f" or "\v", and 0 for every byte the
+    grammar never allows.  The token classes are the two at or above "0"."""
+    table = bytearray(256)
+    for byte, cls in zip(b"0123456789rb \t\n\r\f\v", b"0000000000rr  \n\r\f\f"):
+        table[byte] = cls
+    return bytes(table)
+
+
+_CLASSES = _byte_classes()
+# A digit token adds byte * _PLACE[j][span] for the byte j places left of its
+# last, where span is the token length - 1; past the token the factor is 0.
+# _OFFSET[span] takes the "0" bytes back out.  Both cover 18 digits in int64.
+_PLACE = np.array([[10**j if j <= s else 0 for s in range(18)] for j in range(18)], np.int64)
+_OFFSET = np.array([ord("0") * (10 ** (s + 1) - 1) // 9 for s in range(18)], np.int64)
+
+
+def _block_keys(
+    data: bytes, classes: bytes, start: int, stop: int, width: int, n: int
+) -> tuple[np.ndarray, bool, bool]:
+    """The edge lines of ``data[start:stop]``, whole lines that open and close with a
+    newline, as int64 codes ``u*n + v`` of their sorted pairs (in width 3, doubled
+    plus 1 for r), and whether a line is a self-loop and whether one leaves
+    ``range(n)``; the codes of such a block mean nothing.  ``classes`` is ``data``
+    through ``_CLASSES``.  Raises the grammar ValueError."""
+    c = np.frombuffer(classes, np.uint8, stop - start, start)
+    d = np.frombuffer(data, np.uint8, stop - start, start)
+    token = c >= ord("0")
+    # A block past twice _BLOCK holds a line past _BLOCK.  If its tokens outnumber what
+    # its lines can hold, the line check below fails anyway: fail before the arrays of
+    # several int64 per token.
+    if stop - start > 2 * _BLOCK:
+        if np.count_nonzero(token[1:] > token[:-1]) > width * (classes.count(b"\n", start, stop) - 1):
+            raise ValueError(_TEXT_GRAMMAR)
+    edges = (token[1:] != token[:-1]).nonzero()[0]
+    first, last = edges[0::2] + 1, edges[1::2]
+    # The tokens before each newline step by 0 (a blank line) or by width.
+    newlines = (c == ord("\n")).nonzero()[0]
+    before = np.searchsorted(first, newlines)
+    steps = before[1:] - before[:-1]
+    if np.count_nonzero(steps) * width != len(first) or steps.max(initial=0) > width:
+        raise ValueError(_TEXT_GRAMMAR)
+    if classes.find(b"\f", start, stop) >= 0 or classes.find(b"\r", start, stop) >= 0:
+        # "\r", "\f" and "\v" stand only before a line's first token, or "\r" just before its newline
+        odd = ((c == ord("\f")) | (c == ord("\r"))).nonzero()[0]
+        after_token = np.searchsorted(first, odd) > before[np.searchsorted(newlines, odd) - 1]
+        line_end = (c[odd] == ord("\r")) & (c[odd + 1] == ord("\n"))
+        if (after_token & ~line_end).any():
+            raise ValueError(_TEXT_GRAMMAR)
+    span = last - first
+    if width == 3:  # each third token is one r or b, and those are all of them
+        third = first[2::3]
+        if span[2::3].any() or (c[third] != ord("r")).any() or np.count_nonzero(c == ord("r")) != len(third):
+            raise ValueError(_TEXT_GRAMMAR)
+    top = int(span.max(initial=0))
+    capped = np.minimum(span, 17) if top > 17 else span
+    values = d[last] - _OFFSET[capped]
+    for j in range(1, min(top, 17) + 1):
+        values += d[last - j] * _PLACE[j][capped]
+    if top > 17:  # past 18 digits: through int, saturating at the int64 maximum
+        for i in np.flatnonzero(span > 17).tolist():
+            digits = data[start + first[i]:start + last[i] + 1].lstrip(b"0")
+            values[i] = _INT64_MAX if len(digits) > 19 else min(int(digits or b"0"), _INT64_MAX)
+    cells = values.reshape(-1, width)
+    us, vs = np.minimum(cells[:, 0], cells[:, 1]), np.maximum(cells[:, 0], cells[:, 1])
+    keys = us * n + vs
+    if width == 3:  # the red flag rides in the low bit, so one sort orders both
+        keys = keys << 1 | (d[third] == ord("r"))
+    return keys, bool((us == vs).any()), bool((vs >= n).any())
+
+
+def _text_keys(text: str) -> tuple[int, int, int, np.ndarray, str | None]:
+    """The header's n and m, the line width, the edge codes of ``_block_keys`` in
+    text order, and the message of the first fault the codes cannot show: a
+    self-loop, else an endpoint outside ``range(n)``, else None.  Raises the
+    grammar ValueError, and the huge-n one before reading the body."""
+    try:
+        data = text.encode("ascii") + b"\n"  # every line, the last one too, ends in a newline
+    except UnicodeEncodeError:
+        raise ValueError(_TEXT_GRAMMAR) from None
+    classes = data.translate(_CLASSES)
+    start = len(data) - len(data.lstrip())
+    at = data.find(b"\n", start)  # the header's newline, which opens the body
+    header = _HEADER.fullmatch(data, start, at) if at >= 0 else None
+    if header is None or b"\0" in classes:
+        raise ValueError(_TEXT_GRAMMAR)
+    digits = header[1].lstrip(b"0")
+    if len(digits) > 10 or 2 * int(digits or b"0") ** 2 > _INT64_MAX:
+        raise ValueError("graph text header n is too large: 2*n*n must fit in int64")
+    n, width = int(header[1]), 3 if classes.find(b"r", at) >= 0 else 2
+    blocks, end = [], len(data) - 1
+    while True:
+        cut = data.find(b"\n", at + _BLOCK)
+        cut = end if cut < 0 else cut
+        blocks.append(_block_keys(data, classes, at, cut + 1, width, n))
+        if cut == end:
+            break
+        at = cut
+    keys = np.concatenate([k for k, _, _ in blocks])
+    fault = (
+        "self-loop in graph text" if any(loop for _, loop, _ in blocks)
+        else "edge endpoint outside range(n)" if any(out for _, _, out in blocks)
+        else None
     )
-    for width, tail in ((2, ""), (3, r"[ \t]++[rb]"))
-}
+    return n, int(header[2]), width, keys, fault
 
 
 def write_graph_text(g: Graph | ColouredGraph) -> str:
@@ -317,23 +431,18 @@ def write_graph_text(g: Graph | ColouredGraph) -> str:
 
 
 def parse_graph_text(text: str) -> Graph | ColouredGraph:
-    width = next((w for w, grammar in _GRAPH_TEXT.items() if grammar.fullmatch(text)), None)
-    if width is None:
-        raise ValueError("graph text is not a line 'n m' then lines all 'u v' or all 'u v c'")
-    head, _, body = text.lstrip().partition("\n")
-    n, m = map(int, head.split())
-    cells = np.fromstring(body.strip().replace("r", "1").replace("b", "0"), dtype=np.int64, sep=" ")
-    if len(cells) != width * m:
-        raise ValueError(f"header promises {m} edges, found {len(cells) // width} lines")
-    cells = cells.reshape(m, width)
-    us, vs = np.minimum(cells[:, 0], cells[:, 1]), np.maximum(cells[:, 0], cells[:, 1])
-    if (us == vs).any():
-        raise ValueError("self-loop in graph text")
-    if (vs >= n).any():
-        raise ValueError("edge endpoint outside range(n)")
-    keys = us * n + vs
-    if width == 3:  # the red flag rides in the low bit, so one sort orders both
-        keys = keys << 1 | cells[:, 2]
+    """The graph or coloured graph of a text in the format above.
+
+    One ``bytes.translate`` classes every byte; the body is then tokenized in
+    numpy passes over blocks of about ``_BLOCK`` bytes of whole lines.  Raises
+    ``ValueError`` on a text outside the grammar, a huge ``n``, a header count
+    that does not match, a self-loop, an endpoint outside ``range(n)`` or a
+    duplicate edge, checked in that order."""
+    n, m, width, keys, fault = _text_keys(text)
+    if len(keys) != m:
+        raise ValueError(f"header promises {m} edges, found {len(keys)} lines")
+    if fault:
+        raise ValueError(fault)
     keys.sort()
     pairs = keys >> (width - 2)
     if (pairs[1:] == pairs[:-1]).any():
@@ -341,7 +450,7 @@ def parse_graph_text(text: str) -> Graph | ColouredGraph:
     graph = Graph.from_pairs(n, *np.divmod(pairs, n))
     if width == 2:
         return graph
-    red = (keys & 1).astype(bool)
+    red = np.flatnonzero(keys & 1)  # an index, not a bool mask: much faster to gather
     us, vs = graph.edge_pairs
     return ColouredGraph.from_masks(graph, masks_from_pairs(n, us[red], vs[red]))
 

@@ -50,9 +50,15 @@ def tiling_errors(
     Each copy is read as one vertex mask; ``inside`` is a vertex iterable or
     a vertex mask.  A copy's map must have one entry per pattern vertex, be
     injective, stay in the host and send every pattern edge to an edge of the
-    tiling's colour; copies must be disjoint and lie inside ``inside``.
+    tiling's colour; copies must be disjoint and lie inside ``inside``.  A map
+    with a negative vertex is reported as leaving the host vertex range, and
+    its other entries still count for the disjointness and ``inside`` checks.
+    Never raises on a vertex value.
     """
-    masks = [mask_of(c.vertex_map) for c in tiling.copies]  # ValueError on a negative vertex
+    try:
+        masks = [mask_of(c.vertex_map) for c in tiling.copies]
+    except ValueError:  # a negative vertex: each copy's mask holds its entries >= 0
+        masks = [mask_of(v for v in c.vertex_map if v >= 0) for c in tiling.copies]
     if inside is None:
         allowed = -1
     elif isinstance(inside, int):
@@ -70,8 +76,9 @@ def tiling_errors(
         vm = copy.vertex_map
         if len(vm) != k:
             problems.append(f"copy {i}: vertex map has {len(vm)} entries for a {k}-vertex pattern")
-        elif m.bit_count() != k:
-            problems.append(f"copy {i}: vertex map is not injective")
+        elif m.bit_count() != k:  # a repeat, or a negative vertex the mask left out
+            fault = "is not injective" if min(vm) >= 0 else "leaves the host vertex range"
+            problems.append(f"copy {i}: vertex map {fault}")
         elif m >> n:
             problems.append(f"copy {i}: vertex map leaves the host vertex range")
         else:

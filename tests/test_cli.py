@@ -55,6 +55,13 @@ def test_pipeline_sample_colour_extract(tmp_path, capsys):
     }
 
 
+def test_huge_header_n_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "huge.txt"
+    path.write_text("9223372036854775808 1\n0 1 r\n", encoding="utf-8")
+    assert main(["extract", "--graph", str(path), "--pattern", "k3", "--epsilon", "0.2"]) == 1
+    assert "too large" in capsys.readouterr().err
+
+
 def test_rt_exact_subcommand(capsys):
     code, out = run(capsys, "rt-exact", "--pattern", "k3", "--host", "k6")
     assert code == 0

@@ -1,11 +1,14 @@
 import dataclasses
+import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from monotile import graphs as graphs_module
 from monotile.graphs import (
     Colour,
     ColouredGraph,
@@ -268,6 +271,152 @@ def test_parser_normalises_reversed_lines():
     for text in ("3 2\n1 0\n2 1", "3 2\n1 0 r\n2 1 b\n"):
         assert parse_graph_text(text) == _reference_parse_graph_text(text)
     assert parse_graph_text("3 2\n1 0 r\n2 1 b").colour == {(0, 1): Colour.RED, (1, 2): Colour.BLUE}
+
+
+# One whole-text grammar per line width: the header `n m`, then lines of `width` tokens
+# with spaces, tabs, blank lines and \r\n endings allowed.  Possessive quantifiers keep
+# the match from backtracking.
+_GRAPH_TEXT = {
+    width: re.compile(
+        r"\s*+\d++[ \t]++\d++[ \t]*+\r?"
+        r"(?:\n\s*+(?:\d++[ \t]++\d++%s[ \t]*+\r?(?:\n\s*+|\Z))*+|\Z)" % tail,
+        re.ASCII,
+    )
+    for width, tail in ((2, ""), (3, r"[ \t]++[rb]"))
+}
+
+
+def _regex_parse_graph_text(text: str) -> Graph | ColouredGraph:
+    """The parser the blockwise tokenizer replaced: the text checked against a grammar
+    regex, then its numbers read by ``np.fromstring``."""
+    width = next((w for w, grammar in _GRAPH_TEXT.items() if grammar.fullmatch(text)), None)
+    if width is None:
+        raise ValueError("graph text is not a line 'n m' then lines all 'u v' or all 'u v c'")
+    head, _, body = text.lstrip().partition("\n")
+    n, m = map(int, head.split())
+    cells = np.fromstring(body.strip().replace("r", "1").replace("b", "0"), dtype=np.int64, sep=" ")
+    if len(cells) != width * m:
+        raise ValueError(f"header promises {m} edges, found {len(cells) // width} lines")
+    cells = cells.reshape(m, width)
+    us, vs = np.minimum(cells[:, 0], cells[:, 1]), np.maximum(cells[:, 0], cells[:, 1])
+    if (us == vs).any():
+        raise ValueError("self-loop in graph text")
+    if (vs >= n).any():
+        raise ValueError("edge endpoint outside range(n)")
+    keys = us * n + vs
+    if width == 3:
+        keys = keys << 1 | cells[:, 2]
+    keys.sort()
+    pairs = keys >> (width - 2)
+    if (pairs[1:] == pairs[:-1]).any():
+        raise ValueError("duplicate edge in graph text")
+    graph = Graph.from_pairs(n, *np.divmod(pairs, n))
+    if width == 2:
+        return graph
+    red = (keys & 1).astype(bool)
+    us, vs = graph.edge_pairs
+    return ColouredGraph.from_masks(graph, masks_from_pairs(n, us[red], vs[red]))
+
+
+def _parse_outcome(parse, text):
+    """The parsed object with its edge arrays, or the ValueError message."""
+    try:
+        g = parse(text)
+    except ValueError as exc:
+        return str(exc)
+    graph = g.graph if isinstance(g, ColouredGraph) else g
+    return g, [a.tolist() for a in graph.edge_pairs]
+
+
+_NUMBER = st.integers(0, 7).map(str) | st.sampled_from(
+    ["00", "007", "9" * 18, "0" * 17 + "6", "1" + "0" * 18, "9" * 19, "9" * 20, "0" * 25 + "3"]
+)
+_SEP = st.sampled_from([" ", "\t", "  ", " \t"])
+_LEAD = st.sampled_from(["", "", " ", "\t", "\r", "\x0c", "\x0b", "\n", "\r\n", " \x0c\t"])
+# A line ending outside the grammar about one time in eleven.
+_TAIL = st.sampled_from([""] * 30 + [" ", "\t", "\r", " \r", "\t\r"] * 8 + ["\x0b", "\x0c", "r", " rb", " 1", "\r\r", "\r "])
+# No digits: one dropped into the header could make an n that the reference allocates for.
+_JUNK = st.sampled_from(["x", "\u0663", "\x00", "\x1c", "\xe9", "r", "b", "\r", "\x0b", " ", "\n", "\r\n"])
+
+
+@st.composite
+def _graph_texts(draw):
+    """Texts near the grammar: padded numbers, both widths (now and then mixed), leading
+    and trailing whitespace of every kind, header counts right or wrong, and now and
+    then a stray byte dropped in anywhere."""
+    coloured = draw(st.booleans())
+    lines = []
+    for _ in range(draw(st.integers(0, 5))):
+        cells = [draw(_NUMBER), draw(_NUMBER)]
+        if coloured != draw(st.sampled_from([False] * 19 + [True])):
+            cells.append(draw(st.sampled_from("rb")))
+        lines.append(draw(_LEAD) + draw(_SEP).join(cells) + draw(_TAIL))
+    m = len(lines) if draw(st.booleans()) else draw(st.integers(0, 6))
+    n = draw(st.integers(0, 8).map(str) | st.just("0" * 24 + "5"))
+    header = draw(_LEAD) + n + draw(_SEP) + str(m) + draw(_TAIL)
+    text = "\n".join([header, *lines]) + draw(st.sampled_from(["", "\n", "\r\n", "\n\n", "\r", "\x0c", "\n\t\x0b"]))
+    if draw(st.sampled_from([False] * 5 + [True])):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(_JUNK) + text[at:]
+    return text
+
+
+@pytest.mark.parametrize("block", [None, 1, 3, 8])
+@settings(max_examples=200, deadline=None)
+@given(_graph_texts())
+@example("3 1\n0 1 r\x0b")
+@example("3 1\n0 1\r\r\n")
+@example("3 1\n\x0b0 1")
+@example("3 1\n0 1r")
+@example("3 1\n0 1 rb")
+@example("3 1\n0 \u0663")
+@example("3 1\n0 0000000000000000000000001")
+@example("1 0\n\r\n00000000000000000000022 1 b\n\x0c")
+@example("3 1\n0r 1 b")
+@example("3 1\n0 1 r5")
+@example("3 2\n0 1 2\n1")
+@example("3 2\n0 1 r 2\n1 b")
+@example("3 1\n9223372036854775808 9999999999999999999")
+def test_parser_matches_regex_reference(block, text):
+    """The tokenizer accepts and rejects what the regex parser did, with the same graph
+    or the same message, also when blocks of 1, 3 or 8 bytes put seams in every line."""
+    with pytest.MonkeyPatch.context() as mp:
+        if block is not None:
+            mp.setattr(graphs_module, "_BLOCK", block)
+        assert _parse_outcome(parse_graph_text, text) == _parse_outcome(_regex_parse_graph_text, text)
+
+
+def test_parser_memory_stays_near_the_text_size_on_a_long_line():
+    """A one-line body of 200,000 tokens is rejected before the tokenizer builds its
+    arrays of several int64 per token."""
+    text = "3 1\n" + "1 " * 200_000
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="not a line"):
+            parse_graph_text(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * len(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["99999999999999999999 1\n0 1", "9223372036854775808 1\n0 1 r", "2147483648 1\n0 1 2", "0" * 5000 + "1" * 11 + " 0"],
+)
+def test_parser_rejects_a_huge_n_before_allocating(text):
+    """An n with 2*n*n past int64 is a ValueError, raised before the body is read."""
+    with pytest.raises(ValueError, match="too large"):
+        parse_graph_text(text)
+
+
+def test_parser_cap_admits_the_largest_n():
+    """2*n*n fits int64 for n = 2**31 - 1, so the text goes on to the body, whose bad
+    line (or count) stops it before anything n-sized is built."""
+    with pytest.raises(ValueError, match="not a line"):
+        parse_graph_text("2147483647 1\n0 1 2")
+    with pytest.raises(ValueError, match="header promises 2 edges"):
+        parse_graph_text("2147483647 2\n0 1")
 
 
 @given(coloured_graphs(max_n=12))

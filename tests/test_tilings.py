@@ -3,6 +3,7 @@ from typing import Iterable
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from monotile.clusters import ClusterCertificate, verify_cluster
 from monotile.embeddings import EmbeddedCopy
 from monotile.graphs import Colour, ColouredGraph, Graph, colour_all, mask_of, normalize_edge, pattern_by_name
 from monotile.patterns import PatternStats
@@ -79,6 +80,8 @@ def _reference_copy_errors(G: ColouredGraph, H: PatternStats, copy: EmbeddedCopy
     vm = copy.vertex_map
     if len(vm) != H.k:
         return [f"vertex map has {len(vm)} entries for a {H.k}-vertex pattern"]
+    if min(vm, default=0) < 0:
+        return ["vertex map leaves the host vertex range"]
     if len(set(vm)) != len(vm):
         return ["vertex map is not injective"]
     if any(not 0 <= v < G.n for v in vm):
@@ -96,18 +99,20 @@ def _reference_copy_errors(G: ColouredGraph, H: PatternStats, copy: EmbeddedCopy
 def _reference_tiling_errors(
     G: ColouredGraph, H: PatternStats, tiling: Tiling, inside: Iterable[int] | None = None
 ) -> list[str]:
-    """The validator the mask one replaced: frozenset containment for ``inside``."""
+    """The validator the mask one replaced: frozenset containment for ``inside``.  The
+    overlap and ``inside`` checks read a copy's vertices >= 0."""
     problems: list[str] = []
     seen = 0
     allowed = None if inside is None else frozenset(inside)
     for i, copy in enumerate(tiling.copies):
         for p in _reference_copy_errors(G, H, copy, tiling.colour):
             problems.append(f"copy {i}: {p}")
-        m = copy.vertex_mask
+        vertices = {v for v in copy.vertex_map if v >= 0}
+        m = mask_of(vertices)
         if m & seen:
             problems.append(f"copy {i} overlaps an earlier copy")
         seen |= m
-        if allowed is not None and not copy.vertices <= allowed:
+        if allowed is not None and not vertices <= allowed:
             problems.append(f"copy {i} leaves the allowed vertex set")
     return problems
 
@@ -150,7 +155,27 @@ _K3 = PatternStats.from_graph(Graph.complete(3))
 def test_mask_validator_matches_reference(case):
     cg, H, tiling, inside = case
     expected = _outcome(_reference_tiling_errors, cg, H, tiling, inside)
+    assert isinstance(expected, list)  # neither validator raises, negative vertices included
     assert _outcome(tiling_errors, cg, H, tiling, inside) == expected
     if inside is not None and all(v >= 0 for v in inside):
         # The same set handed over as a vertex mask.
         assert _outcome(tiling_errors, cg, H, tiling, mask_of(inside)) == expected
+
+
+def test_negative_vertex_is_reported_not_raised():
+    """A negative vertex reads as leaving the host range, in place of the injectivity,
+    range and edge checks; the overlap and ``inside`` checks read the other entries."""
+    range_error = "copy 0: vertex map leaves the host vertex range"
+    lone = Tiling(Colour.BLUE, (EmbeddedCopy((0, -1, 2), Colour.BLUE),))
+    assert tiling_errors(_K6, _K3, lone) == [range_error]
+    assert tiling_errors(_K6, _K3, Tiling(Colour.RED, (EmbeddedCopy((-1, -1, 2), Colour.RED),))) == [range_error]
+    pair = Tiling(Colour.RED, (EmbeddedCopy((0, -1, 2), Colour.RED), EmbeddedCopy((2, 3, 4), Colour.RED)))
+    assert tiling_errors(_K6, _K3, pair, [0, 2, 3, 4]) == [range_error, "copy 1 overlaps an earlier copy"]
+    assert tiling_errors(_K6, _K3, pair, 0b11001) == [
+        range_error,
+        "copy 0 leaves the allowed vertex set",
+        "copy 1 overlaps an earlier copy",
+        "copy 1 leaves the allowed vertex set",
+    ]
+    cert = ClusterCertificate(frozenset(range(6)), pair, Tiling(Colour.BLUE, ()), 0.4)
+    assert not verify_cluster(_K6, _K3, cert)
