@@ -61,7 +61,7 @@ def _visit_order(G: Graph, seed: int, label: str) -> tuple[np.ndarray, np.ndarra
 def _uniform_random(G: Graph, spec: AdversarySpec) -> Masks:
     us, vs = G.edge_pairs
     draws = philox_generator(derive_seed("adversary-uniform", spec.seed)).random(max(len(us), 1))
-    red = draws[: len(us)] < 0.5
+    red = np.flatnonzero(draws[: len(us)] < 0.5)  # an index, not a bool mask: much faster to gather
     return masks_from_pairs(G.n, us[red], vs[red])
 
 
@@ -179,7 +179,7 @@ def _majority_degree(G: Graph, spec: AdversarySpec) -> Masks:
         lead[u] += sign
         lead[v] += sign
         signs.append(sign)
-    red = np.array(signs, dtype=np.int8) > 0
+    red = np.flatnonzero(np.array(signs, dtype=np.int8) > 0)
     return masks_from_pairs(G.n, us[red], vs[red])
 
 

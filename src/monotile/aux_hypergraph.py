@@ -7,10 +7,11 @@ all red, each copy meeting part B likewise tagged all blue.  The degree
 bounds below are theorem-backed, so a violation on an exhaustively built
 instance is a hard failure of the build, never of the instance.
 
-The build reads the oracles' copy table of the complete host and keeps each
-hyperedge as a sorted row of int codes, ``(u*n + v) << 1 | red`` per
-hypervertex; the degree check counts j-subsets of the rows as packed ints.
-The frozenset form of the hyperedges is a view built on first use.
+The build writes each hyperedge as a sorted row of int codes,
+``(u*n + v) << 1 | red`` per hypervertex, straight from the vertex subsets of
+the complete host and the pattern's edge images: every subset holds every
+image.  The degree check counts j-subsets of the rows as packed ints.  The
+frozenset form of the hyperedges is a view built on first use.
 """
 
 from __future__ import annotations
@@ -19,14 +20,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable
 
 import numpy as np
 
 from .budget import require_budget
-from .graphs import Colour, Edge, Graph, _unpacked_bits, mask_of
-from .oracles import host_copies
+from .graphs import Colour, Edge
+from .oracles import _pattern_images
 from .patterns import PatternStats
 
 HVertex = tuple[Edge, Colour]
@@ -68,17 +69,6 @@ class AuxHypergraph:
         return float(self.n) ** (-float(Fraction(1) / self.pattern.m2_or_one))
 
 
-def _code_rows(n: int, ell: int, pair_masks: list[int], red: int) -> np.ndarray:
-    """One row per pair mask: the codes of its ``ell`` pairs, in ascending order."""
-    us, vs = np.triu_indices(n, 1)
-    width = (len(us) + 7) >> 3
-    bits = _unpacked_bits(pair_masks, width).reshape(len(pair_masks), 8 * width)
-    if (np.count_nonzero(bits, axis=1) != ell).any():
-        raise AssertionError("hyperedge breaks uniformity")
-    pairs = np.nonzero(bits)[1].reshape(len(pair_masks), ell)
-    return ((us * n + vs) << 1 | red)[pairs]
-
-
 def build_aux_hypergraph(
     n: int,
     A: Iterable[int],
@@ -96,15 +86,21 @@ def build_aux_hypergraph(
         raise ValueError("pattern needs at least one edge")
     require_budget(float(n) ** H.k, budget, "good-copy enumeration")
 
-    a_mask, b_mask = mask_of(part_a), mask_of(part_b)
-    red: dict[int, None] = {}  # distinct pair masks of the copies each colour tags
-    blue: dict[int, None] = {}
-    for vm, em in host_copies(Graph.complete(n), H.pattern):
-        if (vm & a_mask).bit_count() >= H.alpha:
-            red[em] = None
-        if (vm & b_mask).bit_count() >= H.alpha:
-            blue[em] = None
-    rows = np.concatenate([_code_rows(n, H.ell, list(red), 1), _code_rows(n, H.ell, list(blue), 0)])
+    k, n_subsets = H.k, math.comb(n, H.k)
+    subsets = np.fromiter(chain.from_iterable(combinations(range(n), k)), np.int64, n_subsets * k)
+    subsets = subsets.reshape(n_subsets, k)
+    in_a = np.isin(subsets, list(part_a)).sum(axis=1)
+    # Codes of each subset's position pairs, then of each image's pairs: a
+    # subset's pairs come in combinations order, so every row ascends, and
+    # every image has ell pairs, so the row shape is the uniformity.
+    i, j = np.array(list(combinations(range(k), 2))).T
+    images = [[bit for bit in range(len(i)) if image >> bit & 1] for image in _pattern_images(H.pattern)]
+    codes = ((subsets[:, i] * n + subsets[:, j]) << 1)[:, images]  # subset, image, pair
+    red = (codes[in_a >= H.alpha] | 1).reshape(-1, H.ell)
+    blue = codes[k - in_a >= H.alpha].reshape(-1, H.ell)
+    # Distinct rows: a pattern with an isolated vertex puts one edge set on
+    # several vertex subsets.
+    rows = np.concatenate([np.unique(red, axis=0), np.unique(blue, axis=0)])
     rows.flags.writeable = False
     aux = AuxHypergraph(n, part_a, part_b, H, rows)
     _check_build(aux)

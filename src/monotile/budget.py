@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from decimal import Decimal
+
 DEFAULT_WORK_BUDGET = 50_000_000
 
 
@@ -11,7 +13,14 @@ class BudgetExceededError(RuntimeError):
     def __init__(self, estimate: float, budget: float, what: str = "work"):
         self.estimate = estimate
         self.budget = budget
-        super().__init__(f"{what} estimate {estimate:.3g} exceeds budget {budget:.3g}")
+        super().__init__(f"{what} estimate {_three_figures(estimate)} exceeds budget {_three_figures(budget)}")
+
+
+def _three_figures(x: float) -> str:
+    try:
+        return f"{x:.3g}"
+    except OverflowError:  # an int past the float range
+        return f"{Decimal(x):.3g}"
 
 
 def require_budget(estimate: float, budget: float | None, what: str = "work") -> None:

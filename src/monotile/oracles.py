@@ -10,17 +10,15 @@ Copy enumeration reads host adjacency masks.  The pattern's permutations
 are swept once per pattern, into its distinct edge images over position
 pairs; each vertex subset then reads its present pairs from the masks, is
 skipped when they are fewer than the pattern's edges, and holds exactly the
-images inside them.  A host coloured more than once is swept once per
-pattern, into a table of ``(vertex mask, pair mask)`` entries kept as long
-as the host lives; a pair mask sets one bit per edge, pairs ``u < v``
-numbered in lexicographic order.  A colour class is read once into its own
-pair mask, and its copies are the entries it covers, in the order a sweep of
-the class alone lists them.  The colouring sweep of ``exact_rt`` and the
-container hypergraph read the table of their host; the good-copy and tiling
-oracles list a colouring's red and blue copies once, as vertex masks kept as
-long as the colouring lives, by sweeping its two colour classes for a host's
-first colouring and from the host's table for later ones, and filter those
-lists for every side pair they are asked about.
+images inside them.  The good-copy and tiling oracles sweep each colour class
+of a colouring once, into the vertex masks of its copies kept as long as the
+colouring lives, and filter those lists for every side pair they are asked
+about.  ``exact_rt`` on an atlas host lists the host's copies once per call
+as ``(vertex mask, pair mask)`` entries, a pair mask setting one bit per
+edge, pairs ``u < v`` numbered in lexicographic order (at most 21 bits on
+seven vertices), and keeps the entries whose edges a colour class covers;
+on other hosts it sweeps each colour class of each colouring.  No table
+outlives the call that built it.
 
 Exhaustive colouring sweeps over complete hosts dedup colourings up to
 relabelling through the graph atlas (all isomorphism classes up to seven
@@ -33,7 +31,6 @@ colour-swap cut.
 
 from __future__ import annotations
 
-import math
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
@@ -176,38 +173,26 @@ def pair_mask(adjacency: Masks) -> int:
     return pm
 
 
-# Per host graph, its copies of each pattern as (vertex mask, pair mask), one
-# entry per copy, or None while only one colouring of the host has listed its
-# copies.  Weak keys: a table lives exactly as long as its host.
-_HOST_COPIES: weakref.WeakKeyDictionary[Graph, dict[Graph, tuple[tuple[int, int], ...] | None]] = (
-    weakref.WeakKeyDictionary()
-)
-
-
 def host_copies(host: Graph, pattern: Graph) -> tuple[tuple[int, int], ...]:
     """``(vertex mask, pair mask)`` of every copy of ``pattern`` in ``host``, in
-    ``iter_copies_bruteforce`` order, enumerated once per host and pattern."""
-    tables = _HOST_COPIES.setdefault(host, {})
-    table = tables.get(pattern)
-    if table is None:
-        n = host.n
-        positions = tuple(combinations(range(pattern.n), 2))
-        image_pairs = {
-            image: tuple(bit for bit in range(len(positions)) if image >> bit & 1)
-            for image in _pattern_images(pattern)
-        }
-        start = [u * (2 * n - u - 1) // 2 - u - 1 for u in range(n)]  # pair (u, v) is bit start[u] + v
-        listed: list[tuple[int, int]] = []
-        for subset, held in _iter_subset_images(host.adjacency, pattern, range(n)):
-            vm = mask_of(subset)
-            bits = [1 << (start[subset[i]] + subset[j]) for i, j in positions]
-            for image in held:
-                em = 0
-                for bit in image_pairs[image]:
-                    em |= bits[bit]
-                listed.append((vm, em))
-        table = tables[pattern] = tuple(listed)
-    return table
+    ``iter_copies_bruteforce`` order."""
+    n = host.n
+    positions = tuple(combinations(range(pattern.n), 2))
+    image_pairs = {
+        image: tuple(bit for bit in range(len(positions)) if image >> bit & 1)
+        for image in _pattern_images(pattern)
+    }
+    start = [u * (2 * n - u - 1) // 2 - u - 1 for u in range(n)]  # pair (u, v) is bit start[u] + v
+    listed: list[tuple[int, int]] = []
+    for subset, held in _iter_subset_images(host.adjacency, pattern, range(n)):
+        vm = mask_of(subset)
+        bits = [1 << (start[subset[i]] + subset[j]) for i, j in positions]
+        for image in held:
+            em = 0
+            for bit in image_pairs[image]:
+                em |= bits[bit]
+            listed.append((vm, em))
+    return tuple(listed)
 
 
 def _covered(table: tuple[tuple[int, int], ...], pm: int) -> list[int]:
@@ -231,41 +216,13 @@ _COPY_MASKS: weakref.WeakKeyDictionary[ColouredGraph, dict[Graph, tuple[tuple[in
 )
 
 
-# A host table holds one pair mask of n(n-1)/2 bits per copy.  A host whose
-# table could pass this many pair-mask bits (2 MiB), counting every image in
-# every vertex subset as a copy, gets no table: K_46 with K3 is the largest
-# complete host that gets one.
-_HOST_TABLE_BITS = 1 << 24
-
-
-def _table_fits(host: Graph, pattern: Graph) -> bool:
-    n = host.n
-    copies = math.comb(n, pattern.n) * len(_pattern_images(pattern))
-    return copies * (n * (n - 1) // 2) <= _HOST_TABLE_BITS
-
-
 def _copy_masks(G: ColouredGraph, pattern: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Vertex masks of every red and of every blue copy of ``pattern`` in ``G``,
-    listed once per colouring.  The first colouring of a host sweeps its two
-    colour classes; later ones filter the host's table, built on the second,
-    unless the table could outgrow ``_HOST_TABLE_BITS``: then every colouring
-    sweeps."""
-    memo = _COPY_MASKS.get(G)
-    if memo is None:
-        memo = _COPY_MASKS[G] = {}
+    each colour class swept once per colouring."""
+    memo = _COPY_MASKS.setdefault(G, {})
     masks = memo.get(pattern)
     if masks is None:
-        tables = _HOST_COPIES.setdefault(G.graph, {})
-        if pattern in tables and _table_fits(G.graph, pattern):
-            table = host_copies(G.graph, pattern)
-            masks = (
-                tuple(_covered(table, pair_mask(G.red_adjacency))),
-                tuple(_covered(table, pair_mask(G.blue_adjacency))),
-            )
-        else:
-            tables[pattern] = None
-            masks = (_swept(G.red_adjacency, pattern), _swept(G.blue_adjacency, pattern))
-        memo[pattern] = masks
+        masks = memo[pattern] = (_swept(G.red_adjacency, pattern), _swept(G.blue_adjacency, pattern))
     return masks
 
 
@@ -374,7 +331,7 @@ def iter_colourings(G: Graph, budget: float | None = None, reduce: bool = True):
         yield ColouredGraph(G, {})
         return
     fixed = 1 if reduce else 0
-    require_budget(2.0 ** (len(edges) - fixed), budget, "colouring enumeration")
+    require_budget(2 ** (len(edges) - fixed), budget, "colouring enumeration")
     for bits in range(2 ** (len(edges) - fixed)):
         colour = {}
         if reduce:
@@ -450,7 +407,13 @@ def exact_rt(H: PatternStats, G: Graph, budget: float | None = None) -> RtResult
     limit = float("inf") if budget is None else budget
     per_colouring = max(1.0, float(G.n) ** H.k)  # copy enumeration dominates
     exhausted = False
-    table = host_copies(G, H.pattern) if per_colouring <= limit else ()  # no table past the budget
+    # Atlas hosts (pair masks of at most 21 bits) filter one table of their
+    # copies; raw hosts sweep each colour class, the work per_colouring charges.
+    table = host_copies(G, H.pattern) if atlas_mode else None
+
+    def copies(adjacency: Masks) -> Iterable[int]:
+        return _swept(adjacency, H.pattern) if table is None else _covered(table, pair_mask(adjacency))
+
     for coloured in iter_colourings(G, budget=float("inf")):
         if spent + per_colouring > limit:
             exhausted = True
@@ -458,9 +421,9 @@ def exact_rt(H: PatternStats, G: Graph, budget: float | None = None) -> RtResult
         spent += per_colouring
         checked += 1
         # A colour whose search reaches best_upper cannot lower it: stop there.
-        red = max_disjoint_copies(_covered(table, pair_mask(coloured.red_adjacency)), H.k, best_upper)
+        red = max_disjoint_copies(copies(coloured.red_adjacency), H.k, best_upper)
         if red < best_upper:
-            blue = max_disjoint_copies(_covered(table, pair_mask(coloured.blue_adjacency)), H.k, best_upper)
+            blue = max_disjoint_copies(copies(coloured.blue_adjacency), H.k, best_upper)
             best_upper = max(red, blue)
         if best_upper == 0:
             break  # nothing can go lower
@@ -519,10 +482,10 @@ def richness_decide(
 
     atlas_mode = is_complete_host(G_template) and n <= 7
     colouring_count = (
-        len(atlas_graphs(n)) if atlas_mode else 2.0 ** max(G_template.num_edges - 1, 0)
+        len(atlas_graphs(n)) if atlas_mode else 2 ** max(G_template.num_edges - 1, 0)
     )
     limit = float("inf") if budget is None else budget
-    work = colouring_count * len(pairs) * (float(n) ** H.k)
+    work = colouring_count * len(pairs) * n**H.k  # exact: past 1,024 edges it overflows a float
 
     if atlas_mode or work <= limit:
         trials = 0

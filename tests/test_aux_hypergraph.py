@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 from itertools import combinations
 from typing import Iterable
@@ -151,10 +152,14 @@ def _reference_aux_degree_check(aux: AuxHypergraph) -> DegreeReport:
     return DegreeReport(tuple(checks), refined, all(c.passed for c in checks) and refined)
 
 
-@pytest.mark.parametrize("name", ["k3", "p4", "c4"])
+@pytest.mark.parametrize(
+    "pattern",
+    [pattern_by_name("k3"), pattern_by_name("p4"), pattern_by_name("c4"), Graph.from_edges(4, [(0, 1), (1, 2)])],
+    ids=["k3", "p4", "c4", "p3+k1"],
+)
 @pytest.mark.parametrize("n", [4, 6, 8])
-def test_build_and_degree_check_match_reference(name, n):
-    H = PatternStats.from_graph(pattern_by_name(name))
+def test_build_and_degree_check_match_reference(pattern, n):
+    H = PatternStats.from_graph(pattern)
     aux = build_aux_hypergraph(n, range(n // 2), range(n // 2, n), H)
     assert aux.hyperedges == _reference_hyperedges(n, H)
     assert aux_degree_check(aux) == _reference_aux_degree_check(aux)
@@ -203,3 +208,14 @@ def test_degree_keys_stay_exact_past_int64():
     crafted = AuxHypergraph(8, aux.part_a, aux.part_b, H, rows)
     assert aux_degree_check(crafted) == _reference_aux_degree_check(crafted)
     assert aux_degree_check(crafted).checks[-1].delta == 1
+
+
+def test_build_peak_memory_at_n40(k3):
+    tracemalloc.start()
+    try:
+        aux = build_aux_hypergraph(40, range(20), range(20, 40), k3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert aux.num_hyperedges == 2 * (math.comb(40, 3) - math.comb(20, 3))
+    assert peak < 8 * 2**20

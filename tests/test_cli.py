@@ -118,6 +118,14 @@ def test_rt_exact_brackets_instead_of_refusing(capsys):
     assert payload["exact"] is False and "value" not in payload
 
 
+def test_rt_exact_brackets_on_a_host_past_the_float_range(capsys):
+    # K46 has 2^1034 colourings up to the swap; the budget admits two of them.
+    code, out = run(capsys, "rt-exact", "--pattern", "k3", "--host", "k46", "--budget", "200000")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["exact"] is False and payload["colourings_checked"] == 2
+
+
 def test_budget_refusal_from_aux(capsys):
     code, _ = run(capsys, "aux-check", "--n", "12", "--pattern", "k4", "--budget", "10")
     assert code == 2

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monotile import oracles
-from monotile.adversaries import AdversarySpec, colour_with
 from monotile.budget import BudgetExceededError
 from monotile.graphs import Colour, ColouredGraph, Edge, Graph, colour_all, mask_of, normalize_edge, pattern_by_name
 from monotile.oracles import (
@@ -280,8 +279,7 @@ def test_copy_masks_live_as_long_as_the_colouring(k3, p4):
     assert len(oracles._COPY_MASKS) == before
 
 
-# Reference listing: the per-colour sweep the host tables replaced, over the
-# colour class's own masks.
+# Reference listing: a colour class swept over its own masks.
 
 def _reference_colour_copies(G: ColouredGraph, pattern: Graph, colour: Colour) -> tuple[int, ...]:
     listed: list[int] = []
@@ -292,16 +290,33 @@ def _reference_colour_copies(G: ColouredGraph, pattern: Graph, colour: Colour) -
 
 @settings(max_examples=200, deadline=None)
 @given(coloured_graphs(max_n=8), st.sampled_from(ENUMERATION_PATTERNS))
-def test_host_table_listings_match_colour_sweeps(cg, pattern):
+def test_copy_masks_match_colour_sweeps(cg, pattern):
     expected = tuple(_reference_colour_copies(cg, pattern, c) for c in Colour)
-    assert oracles._copy_masks(cg, pattern) == expected  # first colouring of the host: sweeps
-    swapped = cg.swap_colours()
-    assert oracles._copy_masks(swapped, pattern) == expected[::-1]  # second: filters the table
-    table = oracles.host_copies(cg.graph, pattern)
-    whole = colour_all(cg.graph, Colour.RED)
-    assert tuple(vm for vm, _ in table) == _reference_colour_copies(whole, pattern, Colour.RED)
-    for c, listing in zip(Colour, expected):
-        assert tuple(oracles._covered(table, oracles.pair_mask(cg.adjacency_for(c)))) == listing
+    assert oracles._copy_masks(cg, pattern) == expected
+    assert oracles._copy_masks(cg.swap_colours(), pattern) == expected[::-1]
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+@pytest.mark.parametrize("pattern", ENUMERATION_PATTERNS, ids=("k3", "p3", "p4", "c4", "k4", "matching-2", "paw", "p3+k1"))
+def test_atlas_table_listings_match_colour_sweeps(n, pattern):
+    host = Graph.complete(n)
+    table = oracles.host_copies(host, pattern)
+    assert tuple(vm for vm, _ in table) == _reference_colour_copies(colour_all(host, Colour.RED), pattern, Colour.RED)
+    for cg in iter_colourings(host):
+        for c in Colour:
+            listing = _reference_colour_copies(cg, pattern, c)
+            assert tuple(oracles._covered(table, oracles.pair_mask(cg.adjacency_for(c)))) == listing
+
+
+def test_raw_exact_rt_builds_no_host_table(monkeypatch, k3):
+    def refuse(*args):
+        raise AssertionError("host_copies called on a raw host")
+
+    monkeypatch.setattr(oracles, "host_copies", refuse)
+    host = Graph.cycle(9)
+    res = exact_rt(k3, host)
+    assert res.mode == "raw" and (res.upper, res.colourings_checked, res.exact) == _reference_exact_rt(k3, host)
+    assert exact_rt(k3, Graph.complete(8), budget=2000.0).mode == "raw"
 
 
 def test_pair_mask_numbers_pairs_lexicographically():
@@ -309,40 +324,6 @@ def test_pair_mask_numbers_pairs_lexicographically():
     pairs = list(combinations(range(5), 2))
     pm = oracles.pair_mask(g.adjacency)
     assert [pairs[b] for b in range(len(pairs)) if pm >> b & 1] == sorted(g.edges)
-
-
-def test_host_tables_live_as_long_as_the_host(k3, p4):
-    gc.collect()
-    before = len(oracles._HOST_COPIES)
-    host = Graph.complete(9)
-    twin = Graph.from_edges(9, host.edges)
-    assert twin == host and twin is not host
-    X, Y = range(4), range(4, 9)
-    first = ColouredGraph.from_masks(host, Graph.path(9).adjacency)
-    expected = [good_copy_witness_count(first, H, X, Y) for H in (k3, p4)]
-    # One colouring of a host sweeps its colour classes and builds no table.
-    assert oracles._HOST_COPIES[host] == {k3.pattern: None, p4.pattern: None}
-    second = first.swap_colours()
-    assert [good_copy_witness_count(second, H, Y, X) for H in (k3, p4)] == expected
-    tables = [oracles._HOST_COPIES[twin][H.pattern] for H in (k3, p4)]
-    assert [len(t) for t in tables] == [math.comb(9, 3), 12 * math.comb(9, 4)]
-    assert all(oracles.host_copies(twin, H.pattern) is t for H, t in zip((k3, p4), tables))
-    assert len(oracles._HOST_COPIES) == before + 1  # equal hosts share one entry
-    refs = [weakref.ref(host), weakref.ref(twin)]
-    del host, twin, first, second
-    gc.collect()
-    assert all(ref() is None for ref in refs)
-    assert len(oracles._HOST_COPIES) == before
-
-
-def test_host_too_large_for_a_table_sweeps_every_colouring(k3):
-    host = Graph.complete(80)  # its K3 table would hold 82,160 pair masks of 3,160 bits
-    X, Y = range(40), range(40, 80)
-    first = colour_with(host, AdversarySpec("uniform-random", {}, 0))
-    expected = good_copy_witness_count(first, k3, X, Y)
-    second = first.swap_colours()
-    assert good_copy_witness_count(second, k3, Y, X) == expected
-    assert oracles._HOST_COPIES[host][k3.pattern] is None
 
 
 @settings(max_examples=200, deadline=None)
@@ -408,6 +389,16 @@ def test_rt_monotone_in_host_size(k2, k3):
     for stats in (k2, k3, p3):
         values = [exact_rt(stats, Graph.complete(n)).value for n in range(2, 8)]
         assert values == sorted(values), (stats.pattern, values)
+
+
+def test_colouring_counts_past_the_float_range(k3):
+    host = Graph.complete(46)  # 1,035 edges: 2^1034 colourings overflow a float
+    for budget, mode in ((None, "exhaustive"), (1e6, "sampled")):
+        verdict = richness_decide(host, k3, 1, budget=budget, samples=2)
+        assert (verdict.rich, verdict.mode) == (False, mode)
+    with pytest.raises(BudgetExceededError, match="estimate 1.84e[+]311 exceeds budget 5e[+]07"):
+        next(iter_colourings(host, budget=5e7))
+    assert str(BudgetExceededError(2**1100, 5e7)) == "work estimate 1.36e+331 exceeds budget 5e+07"
 
 
 def test_rt_bracket_on_budget_exhaustion(k3):
