@@ -84,9 +84,12 @@ def build_aux_hypergraph(
         raise ValueError("the partition must be balanced")
     if H.ell < 1:
         raise ValueError("pattern needs at least one edge")
-    require_budget(float(n) ** H.k, budget, "good-copy enumeration")
-
     k, n_subsets = H.k, math.comb(n, H.k)
+    # Charge the codes the build holds, one per pair of each image on each
+    # subset, where they outnumber the n^k of the copy enumeration.
+    codes_held = n_subsets * len(_pattern_images(H.pattern)) * H.ell
+    require_budget(max(n**k, codes_held), budget, "good-copy enumeration")
+
     subsets = np.fromiter(chain.from_iterable(combinations(range(n), k)), np.int64, n_subsets * k)
     subsets = subsets.reshape(n_subsets, k)
     in_a = np.isin(subsets, list(part_a)).sum(axis=1)

@@ -23,7 +23,12 @@ def _three_figures(x: float) -> str:
         return f"{Decimal(x):.3g}"
 
 
+def work_limit(budget: float | None) -> float:
+    """The limit a budget argument sets: ``None`` means the default budget."""
+    return DEFAULT_WORK_BUDGET if budget is None else budget
+
+
 def require_budget(estimate: float, budget: float | None, what: str = "work") -> None:
-    limit = DEFAULT_WORK_BUDGET if budget is None else budget
+    limit = work_limit(budget)
     if estimate > limit:
         raise BudgetExceededError(estimate, limit, what)

@@ -6,14 +6,22 @@ graph carries both a red and a blue tiling of size at least
 ``eta >= 1`` degenerate case work).  Certificates store the tilings
 explicitly, so verification never solves a maximum-tiling problem.
 
-``cluster_process`` consumes two equal-size tiled sets, one covered by blue
-copies and one by red, repeatedly probes small windows of both for a copy
-of the off colour reaching across, and assembles a certificate from one of
-three termination patterns.  Every rounding choice is listed in the
-README's rounding table; the table version travels with extraction reports.
+``cluster_process`` consumes two equal-size tiled sets, X covered by blue
+copies and Y by red, and runs one process indexed by side: side 0 is X,
+whose probe window red copies hit, and side 1 is Y, hit by blue copies.
+Each step probes a small window of both sides for an off-colour copy
+with at least ``alpha`` vertices in one side's window (red first), removes it
+from both pools and keeps its part in the other side's window.  The step,
+the copy-accounting identity and termination are written once, for the
+side ``i`` the copy hit.  The process ends when either pool is smaller
+than a window.  If one side's events reach the crossing quota, they pair
+with that side's base half.  Otherwise the side whose pool ran dry tops its
+events up from the other side's reserve.  One assembler builds every
+certificate.  Every rounding choice is listed in the README's rounding
+table; the table version travels with extraction reports.
 
 All randomness (the "arbitrary" window choice) comes from one seeded
-shuffle, so runs replay exactly from the recorded seed.
+shuffle per side, so runs replay exactly from the recorded seed.
 """
 
 from __future__ import annotations
@@ -196,85 +204,75 @@ def cluster_process(
     _check_covering_tiling(blue_tiling_x, Colour.BLUE, x_set, m, "X")
     _check_covering_tiling(red_tiling_y, Colour.RED, y_set, m, "Y")
 
-    # Active halves take the ceiling share of copies, reserves the floor.
+    # Side 0 is X, whose window red steps hit; side 1 is Y, hit by blue steps.
+    # Each side's active half takes the ceiling share of its copies, its
+    # reserve the floor.
+    hits = (Colour.RED, Colour.BLUE)
     half = (m + 1) // 2
-    x1_copies = tuple(blue_tiling_x.copies[:half])
-    x2_copies = tuple(blue_tiling_x.copies[half:])
-    y1_copies = tuple(red_tiling_y.copies[:half])
-    y2_copies = tuple(red_tiling_y.copies[half:])
-    x1_mask = mask_of(v for c in x1_copies for v in c.vertex_map)
-    y1_mask = mask_of(v for c in y1_copies for v in c.vertex_map)
+    tilings = (blue_tiling_x, red_tiling_y)
+    base = [tuple(t.copies[:half]) for t in tilings]
+    reserve = [tuple(t.copies[half:]) for t in tilings]
+    base_mask = [mask_of(v for c in copies for v in c.vertex_map) for copies in base]
 
     eta_exact = exact_ratio(eta)
     guard = probe_window_size(eta_exact, s)
     q_cross = half  # crossing-case event quota
     q_res = m // 2  # residual-case tiling target
 
-    shuffle_x = _shuffled(iter_bits(x1_mask), derive_seed("window", seed, "x"))
-    shuffle_y = _shuffled(iter_bits(y1_mask), derive_seed("window", seed, "y"))
-
-    active_x, active_y = x1_mask, y1_mask
-    saved_x = saved_y = 0
-    red_events: list[tuple[EmbeddedCopy, int]] = []  # (copy, part kept from the Y pool)
-    blue_events: list[tuple[EmbeddedCopy, int]] = []
+    shuffle = [_shuffled(iter_bits(base_mask[i]), derive_seed("window", seed, "xy"[i])) for i in (0, 1)]
+    active = base_mask[:]
+    saved = [0, 0]
+    # Per side: (copy hitting that side's window, part kept from the other pool).
+    events: list[list[tuple[EmbeddedCopy, int]]] = [[], []]
 
     def snapshot() -> ProcessState:
         return ProcessState(
-            active_x=frozenset(iter_bits(active_x)),
-            active_y=frozenset(iter_bits(active_y)),
-            saved_x=frozenset(iter_bits(saved_x)),
-            saved_y=frozenset(iter_bits(saved_y)),
-            red_steps=len(red_events),
-            blue_steps=len(blue_events),
+            active_x=frozenset(iter_bits(active[0])),
+            active_y=frozenset(iter_bits(active[1])),
+            saved_x=frozenset(iter_bits(saved[0])),
+            saved_y=frozenset(iter_bits(saved[1])),
+            red_steps=len(events[0]),
+            blue_steps=len(events[1]),
         )
 
     def check_accounting() -> None:
-        # Red steps remove k - |kept in Y| vertices from the X pool, blue
-        # steps remove exactly their kept X part; mirrored for the Y pool.
-        removed_x = x1_mask.bit_count() - active_x.bit_count()
-        removed_y = y1_mask.bit_count() - active_y.bit_count()
-        if removed_x != k * len(red_events) - saved_y.bit_count() + saved_x.bit_count():
-            raise InvariantViolation("X-pool copy-accounting identity failed")
-        if removed_y != k * len(blue_events) - saved_x.bit_count() + saved_y.bit_count():
-            raise InvariantViolation("Y-pool copy-accounting identity failed")
+        # Steps hitting side i remove k - |part kept on the other side| vertices
+        # from pool i; steps hitting the other side remove exactly their kept part.
+        for i in (0, 1):
+            removed = base_mask[i].bit_count() - active[i].bit_count()
+            if removed != k * len(events[i]) - saved[1 - i].bit_count() + saved[i].bit_count():
+                raise InvariantViolation(f"{'XY'[i]}-pool copy-accounting identity failed")
 
-    while min(active_x.bit_count(), active_y.bit_count()) >= guard:
-        w_mask = _window(shuffle_x, active_x, guard)
-        u_mask = _window(shuffle_y, active_y, guard)
-        window = w_mask | u_mask
-        for hit in (Colour.RED, Colour.BLUE):
-            side = w_mask if hit is Colour.RED else u_mask
-            copy = find_side_good_copy(G, H, hit, window, side, alpha)
+    while min(active[0].bit_count(), active[1].bit_count()) >= guard:
+        windows = (_window(shuffle[0], active[0], guard), _window(shuffle[1], active[1], guard))
+        window = windows[0] | windows[1]
+        for i in (0, 1):
+            copy = find_side_good_copy(G, H, hits[i], window, windows[i], alpha)
             if copy is not None:
                 break
         else:
             return FailureReport(
                 exhausted_at=snapshot(),
-                probe_x=frozenset(iter_bits(w_mask)),
-                probe_y=frozenset(iter_bits(u_mask)),
+                probe_x=frozenset(iter_bits(windows[0])),
+                probe_y=frozenset(iter_bits(windows[1])),
             )
         cmask = copy.vertex_mask
-        removed_from_x = (cmask & active_x).bit_count()
-        removed_from_y = (cmask & active_y).bit_count()
-        if hit is Colour.RED:
-            part = cmask & u_mask
-            if part.bit_count() > k - alpha:
-                raise InvariantViolation("a red step kept more than k - alpha Y-pool vertices")
-            saved_y |= part
-            red_events.append((copy, part))
-        else:
-            part = cmask & w_mask
-            if part.bit_count() > k - alpha:
-                raise InvariantViolation("a blue step kept more than k - alpha X-pool vertices")
-            saved_x |= part
-            blue_events.append((copy, part))
-        active_x &= ~cmask
-        active_y &= ~cmask
+        removed_from_x = (cmask & active[0]).bit_count()
+        removed_from_y = (cmask & active[1]).bit_count()
+        part = cmask & windows[1 - i]
+        if part.bit_count() > k - alpha:
+            raise InvariantViolation(
+                f"a {hits[i].value} step kept more than k - alpha {'XY'[1 - i]}-pool vertices"
+            )
+        saved[1 - i] |= part
+        events[i].append((copy, part))
+        active[0] &= ~cmask
+        active[1] &= ~cmask
         check_accounting()
         if trace is not None:
             trace.append(
                 StepRecord(
-                    step_type=hit,
+                    step_type=hits[i],
                     copy=copy,
                     removed_from_x=removed_from_x,
                     removed_from_y=removed_from_y,
@@ -282,31 +280,24 @@ def cluster_process(
                 )
             )
 
-    # Termination patterns.  Enough crossing events of one colour already pair
-    # with the opposite base half; otherwise top up from the reserve of
-    # whichever pool ran dry, relative to that orientation.
-    if len(red_events) >= q_cross:
-        cert = _assemble_crossing(
-            eta, base_copies=x1_copies, base_mask=x1_mask,
-            events=red_events[:q_cross], event_colour=Colour.RED,
-        )
-    elif len(blue_events) >= q_cross:
-        cert = _assemble_crossing(
-            eta, base_copies=y1_copies, base_mask=y1_mask,
-            events=blue_events[:q_cross], event_colour=Colour.BLUE,
-        )
-    elif active_x.bit_count() < guard:
-        cert = _assemble_residual(
-            H, eta, s, q_res, base_copies=x1_copies, base_mask=x1_mask,
-            events=red_events, reserve=y2_copies, saved=saved_y,
-            event_colour=Colour.RED, eta_exact=eta_exact,
-        )
+    # Termination patterns.  Enough crossing events on one side already pair
+    # with that side's base half; otherwise the side whose pool ran dry tops
+    # its events up from the other side's reserve.
+    for i in (0, 1):
+        if len(events[i]) >= q_cross:
+            cert = _assemble(eta, base[i], base_mask[i], events[i][:q_cross], (), hits[i])
+            break
     else:
-        cert = _assemble_residual(
-            H, eta, s, q_res, base_copies=y1_copies, base_mask=y1_mask,
-            events=blue_events, reserve=x2_copies, saved=saved_x,
-            event_colour=Colour.BLUE, eta_exact=eta_exact,
-        )
+        i = 0 if active[0].bit_count() < guard else 1
+        top_up = reserve[1 - i][: q_res - len(events[i])]
+        cert = _assemble(eta, base[i], base_mask[i], events[i], top_up, hits[i])
+        # Exact size identity for this termination pattern, then the strict
+        # bound bought by the probe-window guard.
+        t_size = len(cert.vertices)
+        if t_size != s + saved[1 - i].bit_count() - k * len(events[i]):
+            raise InvariantViolation("residual-case size identity failed")
+        if not Fraction(t_size) < s - Fraction(alpha * s, 2 * k) + eta_exact**2 * s:
+            raise InvariantViolation("residual-case size bound failed")
     bad = cluster_errors(G, H, cert)
     if bad:
         raise InvariantViolation(
@@ -316,62 +307,26 @@ def cluster_process(
     return cert
 
 
-def _pair_tilings(
-    event_colour: Colour, event_tiling: Tiling, base_tiling: Tiling
-) -> tuple[Tiling, Tiling]:
-    if event_colour is Colour.RED:
-        return event_tiling, base_tiling
-    return base_tiling, event_tiling
-
-
-def _assemble_crossing(
+def _assemble(
     eta: float,
-    base_copies: tuple[EmbeddedCopy, ...],
+    base: tuple[EmbeddedCopy, ...],
     base_mask: int,
     events: list[tuple[EmbeddedCopy, int]],
-    event_colour: Colour,
+    top_up: tuple[EmbeddedCopy, ...],
+    colour: Colour,
 ) -> ClusterCertificate:
-    """Enough crossing copies of one colour: keep the base half plus their far parts."""
+    """Pair a base half with ``colour`` copies: the events, then the top-up.
+
+    The vertex set is the base half, the events' far parts and the top-up copies.
+    """
     t_mask = base_mask
     for _, part in events:
         t_mask |= part
-    event_tiling = Tiling(event_colour, tuple(c for c, _ in events))
-    base_tiling = Tiling(event_colour.other, base_copies)
-    red, blue = _pair_tilings(event_colour, event_tiling, base_tiling)
-    return ClusterCertificate(
-        vertices=frozenset(iter_bits(t_mask)), red_tiling=red, blue_tiling=blue, eta=eta
-    )
-
-
-def _assemble_residual(
-    H: PatternStats,
-    eta: float,
-    s: int,
-    q_res: int,
-    base_copies: tuple[EmbeddedCopy, ...],
-    base_mask: int,
-    events: list[tuple[EmbeddedCopy, int]],
-    reserve: tuple[EmbeddedCopy, ...],
-    saved: int,
-    event_colour: Colour,
-    eta_exact: Fraction,
-) -> ClusterCertificate:
-    """Few crossing copies either way: top the event colour up from the reserve."""
-    top_up = reserve[: q_res - len(events)]
-    t_mask = base_mask | saved
     for c in top_up:
         t_mask |= c.vertex_mask
-    t_size = t_mask.bit_count()
-    # Exact size identity for this termination pattern, then the strict bound
-    # bought by the probe-window guard.
-    if t_size != s + saved.bit_count() - H.k * len(events):
-        raise InvariantViolation("residual-case size identity failed")
-    limit = s - Fraction(H.alpha * s, 2 * H.k) + eta_exact**2 * s
-    if not Fraction(t_size) < limit:
-        raise InvariantViolation("residual-case size bound failed")
-    event_tiling = Tiling(event_colour, tuple(c for c, _ in events) + tuple(top_up))
-    base_tiling = Tiling(event_colour.other, base_copies)
-    red, blue = _pair_tilings(event_colour, event_tiling, base_tiling)
+    hit = Tiling(colour, tuple(c for c, _ in events) + top_up)
+    base_tiling = Tiling(colour.other, base)
+    red, blue = (hit, base_tiling) if colour is Colour.RED else (base_tiling, hit)
     return ClusterCertificate(
         vertices=frozenset(iter_bits(t_mask)), red_tiling=red, blue_tiling=blue, eta=eta
     )

@@ -247,13 +247,6 @@ class ColouredGraph:
     def colour_of(self, u: int, v: int) -> Colour:
         return self.colour[normalize_edge(u, v)]
 
-    def edges_of_colour(self, colour: Colour) -> frozenset[Edge]:
-        return self._edges_by_colour[colour]
-
-    @cached_property
-    def _edges_by_colour(self) -> dict[Colour, frozenset[Edge]]:
-        return {c: frozenset(e for e, ec in self.colour.items() if ec is c) for c in Colour}
-
     def adjacency_for(self, colour: Colour) -> Masks:
         return self.red_adjacency if colour is Colour.RED else self.blue_adjacency
 

@@ -39,7 +39,7 @@ from itertools import combinations, permutations
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
-from .budget import require_budget
+from .budget import require_budget, work_limit
 from .graphs import Colour, ColouredGraph, Edge, Graph, Masks, iter_bits, mask_of
 from .patterns import PatternStats
 
@@ -396,15 +396,15 @@ class RtResult:
 def exact_rt(H: PatternStats, G: Graph, budget: float | None = None) -> RtResult:
     """Smallest over all 2-colourings of the largest monochromatic tiling.
 
-    On budget exhaustion the result degrades to a certified bracket: the
-    upper end is the worst colouring seen, the lower end stays at the
-    trivial zero rather than guessing.
+    On budget exhaustion (``None`` is the default budget) the result
+    degrades to a certified bracket: the upper end is the worst colouring
+    seen, the lower end stays at the trivial zero rather than guessing.
     """
     atlas_mode = is_complete_host(G) and G.n <= 7
     best_upper = G.n // max(H.k, 1)
     checked = 0
     spent = 0.0
-    limit = float("inf") if budget is None else budget
+    limit = work_limit(budget)
     per_colouring = max(1.0, float(G.n) ** H.k)  # copy enumeration dominates
     exhausted = False
     # Atlas hosts (pair masks of at most 21 bits) filter one table of their
@@ -472,7 +472,11 @@ def richness_decide(
     samples: int = 200,
     seed: int = 0,
 ) -> RichnessVerdict:
-    """Decide (or sample) whether every colouring serves every disjoint s-set pair."""
+    """Decide (or sample) whether every colouring serves every disjoint s-set pair.
+
+    Non-atlas hosts are sampled when the exhaustive work estimate exceeds
+    the budget (``None`` is the default budget).
+    """
     if s < 1:
         raise ValueError("s must be positive")
     n = G_template.n
@@ -484,57 +488,42 @@ def richness_decide(
     colouring_count = (
         len(atlas_graphs(n)) if atlas_mode else 2 ** max(G_template.num_edges - 1, 0)
     )
-    limit = float("inf") if budget is None else budget
+    limit = work_limit(budget)
     work = colouring_count * len(pairs) * n**H.k  # exact: past 1,024 edges it overflows a float
 
-    if atlas_mode or work <= limit:
-        trials = 0
-        for coloured in iter_colourings(G_template, budget=limit):
-            for xs, ys in pairs:
-                trials += 1
-                if good_copy_witness_count(coloured, H, xs, ys) == 0:
-                    return RichnessVerdict(
-                        rich=False,
-                        mode="exhaustive",
-                        trials=trials,
-                        counterexample=RichnessCounterexample(
-                            dict(coloured.colour), frozenset(xs), frozenset(ys)
-                        ),
-                    )
-        return RichnessVerdict(rich=True, mode="exhaustive", trials=trials)
+    def sampled() -> Iterator[tuple[ColouredGraph, tuple[int, ...], tuple[int, ...]]]:
+        # Adversarial colourings first, then uniform random ones.
+        from .adversaries import AdversarySpec, colour_with
+        from .sampling import derive_seed, philox_generator
 
-    # Sampled mode: adversarial colourings first, then uniform random ones.
-    from .adversaries import AdversarySpec, colour_with
-    from .sampling import derive_seed, philox_generator
-
-    rng = philox_generator(derive_seed("richness-sample", seed))
-    specs = [
-        AdversarySpec("copy-avoider-greedy", {"pattern": H.pattern}, seed),
-        AdversarySpec("planted-partition", {}, seed),
-        AdversarySpec("majority-degree", {}, seed),
-    ]
-    trials = 0
-    for trial in range(samples):
-        if trial < len(specs):
-            coloured = colour_with(G_template, specs[trial])
-        else:
-            coloured = colour_with(
-                G_template, AdversarySpec("uniform-random", {}, derive_seed(seed, trial))
-            )
-        for _ in range(min(len(pairs), 20)):
-            idx = int(rng.integers(len(pairs)))
-            xs, ys = pairs[idx]
-            trials += 1
-            if good_copy_witness_count(coloured, H, xs, ys) == 0:
-                return RichnessVerdict(
-                    rich=False,
-                    mode="sampled",
-                    trials=trials,
-                    counterexample=RichnessCounterexample(
-                        dict(coloured.colour), frozenset(xs), frozenset(ys)
-                    ),
+        rng = philox_generator(derive_seed("richness-sample", seed))
+        specs = [
+            AdversarySpec("copy-avoider-greedy", {"pattern": H.pattern}, seed),
+            AdversarySpec("planted-partition", {}, seed),
+            AdversarySpec("majority-degree", {}, seed),
+        ]
+        for trial in range(samples):
+            if trial < len(specs):
+                coloured = colour_with(G_template, specs[trial])
+            else:
+                coloured = colour_with(
+                    G_template, AdversarySpec("uniform-random", {}, derive_seed(seed, trial))
                 )
-    return RichnessVerdict(rich=None, mode="sampled", trials=trials)
+            for _ in range(min(len(pairs), 20)):
+                yield (coloured, *pairs[int(rng.integers(len(pairs)))])
+
+    if atlas_mode or work <= limit:
+        mode = "exhaustive"
+        draws = ((c, xs, ys) for c in iter_colourings(G_template, budget=limit) for xs, ys in pairs)
+    else:
+        mode, draws = "sampled", sampled()
+    trials = 0
+    for coloured, xs, ys in draws:
+        trials += 1
+        if good_copy_witness_count(coloured, H, xs, ys) == 0:
+            counterexample = RichnessCounterexample(dict(coloured.colour), frozenset(xs), frozenset(ys))
+            return RichnessVerdict(rich=False, mode=mode, trials=trials, counterexample=counterexample)
+    return RichnessVerdict(rich=True if mode == "exhaustive" else None, mode=mode, trials=trials)
 
 
 # ---------------------------------------------------------------------------

@@ -62,9 +62,19 @@ def test_partition_validation(k3):
         build_aux_hypergraph(4, [0], [1, 2, 3], k3)  # unbalanced
 
 
-def test_budget_refusal(k3):
+def test_budget_refusal(k3, p4):
     with pytest.raises(BudgetExceededError):
         build_aux_hypergraph(10, range(5), range(5, 10), k3, budget=10.0)
+    # 84^4 fits the default budget, but the build would hold comb(84, 4) * 12
+    # images * 3 pairs codes: refused before any of them is allocated.
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError, match="estimate 6.95e[+]07 exceeds budget 5e[+]07"):
+            build_aux_hypergraph(84, range(42), range(42, 84), p4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_degree_check_passes(k3, p4):

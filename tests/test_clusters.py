@@ -14,6 +14,7 @@ from monotile.embeddings import EmbeddedCopy
 from monotile.graphs import Colour, Graph, colour_all, mask_of
 from monotile.instances import bowtie_union, planted_process_instance
 from monotile.patterns import PatternStats
+from monotile.sampling import derive_seed
 from monotile.tilings import Tiling
 
 
@@ -219,6 +220,48 @@ def test_residual_case_size_identity(k3):
             assert len(out.vertices) == s + len(saved) - k3.k * t_events
             assert len(out.vertices) < s - Fraction(k3.alpha * s, 2 * k3.k) + Fraction("0.4") ** 2 * s
     assert hit_residual, "no run exercised the residual case"
+
+
+def test_every_termination_pattern_in_both_orientations(k3):
+    """The first runs of the planted acceptance grid end in all four patterns,
+    each certificate pairing one side's base half with the events that hit it
+    (topped up from the other side's reserve in the residual case)."""
+    fractions = (1.0, 0.0, 0.65, 0.45, 0.55)
+    etas = (0.3, 0.35, 0.4, 0.5)
+    first_run = {}
+    for i in range(12):
+        s = 24 if i % 2 == 0 else 48
+        inst = planted_process_instance(
+            k3, s, seed=derive_seed("acceptance4", i), cross_red_fraction=fractions[i % len(fractions)]
+        )
+        eta = etas[i % len(etas)]
+        trace = []
+        out = cluster_process(
+            inst.coloured, k3, inst.x_vertices, inst.y_vertices, eta,
+            inst.blue_tiling, inst.red_tiling, seed=i, trace=trace,
+        )
+        assert isinstance(out, ClusterCertificate) and trace, i
+        assert verify_cluster(inst.coloured, k3, out), i
+        m = s // k3.k
+        half = (m + 1) // 2
+        # Red copies hit the blue-tiled X, blue copies the red-tiled Y.
+        base = {Colour.RED: inst.blue_tiling.copies[:half], Colour.BLUE: inst.red_tiling.copies[:half]}
+        reserve = {Colour.RED: inst.red_tiling.copies[half:], Colour.BLUE: inst.blue_tiling.copies[half:]}
+        events = {c: tuple(rec.copy for rec in trace if rec.step_type is c) for c in Colour}
+        crossing = [c for c in Colour if len(events[c]) >= half]
+        if crossing:
+            hit = crossing[0]
+            pattern = f"crossing-{hit.value}"
+            expected = events[hit][:half]
+        else:
+            guard = math.ceil(Fraction(eta) ** 2 * s)
+            hit = Colour.RED if len(trace[-1].state_after.active_x) < guard else Colour.BLUE
+            pattern = "residual-" + ("X" if hit is Colour.RED else "Y")
+            expected = events[hit] + tuple(reserve[hit][: m // 2 - len(events[hit])])
+        assert out.tiling(hit).copies == expected, i
+        assert out.tiling(hit.other).copies == tuple(base[hit]), i
+        first_run.setdefault(pattern, i)
+    assert first_run == {"crossing-red": 0, "crossing-blue": 1, "residual-Y": 3, "residual-X": 11}
 
 
 def _mutate(cert, **changes):

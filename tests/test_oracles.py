@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monotile import oracles
-from monotile.budget import BudgetExceededError
+from monotile.budget import DEFAULT_WORK_BUDGET, BudgetExceededError
 from monotile.graphs import Colour, ColouredGraph, Edge, Graph, colour_all, mask_of, normalize_edge, pattern_by_name
 from monotile.oracles import (
     RAMSEY_TABLE,
@@ -198,7 +198,7 @@ def _reference_count_good_copies(
 ) -> int:
     count = 0
     for colour, side in ((Colour.RED, red_side), (Colour.BLUE, blue_side)):
-        edges = G.edges_of_colour(colour)
+        edges = frozenset(e for e, c in G.colour.items() if c is colour)
         for subset, _ in _reference_iter_copies(edges, H.pattern, universe):
             if len(side.intersection(subset)) >= H.alpha:
                 count += 1
@@ -224,7 +224,8 @@ def _reference_max_disjoint_copies(copy_masks: list[int]) -> int:
 
 def _reference_max_mono_tiling_size(G: ColouredGraph, H: PatternStats, colour: Colour) -> int:
     masks = []
-    for subset, _ in _reference_iter_copies(G.edges_of_colour(colour), H.pattern, range(G.n)):
+    edges = frozenset(e for e, c in G.colour.items() if c is colour)
+    for subset, _ in _reference_iter_copies(edges, H.pattern, range(G.n)):
         m = 0
         for v in subset:
             m |= 1 << v
@@ -333,12 +334,13 @@ def test_stopped_packing_is_the_packing_cut_at_stop(masks, k, stop):
 
 
 # Reference tiling Ramsey sweep: both colours' full packings for every
-# colouring, with the same budget accounting and zero cut.
+# colouring, with the same budget accounting (no budget is the default one)
+# and zero cut.
 
 def _reference_exact_rt(H: PatternStats, G: Graph, budget: float | None = None) -> tuple[int, int, bool]:
     best = G.n // max(H.k, 1)
     checked, spent = 0, 0.0
-    limit = float("inf") if budget is None else budget
+    limit = DEFAULT_WORK_BUDGET if budget is None else budget
     per_colouring = max(1.0, float(G.n) ** H.k)
     for coloured in iter_colourings(G, budget=float("inf")):
         if spent + per_colouring > limit:
@@ -393,7 +395,7 @@ def test_rt_monotone_in_host_size(k2, k3):
 
 def test_colouring_counts_past_the_float_range(k3):
     host = Graph.complete(46)  # 1,035 edges: 2^1034 colourings overflow a float
-    for budget, mode in ((None, "exhaustive"), (1e6, "sampled")):
+    for budget, mode in ((float("inf"), "exhaustive"), (None, "sampled"), (1e6, "sampled")):
         verdict = richness_decide(host, k3, 1, budget=budget, samples=2)
         assert (verdict.rich, verdict.mode) == (False, mode)
     with pytest.raises(BudgetExceededError, match="estimate 1.84e[+]311 exceeds budget 5e[+]07"):
@@ -407,6 +409,19 @@ def test_rt_bracket_on_budget_exhaustion(k3):
     assert res.lower == 0 and res.upper >= 0
     with pytest.raises(ValueError):
         _ = res.value
+
+
+def test_no_budget_means_the_default_budget(k3):
+    petersen = Graph.from_edges(
+        10, [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
+        + [(5 + i, 5 + (i + 2) % 5) for i in range(5)],
+    )
+    c5 = PatternStats.from_graph(pattern_by_name("c5"))
+    res = exact_rt(c5, petersen)  # 10^5 work per colouring against the default 5e7
+    assert (res.exact, res.colourings_checked, res.mode) == (False, DEFAULT_WORK_BUDGET // 10**5, "raw")
+    assert (res.upper, res.colourings_checked, res.exact) == _reference_exact_rt(c5, petersen)
+    verdict = richness_decide(Graph.complete(10), k3, 2)  # ~2^44 colourings
+    assert verdict.mode == "sampled" and verdict.rich in (None, False)
 
 
 def test_rt_general_host(k2):
