@@ -312,33 +312,30 @@ def atlas_graphs(n: int) -> list[Graph]:
     return list(_atlas().get(n, ()))
 
 
-def iter_colourings(G: Graph, budget: float | None = None, reduce: bool = True):
-    """Yield 2-colourings of the host's edges.
+def iter_colourings(G: Graph, budget: float | None = None):
+    """Yield 2-colourings of the host's edges, up to colour swap.
 
-    With ``reduce`` (the default), complete hosts on up to 7 vertices yield
-    one representative per isomorphism class of the red graph, and other
-    hosts fix the first edge red to cut the global colour swap; both
-    reductions preserve colour-swap- and relabelling-invariant predicates
-    (tiling numbers, richness).  With ``reduce=False`` every one of the
-    ``2^e`` colourings appears.
+    Complete hosts on up to 7 vertices yield one representative per
+    isomorphism class of the red graph, and other hosts fix the first edge
+    red to cut the global colour swap; both reductions preserve
+    colour-swap- and relabelling-invariant predicates (tiling numbers,
+    richness).
     """
-    edges = sorted(G.edges)
-    if reduce and is_complete_host(G) and G.n <= 7:
+    if is_complete_host(G) and G.n <= 7:
         for red_graph in atlas_graphs(G.n):
             yield ColouredGraph.from_masks(G, red_graph.adjacency)
         return
-    if not edges:
-        yield ColouredGraph(G, {})
+    us, vs = (a.tolist() for a in G.edge_pairs)
+    if not us:
+        yield ColouredGraph.from_masks(G, G.adjacency)
         return
-    fixed = 1 if reduce else 0
-    require_budget(2 ** (len(edges) - fixed), budget, "colouring enumeration")
-    for bits in range(2 ** (len(edges) - fixed)):
-        colour = {}
-        if reduce:
-            colour[edges[0]] = Colour.RED
-        for i, e in enumerate(edges[fixed:]):
-            colour[e] = Colour.RED if (bits >> i) & 1 else Colour.BLUE
-        yield ColouredGraph(G, colour)
+    require_budget(2 ** (len(us) - 1), budget, "colouring enumeration")
+    for bits in range(2 ** (len(us) - 1)):
+        red = [0] * G.n
+        for i in iter_bits(bits << 1 | 1):  # bit 0: the first edge, always red
+            red[us[i]] |= 1 << vs[i]
+            red[vs[i]] |= 1 << us[i]
+        yield ColouredGraph.from_masks(G, tuple(red))
 
 
 def max_disjoint_copies(copy_masks: Iterable[int], k: int, stop: int | None = None) -> int:

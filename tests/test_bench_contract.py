@@ -13,8 +13,9 @@ from pathlib import Path
 import pytest
 
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
-sys.path[:0] = [str(BENCH), str(BENCH.parent / "src")]
+sys.path[:0] = [str(BENCH), str(BENCH.parent / "src"), str(BENCH.parent / "scripts")]
 
+import build_fixture_corpus  # noqa: E402
 import workloads  # noqa: E402
 from monotile.sampling import threshold_probability  # noqa: E402
 from tracing import Probe, Tracer  # noqa: E402
@@ -37,3 +38,15 @@ def test_a_traced_host_op_runs_clean(workload):
         tracer.unwrap_all()
     assert probe.errors == []
     assert {"extraction.extract_tiling", "extraction.maximal_cluster_family"} <= {s[0] for s in tracer.spans}
+
+
+def test_desk_corpus_is_the_documented_corpus(tmp_path, monkeypatch):
+    """The desk-oracles round verifies the corpus ``scripts/build_fixture_corpus.py`` writes."""
+    bench, script = tmp_path / "bench", tmp_path / "script"
+    workloads.write_corpus(bench)
+    monkeypatch.setattr(sys, "argv", ["build_fixture_corpus.py", "--dir", str(script)])
+    assert build_fixture_corpus.main() == 0
+    names = sorted(p.name for p in bench.iterdir())
+    assert len(names) == 31 and names == sorted(p.name for p in script.iterdir())
+    for name in names:
+        assert (bench / name).read_bytes() == (script / name).read_bytes(), name

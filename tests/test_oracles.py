@@ -374,8 +374,6 @@ def test_rt_stop_matches_full_packings(H):
 
 
 def test_iter_colourings_raw_counts():
-    g = Graph.complete(3)
-    assert sum(1 for _ in iter_colourings(g, reduce=False)) == 8
     path = Graph.path(3)
     assert sum(1 for _ in iter_colourings(path)) == 2  # swap cut
 
