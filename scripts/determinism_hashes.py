@@ -220,9 +220,12 @@ def text_lines():
         yield f"text parse G(700, C=5) seed=7 {name} {_digest(_parse_outcome(write_graph_text(g)))}"
 
 
+SECTIONS = (extract_lines, sweep_lines, avoider_lines, oracle_lines, probe_lines, text_lines)
+
+
 def transcript_lines():
     """Every line of the transcript, section by section."""
-    for section in (extract_lines, sweep_lines, avoider_lines, oracle_lines, probe_lines, text_lines):
+    for section in SECTIONS:
         yield from section()
 
 

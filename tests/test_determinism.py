@@ -1,10 +1,15 @@
 """Seeded outputs against ``tests/determinism_transcript.txt``, the output of
 ``scripts/determinism_hashes.py`` (its docstring lists the sections) at the
-current rounding table.  A change that means to alter results regenerates it."""
+current rounding table.  A change that means to alter results regenerates it.
+
+Each ``test_golden_*`` test regenerates its own sections and compares them with
+the transcript's lines of those sections; ``test_transcript_matches`` compares
+the whole file, sections in order, so a line added, lost or moved shows too."""
 
 import difflib
 import sys
 from collections import Counter
+from functools import cache
 from pathlib import Path
 
 import pytest
@@ -12,7 +17,9 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "scripts"))
 
-from determinism_hashes import transcript_lines  # noqa: E402
+from determinism_hashes import (  # noqa: E402
+    SECTIONS, avoider_lines, extract_lines, oracle_lines, probe_lines, text_lines,
+)
 
 TRANSCRIPT = ROOT / "tests" / "determinism_transcript.txt"
 REGENERATE = "PYTHONPATH=src python scripts/determinism_hashes.py > tests/determinism_transcript.txt"
@@ -38,10 +45,46 @@ def transcript_diff(expected: list[str], actual: list[str]) -> str:
     )
 
 
-def test_transcript_matches():
-    message = transcript_diff(TRANSCRIPT.read_text().splitlines(), list(transcript_lines()))
+@cache
+def generated(section) -> list[str]:
+    """The lines of one section, generated once per test session."""
+    return list(section())
+
+
+def check(expected: list[str], actual: list[str]) -> None:
+    message = transcript_diff(expected, actual)
     if message:
         pytest.fail(message, pytrace=False)
+
+
+def check_sections(*sections, keys: tuple[str, ...]) -> None:
+    """The given sections against the transcript's lines whose first word is in ``keys``."""
+    expected = [line for line in TRANSCRIPT.read_text().splitlines() if line.split(" ", 1)[0] in keys]
+    check(expected, [line for section in sections for line in generated(section)])
+
+
+def test_transcript_matches():
+    check(TRANSCRIPT.read_text().splitlines(), [line for section in SECTIONS for line in generated(section)])
+
+
+def test_golden_extraction_outputs():
+    check_sections(extract_lines, keys=("extract",))
+
+
+def test_golden_avoider_colourings():
+    check_sections(avoider_lines, keys=("avoider",))
+
+
+def test_golden_oracle_outputs():
+    check_sections(oracle_lines, keys=("rt", "richness", "witnesses", "tilings", "aux", "planted"))
+
+
+def test_golden_canonical_text():
+    check_sections(text_lines, keys=("text",))
+
+
+def test_golden_probe_witnesses_and_processes():
+    check_sections(probe_lines, keys=("probe", "process"))
 
 
 def test_transcript_diff_names_the_changed_line():
