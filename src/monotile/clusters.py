@@ -140,22 +140,23 @@ def _check_covering_tiling(
         raise ValueError(f"{side} tiling must cover its side exactly")
 
 
-def _shuffled(vertices: Iterable[int], seed: int) -> list[int]:
-    order = sorted(vertices)
-    rng = philox_generator(seed)
-    return [order[i] for i in rng.permutation(len(order))]
+def _shuffled(mask: int, seed: int) -> list[int]:
+    """The vertices of ``mask`` as one-bit masks, in a seeded order."""
+    order = [1 << v for v in iter_bits(mask)]
+    return [order[i] for i in philox_generator(seed).permutation(len(order)).tolist()]
 
 
-def _window(shuffle: list[int], active: int, size: int) -> int:
-    out = 0
-    taken = 0
-    for v in shuffle:
-        if (active >> v) & 1:
-            out |= 1 << v
-            taken += 1
-            if taken == size:
-                break
-    return out
+def _top_up(window: int, shuffle: list[int], at: int, size: int) -> tuple[int, int]:
+    """Fill ``window`` to ``size`` vertices from ``shuffle[at:]``; the new window and cursor.
+
+    Copies lie inside the windows, so the pool's vertices before the cursor are
+    exactly the window and those from it on are untouched: the window stays the
+    first ``size`` pool vertices in shuffle order.
+    """
+    taken = shuffle[at:at + size - window.bit_count()]
+    for bit in taken:
+        window |= bit
+    return window, at + len(taken)
 
 
 def cluster_process(
@@ -219,8 +220,9 @@ def cluster_process(
     q_cross = half  # crossing-case event quota
     q_res = m // 2  # residual-case tiling target
 
-    shuffle = [_shuffled(iter_bits(base_mask[i]), derive_seed("window", seed, "xy"[i])) for i in (0, 1)]
+    shuffle = [_shuffled(base_mask[i], derive_seed("window", seed, "xy"[i])) for i in (0, 1)]
     active = base_mask[:]
+    windows, cursors = [0, 0], [0, 0]
     saved = [0, 0]
     # Per side: (copy hitting that side's window, part kept from the other pool).
     events: list[list[tuple[EmbeddedCopy, int]]] = [[], []]
@@ -244,7 +246,8 @@ def cluster_process(
                 raise InvariantViolation(f"{'XY'[i]}-pool copy-accounting identity failed")
 
     while min(active[0].bit_count(), active[1].bit_count()) >= guard:
-        windows = (_window(shuffle[0], active[0], guard), _window(shuffle[1], active[1], guard))
+        for i in (0, 1):
+            windows[i], cursors[i] = _top_up(windows[i], shuffle[i], cursors[i], guard)
         window = windows[0] | windows[1]
         for i in (0, 1):
             copy = find_side_good_copy(G, H, hits[i], window, windows[i], alpha)
@@ -266,8 +269,9 @@ def cluster_process(
             )
         saved[1 - i] |= part
         events[i].append((copy, part))
-        active[0] &= ~cmask
-        active[1] &= ~cmask
+        for j in (0, 1):
+            active[j] &= ~cmask
+            windows[j] &= ~cmask
         check_accounting()
         if trace is not None:
             trace.append(

@@ -71,6 +71,22 @@ def mask_of(vertices: Iterable[int]) -> int:
     return m
 
 
+def disjoint_side_masks(n: int, X: Iterable[int], Y: Iterable[int]) -> tuple[int, int]:
+    """The masks of two disjoint vertex sets of a host on ``n`` vertices.
+
+    Raises ``ValueError`` when a vertex lies outside ``range(n)`` or the sets meet.
+    """
+    try:
+        x_mask, y_mask = mask_of(X), mask_of(Y)
+    except ValueError:  # a negative vertex: mask_of shifts by it
+        x_mask = y_mask = -1
+    if (x_mask | y_mask) >> n:
+        raise ValueError(f"X and Y must be vertex sets of the host, inside range({n})")
+    if x_mask & y_mask:
+        raise ValueError("X and Y must be disjoint")
+    return x_mask, y_mask
+
+
 def masks_from_pairs(n: int, us: np.ndarray, vs: np.ndarray) -> Masks:
     """Neighbour masks of the edges ``(us[i], vs[i])``, set in one bool matrix and packed
     in one call.  The matrix has a row of ``8*ceil(n/8)`` cells only for each vertex
@@ -156,7 +172,8 @@ class Graph:
 
     @classmethod
     def complete(cls, n: int) -> "Graph":
-        return cls.from_adjacency(n, tuple(((1 << n) - 1) ^ (1 << v) for v in range(n)))
+        full = (1 << n) - 1
+        return cls.from_adjacency(n, tuple([full ^ (1 << v) for v in range(n)]))
 
     @classmethod
     def empty(cls, n: int) -> "Graph":
@@ -227,7 +244,7 @@ class ColouredGraph:
     def from_masks(cls, graph: Graph, red_adjacency: Masks) -> "ColouredGraph":
         """``graph`` with the edges in ``red_adjacency`` (a subgraph's masks) red, others blue."""
         cg = object.__new__(cls)
-        blue = tuple(a ^ r for a, r in zip(graph.adjacency, red_adjacency))
+        blue = tuple([a ^ r for a, r in zip(graph.adjacency, red_adjacency)])
         cg.__dict__.update(graph=graph, red_adjacency=red_adjacency, blue_adjacency=blue)
         return cg
 

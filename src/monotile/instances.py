@@ -8,11 +8,12 @@ none, for the failure paths).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .embeddings import EmbeddedCopy
-from .graphs import Colour, ColouredGraph, Graph, masks_from_pairs
+from .graphs import Colour, ColouredGraph, Graph
 from .patterns import PatternStats
 from .sampling import derive_seed, philox_generator
 from .tilings import Tiling
@@ -27,13 +28,29 @@ class ProcessInstance:
     red_tiling: Tiling
 
 
-def _block_tiling(H: PatternStats, start: int, copies: int, colour: Colour) -> Tiling:
-    k = H.k
-    out = []
-    for i in range(copies):
-        base = start + i * k
-        out.append(EmbeddedCopy(tuple(base + j for j in range(k)), colour))
-    return Tiling(colour, tuple(out))
+def _row_masks(bits: np.ndarray) -> list[int]:
+    """Each row of a bool matrix as a mask, column ``j`` at bit ``j``.
+
+    The rows are padded to whole 64-bit words and packed in one call; rows of
+    one word convert to ints in one ``tolist``.
+    """
+    rows, cols = bits.shape
+    words = -(-cols // 64)
+    padded = np.zeros((rows, 64 * words), bool)
+    padded[:, :cols] = bits
+    packed = np.packbits(padded, axis=1, bitorder="little")
+    if words == 1:
+        return packed.view("<u8").ravel().tolist()
+    raw, width = packed.tobytes(), 8 * words
+    return [int.from_bytes(raw[i:i + width], "little") for i in range(0, len(raw), width)]
+
+
+@lru_cache(maxsize=64)
+def _block_tiling(k: int, start: int, copies: int, colour: Colour) -> Tiling:
+    """``copies`` consecutive ``k``-vertex blocks from ``start``.  Tilings are immutable,
+    so instances of one size share theirs."""
+    blocks = range(start, start + copies * k, k)
+    return Tiling(colour, tuple(EmbeddedCopy(tuple(range(b, b + k)), colour) for b in blocks))
 
 
 def planted_process_instance(
@@ -54,23 +71,22 @@ def planted_process_instance(
         raise ValueError("side size must be a multiple of the pattern order, at least twice it")
     n = 2 * s
     x_mask, y_mask = (1 << s) - 1, ((1 << s) - 1) << s
+    y_red = [y_mask ^ (1 << v) for v in range(s, n)]
     if with_cross:
         draws = philox_generator(derive_seed("planted-cross", seed)).random(s * s)
-        xs, ys = np.nonzero((draws < cross_red_fraction).reshape(s, s))
-        cross = masks_from_pairs(n, xs, ys + s)
+        hits = (draws < cross_red_fraction).reshape(s, s)  # hits[x, y]: edge (x, s + y) is red
+        red = tuple([m << s for m in _row_masks(hits)] + [m | b for m, b in zip(_row_masks(hits.T), y_red)])
         host = Graph.complete(n)
     else:
-        cross = (0,) * n
-        blocks = tuple((x_mask if v < s else y_mask) ^ (1 << v) for v in range(n))
-        host = Graph.from_adjacency(n, blocks)
-    red = tuple(c | (y_mask ^ (1 << v) if v >= s else 0) for v, c in enumerate(cross))
+        red = (0,) * s + tuple(y_red)
+        host = Graph.from_adjacency(n, tuple([x_mask ^ (1 << v) for v in range(s)] + y_red))
     m = s // k
     return ProcessInstance(
         coloured=ColouredGraph.from_masks(host, red),
         x_vertices=frozenset(range(s)),
         y_vertices=frozenset(range(s, n)),
-        blue_tiling=_block_tiling(H, 0, m, Colour.BLUE),
-        red_tiling=_block_tiling(H, s, m, Colour.RED),
+        blue_tiling=_block_tiling(k, 0, m, Colour.BLUE),
+        red_tiling=_block_tiling(k, s, m, Colour.RED),
     )
 
 

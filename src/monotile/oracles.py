@@ -40,7 +40,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
 from .budget import require_budget, work_limit
-from .graphs import Colour, ColouredGraph, Edge, Graph, Masks, iter_bits, mask_of
+from .graphs import Colour, ColouredGraph, Edge, Graph, Masks, disjoint_side_masks, iter_bits, mask_of
 from .patterns import PatternStats
 
 #: Classical two-colour Ramsey numbers R(K_a, K_b) kept as reference fixtures.
@@ -219,7 +219,9 @@ _COPY_MASKS: weakref.WeakKeyDictionary[ColouredGraph, dict[Graph, tuple[tuple[in
 def _copy_masks(G: ColouredGraph, pattern: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Vertex masks of every red and of every blue copy of ``pattern`` in ``G``,
     each colour class swept once per colouring."""
-    memo = _COPY_MASKS.setdefault(G, {})
+    memo = _COPY_MASKS.get(G)
+    if memo is None:
+        memo = _COPY_MASKS[G] = {}
     masks = memo.get(pattern)
     if masks is None:
         masks = memo[pattern] = (_swept(G.red_adjacency, pattern), _swept(G.blue_adjacency, pattern))
@@ -230,12 +232,15 @@ def _count_good_copies(G: ColouredGraph, H: PatternStats, red_side: int, blue_si
     """Copies inside ``red_side | blue_side`` that are red with at least alpha
     vertices in ``red_side`` or blue with at least alpha in ``blue_side``."""
     universe = red_side | blue_side
+    red, blue = _copy_masks(G, H.pattern)
     alpha = H.alpha
     count = 0
-    for masks, side in zip(_copy_masks(G, H.pattern), (red_side, blue_side)):
-        for m in masks:
-            if m & universe == m and (m & side).bit_count() >= alpha:
-                count += 1
+    for m in red:
+        if m & universe == m and (m & red_side).bit_count() >= alpha:
+            count += 1
+    for m in blue:
+        if m & universe == m and (m & blue_side).bit_count() >= alpha:
+            count += 1
     return count
 
 
@@ -265,10 +270,8 @@ def good_copy_witness_count(
     X: Iterable[int],
     Y: Iterable[int],
 ) -> int:
-    """Witness count for a pair of disjoint sets, restricted to their union."""
-    x_mask, y_mask = mask_of(X), mask_of(Y)
-    if x_mask & y_mask:
-        raise ValueError("X and Y must be disjoint")
+    """Witness count for a pair of disjoint vertex sets of the host, restricted to their union."""
+    x_mask, y_mask = disjoint_side_masks(G.n, X, Y)
     return _count_good_copies(G, H, x_mask, y_mask)
 
 

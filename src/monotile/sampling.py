@@ -2,7 +2,10 @@
 
 Sampling uses the Philox counter-based bit generator (``numpy.random.Philox``,
 4x64 with 10 rounds) keyed directly by the seed, with one uniform draw per
-vertex pair in lexicographic order.  The stream is specified exactly so the
+vertex pair in lexicographic order.  The key, ``seed mod 2**64`` in the low
+word and 0 in the high one, reaches Philox through a key-only seed sequence,
+so making a generator draws no OS entropy; the stream is the one
+``Philox(key=seed % 2**64)`` gives.  The stream is specified exactly so the
 same seed reproduces the same graph edge-for-edge anywhere.  ``sample_gnp``
 reads it in blocks of whole upper-triangle rows, about ``2**16`` draws each,
 and keeps only the hits, already in lexicographic order: its buffers are
@@ -15,6 +18,7 @@ import hashlib
 from fractions import Fraction
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .graphs import Graph
 from .patterns import PatternStats
@@ -22,9 +26,24 @@ from .patterns import PatternStats
 _BLOCK = 1 << 16  # draws per block of whole upper-triangle rows
 
 
+class _PhiloxKey(ISeedSequence):
+    """A seed sequence that hands Philox its key and nothing else.
+
+    ``Philox(key=...)`` builds an OS-entropy ``SeedSequence`` first and then
+    ignores it; a counter-based generator needs only its key.  Philox asks a
+    seed sequence for two 64-bit words, its key, and this answers only that.
+    """
+
+    def __init__(self, key: int):
+        self.key = key
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        return np.array((self.key, 0), np.uint64)
+
+
 def philox_generator(seed: int) -> np.random.Generator:
-    """The package-wide PRNG: Philox4x64-10 keyed by ``seed``."""
-    return np.random.Generator(np.random.Philox(key=seed & (2**64 - 1)))
+    """The package-wide PRNG: Philox4x64-10 keyed by ``seed mod 2**64``, a fresh one per call."""
+    return np.random.Generator(np.random.Philox(_PhiloxKey(seed & (2**64 - 1))))
 
 
 def derive_seed(*parts) -> int:

@@ -1,7 +1,12 @@
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from monotile import clusters
 
 from monotile.clusters import (
     ClusterCertificate,
@@ -11,10 +16,10 @@ from monotile.clusters import (
     verify_cluster,
 )
 from monotile.embeddings import EmbeddedCopy
-from monotile.graphs import Colour, Graph, colour_all, mask_of
+from monotile.graphs import Colour, Graph, colour_all, iter_bits, mask_of
 from monotile.instances import bowtie_union, planted_process_instance
 from monotile.patterns import PatternStats
-from monotile.sampling import derive_seed
+from monotile.sampling import derive_seed, philox_generator
 from monotile.tilings import Tiling
 
 
@@ -196,6 +201,58 @@ def test_process_trace_invariants(k3):
         assert isinstance(out, ClusterCertificate)
         assert trace, "the loop must run on planted instances"
         _recheck_trace(inst, k3, 0.3, trace)
+
+
+def _rescanned_window(shuffle, active, size):
+    """The first ``size`` vertices of ``shuffle`` still in ``active``, scanning from its start."""
+    return mask_of([v for v in shuffle if active >> v & 1][:size])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    s=st.sampled_from([12, 24, 48]),
+    seed=st.integers(0, 2**32),
+    fraction=st.sampled_from([0.0, 0.3, 0.65, 1.0]),
+    eta=st.sampled_from([0.3, 0.35, 0.4, 0.5]),
+    with_cross=st.booleans(),
+)
+def test_probe_windows_are_the_first_pool_vertices_in_shuffle_order(k3, s, seed, fraction, eta, with_cross):
+    """Every probe searches the windows a full rescan of each side's shuffle gives."""
+    inst = planted_process_instance(k3, s, seed=seed, cross_red_fraction=fraction, with_cross=with_cross)
+    calls, trace = [], []
+    search = clusters.find_side_good_copy
+
+    def spy(G, H, colour, universe, side, min_side, leads=-1):
+        calls.append((colour, universe, side))
+        return search(G, H, colour, universe, side, min_side, leads)
+
+    with mock.patch.object(clusters, "find_side_good_copy", spy):
+        out = cluster_process(
+            inst.coloured, k3, inst.x_vertices, inst.y_vertices, eta,
+            inst.blue_tiling, inst.red_tiling, seed=seed, trace=trace,
+        )
+    half = (s // k3.k + 1) // 2
+    pools = [mask_of(v for c in t.copies[:half] for v in c.vertex_map) for t in (inst.blue_tiling, inst.red_tiling)]
+    shuffles = []
+    for i, pool in enumerate(pools):
+        order = sorted(iter_bits(pool))
+        shuffles.append([order[j] for j in philox_generator(derive_seed("window", seed, "xy"[i])).permutation(len(order))])
+    guard = math.ceil(Fraction(str(eta)) ** 2 * s)
+    states = [pools] + [[mask_of(r.state_after.active_x), mask_of(r.state_after.active_y)] for r in trace]
+    expected = []
+    for t, active in enumerate(states):
+        if t < len(trace):
+            colours = (Colour.RED,) if trace[t].step_type is Colour.RED else (Colour.RED, Colour.BLUE)
+        elif isinstance(out, FailureReport):
+            colours = (Colour.RED, Colour.BLUE)
+            assert (mask_of(out.probe_x), mask_of(out.probe_y)) == tuple(
+                _rescanned_window(shuffles[i], active[i], guard) for i in (0, 1)
+            )
+        else:
+            break
+        windows = [_rescanned_window(shuffles[i], active[i], guard) for i in (0, 1)]
+        expected += [(c, windows[0] | windows[1], windows[i]) for i, c in enumerate(colours)]
+    assert calls == expected
 
 
 def test_residual_case_size_identity(k3):

@@ -71,6 +71,14 @@ def test_witness_count_restricted(k3):
         good_copy_witness_count(g, k3, [0, 1], iter([1, 2]))
 
 
+@pytest.mark.parametrize("X, Y", [((0, 99), (3, 4)), ((0, 1), (3, 6)), ((0, -1), (3, 4)), ((0, 1), (-2, 4))])
+def test_witness_count_rejects_vertices_outside_the_host(k3, X, Y):
+    # (0, 99), (3, 4) used to count the red triangle (0, 3, 4) once.
+    g = colour_all(Graph.complete(6), Colour.RED)
+    with pytest.raises(ValueError, match=r"range\(6\)"):
+        good_copy_witness_count(g, k3, X, Y)
+
+
 def test_max_disjoint_copies():
     assert max_disjoint_copies([0b111, 0b111000, 0b110001], 3) == 2
     assert max_disjoint_copies([], 3) == 0

@@ -25,6 +25,15 @@ def test_probe_requires_disjoint_sets(k3):
         richness_probe(g, k3, [0, 1], [1, 2])
 
 
+@pytest.mark.parametrize("X, Y", [((0, 99), (3, 4)), ((0, 1), (3, 6)), ((0, -1), (3, 4)), ((0, 1), (-2, 4))])
+def test_probe_rejects_vertices_outside_the_host(k3, X, Y):
+    # Vertex 99 (or 6) used to drop out of the universe, and a negative one raised
+    # Python's "negative shift count".
+    g = colour_all(Graph.complete(6), Colour.RED)
+    with pytest.raises(ValueError, match=r"range\(6\)"):
+        richness_probe(g, k3, X, Y)
+
+
 def test_probe_none_on_mono_free_k4(k3):
     # red perfect matching leaves K4 with no monochromatic triangle
     g = Graph.complete(4)

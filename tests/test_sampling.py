@@ -18,6 +18,24 @@ def test_p_zero_and_one():
     assert sample_gnp(5, 1.0, 1) == Graph.complete(5)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2**63 + 5, 2**64 - 1, 2**64 + 7, -3])
+def test_generator_is_philox_keyed_by_the_seed(seed):
+    """The stream every other test takes as its reference: Philox4x64-10 keyed by
+    ``seed mod 2**64``, as ``np.random.Philox(key=...)`` builds it."""
+    got = philox_generator(seed)
+    want = np.random.Generator(np.random.Philox(key=seed % 2**64))
+    assert np.array_equal(got.random(1000), want.random(1000))
+    assert np.array_equal(got.permutation(97), want.permutation(97))
+    assert np.array_equal(got.integers(0, 2**15, size=500), want.integers(0, 2**15, size=500))
+    assert np.array_equal(got.integers(0, 2**62, size=50), want.integers(0, 2**62, size=50))
+
+
+def test_generators_are_fresh_per_call():
+    first = philox_generator(5)
+    first.random(10)
+    assert np.array_equal(philox_generator(5).random(10), np.random.Generator(np.random.Philox(key=5)).random(10))
+
+
 def _pair_list_gnp(n, p, seed):
     """The loop construction sample_gnp replaced: one draw per pair, lexicographic."""
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
