@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .graphs import Colour, ColouredGraph, Graph, iter_bits, mask_of
 from .patterns import PatternStats
@@ -177,16 +177,6 @@ def first_copy(
     if pattern.adjacency == _TRIANGLE:
         return find_triangle(adjacency, universe_mask, side_mask, min_side, leads)
     return next(iter_embeddings(adjacency, pattern, universe_mask, side_mask, min_side, leads), None)
-
-
-def copy_search(pattern: Graph) -> Callable[..., tuple[int, ...] | None]:
-    """:func:`first_copy` with ``pattern`` fixed, taking the arguments that follow it.
-
-    For K3 this is :func:`find_triangle` itself, so repeated searches dispatch once.
-    """
-    if pattern.adjacency == _TRIANGLE:
-        return find_triangle
-    return lambda adjacency, *args: first_copy(adjacency, pattern, *args)
 
 
 def iter_copies(

@@ -177,6 +177,21 @@ def greedy_packing(
     return tuple(copies)
 
 
+def greedy_candidates(
+    G: ColouredGraph, H: PatternStats, leads: Mapping[Colour, int] | None = None
+) -> list[Tiling]:
+    """Per colour, red first, a :func:`greedy_packing` of the whole host: the
+    candidates :func:`extract_tiling` weighs against its tie-scan ones.
+
+    ``leads`` maps each colour to a lead mask promise; the colour's copy
+    leads (:func:`~monotile.embeddings.copy_leads`) by default.
+    """
+    if leads is None:
+        leads = {c: copy_leads(G.adjacency_for(c), H.pattern) for c in Colour}
+    everything = (1 << G.n) - 1
+    return [Tiling(c, greedy_packing(G, H, c, everything, leads[c])) for c in Colour]
+
+
 def _validated(G: ColouredGraph, H: PatternStats, tiling: Tiling) -> Tiling:
     """``tiling`` itself, once the independent validator finds nothing wrong."""
     problems = tiling_errors(G, H, tiling)
@@ -207,7 +222,7 @@ def extract_tiling(
     rest = everything & ~mask_of(family.vertices)
     tie_copies = {c: tuple(x for cert in certs for x in cert.tiling(c).copies) for c in Colour}
     candidates = [Tiling(c, tie_copies[c] + greedy_packing(G, H, c, rest, leads[c])) for c in Colour]
-    candidates += [Tiling(c, greedy_packing(G, H, c, everything, leads[c])) for c in Colour]
+    candidates += greedy_candidates(G, H, leads)
     # max keeps the first largest: ties before plain greedy, red before blue.
     tiling = _validated(G, H, max(candidates, key=lambda t: t.size))
     largest = {c: max(t.size for t in candidates if t.colour is c) for c in Colour}

@@ -8,7 +8,6 @@ none, for the failure paths).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -45,10 +44,8 @@ def _row_masks(bits: np.ndarray) -> list[int]:
     return [int.from_bytes(raw[i:i + width], "little") for i in range(0, len(raw), width)]
 
 
-@lru_cache(maxsize=64)
 def _block_tiling(k: int, start: int, copies: int, colour: Colour) -> Tiling:
-    """``copies`` consecutive ``k``-vertex blocks from ``start``.  Tilings are immutable,
-    so instances of one size share theirs."""
+    """``copies`` consecutive ``k``-vertex blocks from ``start``."""
     blocks = range(start, start + copies * k, k)
     return Tiling(colour, tuple(EmbeddedCopy(tuple(range(b, b + k)), colour) for b in blocks))
 

@@ -13,10 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from typing import Iterable
 
-from .embeddings import EmbeddedCopy, copy_search, first_copy
+from .embeddings import EmbeddedCopy, first_copy
 from .graphs import Colour, ColouredGraph, disjoint_side_masks
 from .patterns import PatternStats
 
@@ -51,12 +50,6 @@ def find_side_good_copy(
     return None if vm is None else EmbeddedCopy(vm, colour)
 
 
-@lru_cache(maxsize=4096)
-def _good_copy(vertex_map: tuple[int, ...], colour: Colour) -> GoodCopy:
-    """The witness of a ``colour`` copy; witnesses are immutable, so repeated probes share them."""
-    return GoodCopy(EmbeddedCopy(vertex_map, colour), Side.X if colour is Colour.RED else Side.Y)
-
-
 def richness_probe(
     G: ColouredGraph,
     H: PatternStats,
@@ -68,9 +61,11 @@ def richness_probe(
     ``X`` and ``Y`` must be disjoint vertex sets of the host.
     """
     x_mask, y_mask = disjoint_side_masks(G.n, X, Y)
-    universe, search = x_mask | y_mask, copy_search(H.pattern)
-    vm = search(G.red_adjacency, universe, x_mask, H.alpha)
+    universe = x_mask | y_mask
+    vm = first_copy(G.red_adjacency, H.pattern, universe, x_mask, H.alpha)
     if vm is not None:
-        return _good_copy(vm, Colour.RED)
-    vm = search(G.blue_adjacency, universe, y_mask, H.alpha)
-    return None if vm is None else _good_copy(vm, Colour.BLUE)
+        return GoodCopy(EmbeddedCopy(vm, Colour.RED), Side.X)
+    vm = first_copy(G.blue_adjacency, H.pattern, universe, y_mask, H.alpha)
+    if vm is not None:
+        return GoodCopy(EmbeddedCopy(vm, Colour.BLUE), Side.Y)
+    return None

@@ -38,6 +38,8 @@ class _PhiloxKey(ISeedSequence):
         self.key = key
 
     def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        if n_words != 2 or np.dtype(dtype) != np.uint64:
+            raise ValueError(f"a Philox key is two uint64 words, not {n_words} of {np.dtype(dtype)}")
         return np.array((self.key, 0), np.uint64)
 
 

@@ -1,9 +1,8 @@
 """Tilings: vertex-disjoint monochromatic copies, plus an independent validator.
 
-The validator re-reads every pattern edge in the masks of the tiling's
-colour class, a subgraph of the host, and reads the host's edge masks only
-to name a fault: it trusts neither the search that produced a copy nor the
-colour tag stored on it.
+The validator re-reads every pattern edge in the host's edge and colour
+masks: it trusts neither the search that produced a copy nor the colour tag
+stored on it.
 """
 
 from __future__ import annotations
@@ -68,7 +67,7 @@ def tiling_errors(
         # An entry that no copy vertex can equal, negative or past them all, drops out.
         top = max(G.n, max(masks, default=0).bit_length())
         allowed = mask_of(v for v in inside if 0 <= v < top)
-    n, k, colour, pattern_edges, outside = G.n, H.k, tiling.colour, H.pattern.edges, ~allowed
+    n, k, colour = G.n, H.k, tiling.colour
     adjacency = G.graph.adjacency
     wanted = G.adjacency_for(colour)
     problems: list[str] = []
@@ -83,20 +82,18 @@ def tiling_errors(
         elif m >> n:
             problems.append(f"copy {i}: vertex map leaves the host vertex range")
         else:
-            for u, v in pattern_edges:
+            for u, v in H.pattern.edges:
                 a, b = vm[u], vm[v]
-                if wanted[a] >> b & 1:  # the wanted colour class is a subgraph of the host
-                    continue
                 if not adjacency[a] >> b & 1:
                     problems.append(f"copy {i}: pattern edge ({u},{v}) maps to the non-edge {normalize_edge(a, b)}")
-                else:
+                elif not wanted[a] >> b & 1:
                     problems.append(
                         f"copy {i}: pattern edge ({u},{v}) maps to a {colour.other.value} edge, wanted {colour.value}"
                     )
         if m & seen:
             problems.append(f"copy {i} overlaps an earlier copy")
         seen |= m
-        if m & outside:
+        if m & ~allowed:
             problems.append(f"copy {i} leaves the allowed vertex set")
     return problems
 

@@ -14,6 +14,7 @@ from monotile.embeddings import EmbeddedCopy, copy_leads, find_mono_copy, iter_c
 from monotile.extraction import (
     extract_tiling,
     extraction_target,
+    greedy_candidates,
     greedy_packing,
     maximal_cluster_family,
 )
@@ -289,6 +290,16 @@ def test_achieved_is_at_least_every_candidate(cg, name):
         largest[colour] = max(with_ties, len(greedy_packing(cg, H, colour, everything)))
     assert report.achieved_size == tiling.size == max(largest.values())
     assert (report.red_copies, report.blue_copies) == (largest[Colour.RED], largest[Colour.BLUE])
+
+
+@settings(max_examples=60, deadline=None)
+@given(_dense_coloured_graphs(), st.sampled_from(["k3", "c4", "p4"]))
+def test_greedy_candidates_pack_the_whole_host_per_colour(cg, name):
+    H = PatternStats.from_graph(pattern_by_name(name))
+    everything = (1 << cg.n) - 1
+    candidates = greedy_candidates(cg, H)
+    assert [t.colour for t in candidates] == [Colour.RED, Colour.BLUE]
+    assert [t.copies for t in candidates] == [greedy_packing(cg, H, c, everything) for c in Colour]
 
 
 def _greedy_matching(G: ColouredGraph, colour: Colour) -> int:

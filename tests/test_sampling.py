@@ -36,6 +36,14 @@ def test_generators_are_fresh_per_call():
     assert np.array_equal(philox_generator(5).random(10), np.random.Generator(np.random.Philox(key=5)).random(10))
 
 
+def test_key_seed_sequence_answers_only_the_philox_key_request():
+    seed_seq = philox_generator(2**64 + 7).bit_generator.seed_seq
+    assert seed_seq.generate_state(2, np.uint64).tolist() == [7, 0]
+    for n_words, dtype in ((4, np.uint32), (2, np.uint32), (1, np.uint64), (3, np.uint64)):
+        with pytest.raises(ValueError, match="two uint64 words"):
+            seed_seq.generate_state(n_words, dtype)
+
+
 def _pair_list_gnp(n, p, seed):
     """The loop construction sample_gnp replaced: one draw per pair, lexicographic."""
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
