@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .adversaries import ADVERSARY_NAMES, AdversarySpec, colour_with
@@ -48,11 +49,13 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _load_host(token: str) -> Graph | ColouredGraph:
+def _load_host(token: str) -> Graph:
+    """A named graph or a graph file, colours dropped."""
     try:
         return pattern_by_name(token)
     except ValueError:
-        return load_graph_file(token)
+        g = load_graph_file(token)
+        return g.graph if isinstance(g, ColouredGraph) else g
 
 
 def _load_pattern(token: str) -> Graph:
@@ -88,8 +91,6 @@ def cmd_sample(args) -> int:
 
 def cmd_colour(args) -> int:
     host = _load_host(args.graph)
-    if isinstance(host, ColouredGraph):
-        host = host.graph
     params: dict[str, object] = {}
     if args.pattern:
         params["pattern"] = _load_pattern(args.pattern)
@@ -113,17 +114,9 @@ def cmd_extract(args) -> int:
 
 def cmd_rt_exact(args) -> int:
     host = _load_host(args.host)
-    if isinstance(host, ColouredGraph):
-        host = host.graph
     stats = PatternStats.from_graph(_load_pattern(args.pattern))
     result = exact_rt(stats, host, args.budget)
-    payload = {
-        "exact": result.exact,
-        "lower": result.lower,
-        "upper": result.upper,
-        "colourings_checked": result.colourings_checked,
-        "mode": result.mode,
-    }
+    payload = asdict(result)
     if result.exact:
         payload["value"] = result.value
     _emit(args, json.dumps(payload, indent=2, sort_keys=True) + "\n")
@@ -162,13 +155,7 @@ def cmd_aux_check(args) -> int:
             sort_keys=True,
         )
     ]
-    for check in report.checks:
-        lines.append(
-            json.dumps(
-                {"j": check.j, "delta": check.delta, "bound": check.bound, "passed": check.passed},
-                sort_keys=True,
-            )
-        )
+    lines.extend(json.dumps(asdict(check), sort_keys=True) for check in report.checks)
     _emit(args, "\n".join(lines) + "\n")
     return EXIT_OK
 
@@ -195,12 +182,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_verify_fixtures(args) -> int:
     report = verify_fixtures(args.dir, args.budget)
-    payload = {
-        "checked": report.checked,
-        "passed": report.passed,
-        "mismatches": list(report.mismatches),
-        "warnings": list(report.warnings),
-    }
+    payload = {**asdict(report), "passed": report.passed}
     _emit(args, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return EXIT_OK if report.passed else EXIT_FIXTURE
 

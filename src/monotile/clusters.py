@@ -130,7 +130,13 @@ def verify_cluster(G: ColouredGraph, H: PatternStats, cert: ClusterCertificate) 
 # ---------------------------------------------------------------------------
 
 def _check_covering_tiling(
-    tiling: Tiling, colour: Colour, vertices: frozenset[int], m: int, side: str
+    G: ColouredGraph,
+    H: PatternStats,
+    tiling: Tiling,
+    colour: Colour,
+    vertices: frozenset[int],
+    m: int,
+    side: str,
 ) -> None:
     if tiling.colour is not colour:
         raise ValueError(f"{side} tiling must be {colour.value}")
@@ -138,6 +144,11 @@ def _check_covering_tiling(
         raise ValueError(f"{side} tiling must have exactly {m} copies, got {tiling.size}")
     if tiling.vertices != vertices:
         raise ValueError(f"{side} tiling must cover its side exactly")
+    # Covering the side already keeps the copies inside it; the validator
+    # checks the rest (maps, disjointness, edges of the tiling's colour in G).
+    errors = tiling_errors(G, H, tiling)
+    if errors:
+        raise ValueError(f"{side} tiling is not a valid tiling of the host: {errors[0]}")
 
 
 def _shuffled(mask: int, seed: int) -> list[int]:
@@ -202,8 +213,8 @@ def cluster_process(
     if s % k or s < 2 * k:
         raise ValueError("side size must be a multiple of the pattern order, at least twice it")
     m = s // k
-    _check_covering_tiling(blue_tiling_x, Colour.BLUE, x_set, m, "X")
-    _check_covering_tiling(red_tiling_y, Colour.RED, y_set, m, "Y")
+    _check_covering_tiling(G, H, blue_tiling_x, Colour.BLUE, x_set, m, "X")
+    _check_covering_tiling(G, H, red_tiling_y, Colour.RED, y_set, m, "Y")
 
     # Side 0 is X, whose window red steps hit; side 1 is Y, hit by blue steps.
     # Each side's active half takes the ceiling share of its copies, its

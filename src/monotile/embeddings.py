@@ -259,7 +259,7 @@ def iter_triangles(
             low_b = seconds & -seconds
             seconds ^= low_b
             b = low_b.bit_length() - 1
-            thirds = higher & adjacency[b] & -(low_b << 1)
+            thirds = seconds & adjacency[b]  # seconds now holds the vertices of higher above b
             while thirds:
                 low_c = thirds & -thirds
                 thirds ^= low_c
@@ -276,33 +276,19 @@ def find_triangle(
     """Lexicographically first triangle meeting the side set in >= ``min_side`` vertices.
 
     The universe is clipped to the host, and every scan is a bit loop over a
-    mask.  Unsided, the least vertex runs over ``leads``, a promise as in
-    :func:`first_copy`.  Every triangle meeting the side set passes through a
-    side vertex ``s``, so the sided search seeds from side vertices only and
-    keeps the least first triangle per ``s``; two comparisons order its three
-    vertices.  There ``leads`` cuts the second vertex ``v``, which lies below
-    the third, of a seed outside ``leads``: such a seed leads no triangle, so
-    ``v`` does and lies below ``s``.  (Cutting a lead seed's non-lead
-    neighbours below it too costs more than it saves.)
+    mask.  Unsided, it is the first triangle of :func:`iter_triangles`, whose
+    least vertex runs over ``leads``, a promise as in :func:`first_copy`.
+    Every triangle meeting the side set passes through a side vertex ``s``,
+    so the sided search seeds from side vertices only and keeps the least
+    first triangle per ``s``; two comparisons order its three vertices.
+    There ``leads`` cuts the second vertex ``v``, which lies below the third,
+    of a seed outside ``leads``: such a seed leads no triangle, so ``v`` does
+    and lies below ``s``.  (Cutting a lead seed's non-lead neighbours below it
+    too costs more than it saves.)
     """
-    universe_mask &= (1 << len(adjacency)) - 1
     if min_side <= 0:
-        firsts = universe_mask & leads
-        while firsts:
-            low_a = firsts & -firsts
-            firsts ^= low_a
-            higher = adjacency[low_a.bit_length() - 1] & universe_mask & -(low_a << 1)
-            seconds = higher
-            while seconds:
-                low = seconds & -seconds
-                b = low.bit_length() - 1
-                # The least b with a closing vertex has none below it: such a c
-                # lies in higher with b in its row, so c would be an earlier b.
-                closing = higher & adjacency[b]
-                if closing:
-                    return (low_a.bit_length() - 1, b, (closing & -closing).bit_length() - 1)
-                seconds ^= low
-        return None
+        return next(iter_triangles(adjacency, universe_mask, leads), None)
+    universe_mask &= (1 << len(adjacency)) - 1
     best = None
     below_best = -1  # second vertices that can still beat best: at most its least vertex
     seeds = side_mask & universe_mask

@@ -36,6 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, permutations
+from math import comb
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
@@ -315,14 +316,15 @@ def atlas_graphs(n: int) -> list[Graph]:
     return list(_atlas().get(n, ()))
 
 
-def iter_colourings(G: Graph, budget: float | None = None):
+def iter_colourings(G: Graph):
     """Yield 2-colourings of the host's edges, up to colour swap.
 
     Complete hosts on up to 7 vertices yield one representative per
     isomorphism class of the red graph, and other hosts fix the first edge
     red to cut the global colour swap; both reductions preserve
     colour-swap- and relabelling-invariant predicates (tiling numbers,
-    richness).
+    richness).  It charges no budget: callers stop it or price its
+    ``2**(m-1)`` colourings first.
     """
     if is_complete_host(G) and G.n <= 7:
         for red_graph in atlas_graphs(G.n):
@@ -332,7 +334,6 @@ def iter_colourings(G: Graph, budget: float | None = None):
     if not us:
         yield ColouredGraph.from_masks(G, G.adjacency)
         return
-    require_budget(2 ** (len(us) - 1), budget, "colouring enumeration")
     for bits in range(2 ** (len(us) - 1)):
         red = [0] * G.n
         for i in iter_bits(bits << 1 | 1):  # bit 0: the first edge, always red
@@ -414,7 +415,7 @@ def exact_rt(H: PatternStats, G: Graph, budget: float | None = None) -> RtResult
     def copies(adjacency: Masks) -> Iterable[int]:
         return _swept(adjacency, H.pattern) if table is None else _covered(table, pair_mask(adjacency))
 
-    for coloured in iter_colourings(G, budget=float("inf")):
+    for coloured in iter_colourings(G):
         if spent + per_colouring > limit:
             exhausted = True
             break
@@ -514,7 +515,7 @@ def richness_decide(
 
     if atlas_mode or work <= limit:
         mode = "exhaustive"
-        draws = ((c, xs, ys) for c in iter_colourings(G_template, budget=limit) for xs, ys in pairs)
+        draws = ((c, xs, ys) for c in iter_colourings(G_template) for xs, ys in pairs)
     else:
         mode, draws = "sampled", sampled()
     trials = 0
@@ -531,10 +532,14 @@ def richness_decide(
 # ---------------------------------------------------------------------------
 
 def count_cliques(G: Graph, r: int, budget: float | None = None) -> int:
-    """Number of ``r``-cliques, by ordered bitset extension."""
+    """Number of ``r``-cliques, by ordered bitset extension.
+
+    The budget is charged ``comb(n, 1) + ... + comb(n, r - 1)``: the
+    extension loop visits each clique on fewer than ``r`` vertices once.
+    """
     if r < 1:
         raise ValueError("clique order must be positive")
-    require_budget(float(G.n) ** min(r, 3), budget, "clique enumeration")
+    require_budget(sum(comb(G.n, d) for d in range(1, r)), budget, "clique enumeration")
     adj = G.adjacency
     count = 0
 
@@ -590,8 +595,6 @@ def clique_supersat_count(
     hypothesis = t_used >= R and dense_enough
     if not hypothesis:
         return SupersatReport(count, R, t_used, False, None, None)
-    from math import comb
-
     bound_exact_num = comb(t_used, R) * n**R  # bound = num / t^R
     meets = count * t_used**R >= bound_exact_num
     bound = comb(t_used, R) * (n / t_used) ** R

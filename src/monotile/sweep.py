@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 from .adversaries import ADVERSARY_NAMES, AdversarySpec, colour_with
 from .extraction import extract_tiling, extraction_target
@@ -24,10 +25,6 @@ from .patterns import PatternStats
 from .sampling import derive_seed, sample_gnp, threshold_probability
 
 CSV_SCHEMA = "monotile-sweep-csv v2"
-_COLUMNS = (
-    "n", "C", "adversary", "trial", "seed", "p",
-    "achieved", "target", "success", "error",
-)
 
 
 @dataclass(frozen=True)
@@ -57,6 +54,11 @@ class SweepPlan:
 
 @dataclass(frozen=True)
 class TrialRow:
+    """One sweep row; its fields, in order, are the CSV columns and the JSON row keys.
+
+    ``wall_ms`` is written only under ``include_timings``.
+    """
+
     n: int
     C: float
     adversary: str
@@ -99,15 +101,11 @@ class SweepResult:
         out = io.StringIO()
         out.write(f"# {CSV_SCHEMA}\n# plan {json.dumps(plan, sort_keys=True)}\n")
         writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(_COLUMNS + (("wall_ms",) if include_timings else ()))
+        columns = [f for f in fields(TrialRow) if include_timings or f.name != "wall_ms"]
+        writer.writerow(f.name for f in columns)
+        formats = [_CELL_TEXT.get(f.type, str) for f in columns]
         for r in self.rows:
-            cells = [
-                str(r.n), _num(r.C), r.adversary, str(r.trial), str(r.seed), _num(r.p),
-                str(r.achieved), str(r.target), str(int(r.success)), r.error,
-            ]
-            if include_timings:
-                cells.append(_num(r.wall_ms))
-            writer.writerow(cells)
+            writer.writerow(fmt(getattr(r, f.name)) for fmt, f in zip(formats, columns))
         for a in self.aggregates:
             cell = {
                 "n": a.n, "C": a.C, "adversary": a.adversary,
@@ -142,8 +140,9 @@ class SweepResult:
         return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def _num(x: float) -> str:
-    return repr(float(x))
+# CSV cell text by declared field type (a string under postponed annotations);
+# other types print through ``str``.  An int C prints as 5.0 here, 5 in JSON.
+_CELL_TEXT = {"float": lambda x: repr(float(x)), "bool": lambda x: str(int(x))}
 
 
 def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
@@ -166,6 +165,8 @@ def trial_seed(seed_base: int, n: int, C: float, adversary: str, trial: int) -> 
 def _run_trial(args: tuple) -> TrialRow:
     stats, n, C, adversary, trial, seed_base, epsilon = args
     seed = trial_seed(seed_base, n, C, adversary, trial)
+    target = extraction_target(n, stats, epsilon)
+    achieved, error = 0, ""
     start = time.perf_counter()
     try:
         p = threshold_probability(n, C, stats)
@@ -173,32 +174,22 @@ def _run_trial(args: tuple) -> TrialRow:
         spec = AdversarySpec(adversary, {"pattern": stats.pattern}, derive_seed(seed, "colour"))
         coloured = colour_with(host, spec)
         _, report = extract_tiling(coloured, stats, epsilon, seed=derive_seed(seed, "extract"))
-        wall = (time.perf_counter() - start) * 1000
-        return TrialRow(
-            n=n, C=C, adversary=adversary, trial=trial, seed=seed, p=p,
-            achieved=report.achieved_size, target=report.target_size,
-            success=report.achieved_size >= report.target_size,
-            error="", wall_ms=wall,
-        )
+        achieved = report.achieved_size
     except Exception as exc:  # recorded as a row, never aborts the sweep
-        wall = (time.perf_counter() - start) * 1000
-        return TrialRow(
-            n=n, C=C, adversary=adversary, trial=trial, seed=seed,
-            p=float("nan"), achieved=0,
-            target=extraction_target(n, stats, epsilon),
-            success=False,
-            error=type(exc).__name__ + ": " + str(exc).replace(",", ";"),
-            wall_ms=wall,
-        )
+        p = math.nan
+        error = type(exc).__name__ + ": " + str(exc).replace(",", ";")
+    return TrialRow(
+        n=n, C=C, adversary=adversary, trial=trial, seed=seed, p=p,
+        achieved=achieved, target=target, success=not error and achieved >= target,
+        error=error, wall_ms=(time.perf_counter() - start) * 1000,
+    )
 
 
 def run_sweep(plan: SweepPlan, workers: int = 1) -> SweepResult:
     stats = PatternStats.from_graph(plan.pattern)
     tasks = [
         (stats, n, C, adversary, trial, plan.seed_base, plan.epsilon)
-        for n in plan.n_list
-        for C in plan.C_list
-        for adversary in plan.adversaries
+        for n, C, adversary in itertools.product(plan.n_list, plan.C_list, plan.adversaries)
         for trial in range(plan.trials)
     ]
     if workers > 1 and len(tasks) > 1:
@@ -210,18 +201,19 @@ def run_sweep(plan: SweepPlan, workers: int = 1) -> SweepResult:
         rows = [_run_trial(t) for t in tasks]
     rows.sort(key=lambda r: (r.n, r.C, r.adversary, r.trial))
 
+    cells: dict[tuple, list[TrialRow]] = {}
+    for r in rows:
+        cells.setdefault((r.n, r.C, r.adversary), []).append(r)
     aggregates = []
-    for n in sorted(plan.n_list):
-        for C in sorted(plan.C_list):
-            for adversary in sorted(plan.adversaries):
-                cell = [r for r in rows if (r.n, r.C, r.adversary) == (n, C, adversary)]
-                wins = sum(r.success for r in cell)
-                low, high = wilson_interval(wins, len(cell))
-                aggregates.append(
-                    CellAggregate(
-                        n=n, C=C, adversary=adversary, trials=len(cell),
-                        successes=wins, frequency=wins / len(cell) if cell else 0.0,
-                        wilson_low=low, wilson_high=high,
-                    )
-                )
+    for key in itertools.product(sorted(plan.n_list), sorted(plan.C_list), sorted(plan.adversaries)):
+        cell = cells.get(key, [])
+        wins = sum(r.success for r in cell)
+        low, high = wilson_interval(wins, len(cell))
+        aggregates.append(
+            CellAggregate(
+                *key, trials=len(cell), successes=wins,
+                frequency=wins / len(cell) if cell else 0.0,
+                wilson_low=low, wilson_high=high,
+            )
+        )
     return SweepResult(plan, tuple(rows), tuple(aggregates))

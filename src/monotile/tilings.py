@@ -31,13 +31,6 @@ class Tiling:
             out.update(c.vertex_map)
         return frozenset(out)
 
-    @property
-    def vertex_mask(self) -> int:
-        m = 0
-        for c in self.copies:
-            m |= c.vertex_mask
-        return m
-
 
 def tiling_errors(
     G: ColouredGraph,

@@ -1,10 +1,15 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
-from monotile.cli import main
+from monotile.cli import build_parser, main
 from monotile.fixtures import save_fixture
 from monotile.graphs import Graph, colour_all, Colour, load_graph_file, write_graph_text
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -65,8 +70,10 @@ def test_huge_header_n_is_a_usage_error(tmp_path, capsys):
 def test_rt_exact_subcommand(capsys):
     code, out = run(capsys, "rt-exact", "--pattern", "k3", "--host", "k6")
     assert code == 0
-    payload = json.loads(out)
-    assert payload["value"] == 1 and payload["exact"]
+    assert out == (
+        '{\n  "colourings_checked": 156,\n  "exact": true,\n  "lower": 1,\n'
+        '  "mode": "atlas",\n  "upper": 1,\n  "value": 1\n}\n'
+    )
 
 
 def test_good_count_subcommand(tmp_path, capsys):
@@ -83,8 +90,13 @@ def test_good_count_subcommand(tmp_path, capsys):
 def test_aux_check_subcommand(capsys):
     code, out = run(capsys, "aux-check", "--n", "6", "--pattern", "k3")
     assert code == 0
-    head = json.loads(out.splitlines()[0])
-    assert head["all_passed"] is True
+    assert out == (
+        '{"all_passed": true, "hyperedges": 38, "n": 6, "single_degree_refined": true,'
+        ' "tau": 0.408248290463863, "uniformity": 3}\n'
+        '{"bound": 36.0, "delta": 4, "j": 1, "passed": true}\n'
+        '{"bound": 14.696938456699067, "delta": 1, "j": 2, "passed": true}\n'
+        '{"bound": 6.0, "delta": 1, "j": 3, "passed": true}\n'
+    )
 
 
 def test_sweep_subcommand_csv_and_json(tmp_path, capsys):
@@ -160,6 +172,7 @@ def test_verify_fixtures_exit_codes(tmp_path, capsys):
     save_fixture(tmp_path, "m2_density", Graph.complete(3), Graph.complete(3), {})
     code, out = run(capsys, "verify-fixtures", "--dir", str(tmp_path))
     assert code == 0
+    assert out == '{\n  "checked": 1,\n  "mismatches": [],\n  "passed": true,\n  "warnings": []\n}\n'
     # corrupt it
     victim = next(tmp_path.glob("*.fixture.json"))
     payload = json.loads(victim.read_text())
@@ -190,3 +203,17 @@ def test_colour_budget_refusal_on_general_pattern(capsys):
     code, out = run(capsys, *argv)
     assert code == 0
     assert out.splitlines()[0] == "6 15"
+
+
+def test_readme_commands_parse_and_scripts_exist():
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```sh\n(.*?)^```", readme, flags=re.M | re.S)
+    joined = [block.replace("\\\n", " ") for block in blocks]  # backslash continuations
+    lines = [line.split("#")[0].strip() for block in joined for line in block.splitlines()]
+    commands = [shlex.split(line) for line in lines if line.startswith("monotile ")]
+    scripts = {tok for line in lines for tok in shlex.split(line) if tok.startswith("scripts/")}
+    assert commands and scripts
+    for argv in commands:
+        build_parser().parse_args(argv[1:])  # a usage error exits
+    for script in sorted(scripts):
+        assert (REPO / script).is_file(), script

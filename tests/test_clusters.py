@@ -161,6 +161,20 @@ def test_process_validates_inputs(k3):
         cluster_process(host, k3, [0, 1, 2], [3, 4, 5], 0.3, one_blue, one_red)
 
 
+def test_process_rejects_input_tilings_of_the_wrong_colour_in_the_host(k3):
+    # The tilings cover their sides with the right colour tags and sizes, but
+    # in the swapped host X's copies are red, and in the all-blue host Y's are blue.
+    inst = planted_process_instance(k3, 12, 0, 1.0)
+    all_blue = colour_all(inst.coloured.graph, Colour.BLUE)
+    for host, side in ((inst.coloured.swap_colours(), "X"), (all_blue, "Y")):
+        for eta in (0.1, 0.3, 0.5):
+            with pytest.raises(ValueError, match=f"^{side} tiling is not a valid tiling of the host: copy 0: "):
+                cluster_process(
+                    host, k3, inst.x_vertices, inst.y_vertices, eta,
+                    inst.blue_tiling, inst.red_tiling,
+                )
+
+
 def test_process_rejects_tiny_patterns(k2, k3):
     inst = planted_process_instance(k3, 12)
     with pytest.raises(ValueError, match="at least 3 vertices"):

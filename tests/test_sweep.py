@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import io
 import json
 import os
@@ -103,6 +104,60 @@ def test_json_shape():
     payload = json.loads(run_sweep(_small_plan(n_list=(9,))).to_json())
     assert set(payload) == {"schema", "plan", "rows", "aggregates"}
     assert all("wall_ms" not in row for row in payload["rows"])
+
+
+_PINNED_CSV = """\
+# monotile-sweep-csv v2
+# plan {"epsilon": 0.1, "pattern": "k3", "seed_base": 7, "trials": 1}
+n,C,adversary,trial,seed,p,achieved,target,success,error
+15,-1.0,uniform-random,0,3180101358029593544,nan,0,1,0,ValueError: edge probability -0.25819888974716115 outside [0; 1]
+15,5.0,uniform-random,0,5703396763123485103,1.0,5,1,1,
+# cell {"C": -1, "adversary": "uniform-random", "frequency": 0.0, "n": 15, "successes": 0, "trials": 1, "wilson95": [0.0, 0.7934567085261071]}
+# cell {"C": 5, "adversary": "uniform-random", "frequency": 1.0, "n": 15, "successes": 1, "trials": 1, "wilson95": [0.20654329147389294, 1.0]}
+"""
+
+_PINNED_JSON_ROWS = """\
+  "rows": [
+    {
+      "C": -1,
+      "achieved": 0,
+      "adversary": "uniform-random",
+      "error": "ValueError: edge probability -0.25819888974716115 outside [0; 1]",
+      "n": 15,
+      "p": NaN,
+      "seed": 3180101358029593544,
+      "success": false,
+      "target": 1,
+      "trial": 0
+    },
+    {
+      "C": 5,
+      "achieved": 5,
+      "adversary": "uniform-random",
+      "error": "",
+      "n": 15,
+      "p": 1.0,
+      "seed": 5703396763123485103,
+      "success": true,
+      "target": 1,
+      "trial": 0
+    }
+  ],
+"""
+
+
+def test_small_plan_bytes_are_pinned():
+    # Int C values print as 5.0 in CSV cells and as 5 in JSON; a failed trial
+    # keeps p = nan, achieved = 0 and the extraction target.
+    plan = _small_plan(n_list=(15,), C_list=(5, -1), epsilon=0.1, trials=1, adversaries=("uniform-random",))
+    result = run_sweep(plan)
+    assert result.to_csv() == _PINNED_CSV
+    text = result.to_json()
+    assert _PINNED_JSON_ROWS in text
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "2c602faff167a217"
+    timed = result.to_csv(include_timings=True).splitlines()
+    assert timed[2] == "n,C,adversary,trial,seed,p,achieved,target,success,error,wall_ms"
+    assert [line.rsplit(",", 1)[0] for line in timed[3:5]] == _PINNED_CSV.splitlines()[3:5]
 
 
 def test_trial_seeds_differ_by_cell():
