@@ -10,8 +10,10 @@ instance is a hard failure of the build, never of the instance.
 The build writes each hyperedge as a sorted row of int codes,
 ``(u*n + v) << 1 | red`` per hypervertex, straight from the vertex subsets of
 the complete host and the pattern's edge images: every subset holds every
-image.  The degree check counts j-subsets of the rows as packed ints.  The
-frozenset form of the hyperedges is a view built on first use.
+image.  One lexsort per colour keeps the distinct rows, in
+``np.unique(rows, axis=0)``'s row order.  The degree check counts j-subsets
+of the rows as packed ints.  The frozenset form of the hyperedges is a view
+built on first use.
 """
 
 from __future__ import annotations
@@ -101,13 +103,25 @@ def build_aux_hypergraph(
     codes = ((subsets[:, i] * n + subsets[:, j]) << 1)[:, images]  # subset, image, pair
     red = (codes[in_a >= H.alpha] | 1).reshape(-1, H.ell)
     blue = codes[k - in_a >= H.alpha].reshape(-1, H.ell)
-    # Distinct rows: a pattern with an isolated vertex puts one edge set on
-    # several vertex subsets.
-    rows = np.concatenate([np.unique(red, axis=0), np.unique(blue, axis=0)])
+    rows = np.concatenate([_distinct_rows(red), _distinct_rows(blue)])
     rows.flags.writeable = False
     aux = AuxHypergraph(n, part_a, part_b, H, rows)
     _check_build(aux)
     return aux
+
+
+def _distinct_rows(codes: np.ndarray) -> np.ndarray:
+    """``np.unique(codes, axis=0)`` for a 2-d int array with columns, by one lexsort:
+    sorted rows, each kept if it differs from the row before it.
+
+    Repeats come only from a pattern with an isolated vertex, which puts one
+    edge set on several vertex subsets; the sort also fixes the row order of
+    the images on one subset.
+    """
+    codes = codes[np.lexsort(codes.T[::-1])]
+    keep = np.ones(len(codes), bool)
+    keep[1:] = (codes[1:] != codes[:-1]).any(axis=1)
+    return codes[keep]
 
 
 def _check_build(aux: AuxHypergraph) -> None:

@@ -25,12 +25,19 @@ class Side(Enum):
     Y = "Y"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class GoodCopy:
     """A monochromatic copy meeting the required side in >= alpha vertices."""
 
     copy: EmbeddedCopy
     side_hit: Side
+
+    def __init__(self, copy: EmbeddedCopy, side_hit: Side) -> None:
+        # Fills the instance dict directly: the generated frozen __init__
+        # pays one object.__setattr__ per field, and every served probe builds one.
+        d = self.__dict__
+        d["copy"] = copy
+        d["side_hit"] = side_hit
 
 
 def find_side_good_copy(

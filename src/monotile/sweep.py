@@ -46,6 +46,12 @@ class SweepPlan:
                 raise ValueError(f"unknown adversary {name!r}")
         if not 0 < self.epsilon < 1:
             raise ValueError("epsilon must lie in (0, 1)")
+        # A repeated entry would rerun its cells with the same seeds and count
+        # the copies as independent trials.
+        for label, values in (("n_list", self.n_list), ("C_list", self.C_list), ("adversaries", self.adversaries)):
+            for i, value in enumerate(values):
+                if value in values[:i]:
+                    raise ValueError(f"{label} repeats {value!r}")
 
     @property
     def cells(self) -> int:

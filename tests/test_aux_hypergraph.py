@@ -6,13 +6,18 @@ from typing import Iterable
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from monotile import aux_hypergraph
 from monotile.aux_hypergraph import (
     AuxHypergraph,
     DegreeCheck,
     DegreeReport,
     HVertex,
     _bound_holds,
+    _distinct_rows,
     aux_degree_check,
     build_aux_hypergraph,
 )
@@ -173,6 +178,33 @@ def test_build_and_degree_check_match_reference(pattern, n):
     aux = build_aux_hypergraph(n, range(n // 2), range(n // 2, n), H)
     assert aux.hyperedges == _reference_hyperedges(n, H)
     assert aux_degree_check(aux) == _reference_aux_degree_check(aux)
+
+
+@given(arrays(np.int64, st.tuples(st.integers(0, 40), st.integers(1, 4)), elements=st.integers(0, 5)))
+def test_distinct_rows_match_numpy_unique(codes):
+    got, want = _distinct_rows(codes), np.unique(codes, axis=0)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize(
+    "pattern",
+    [
+        pattern_by_name("k3"), pattern_by_name("p4"), pattern_by_name("c4"),
+        pattern_by_name("matching-2"), Graph(4, frozenset({(0, 1), (1, 2)})),
+    ],
+    ids=["k3", "p4", "c4", "matching-2", "p3+k1"],
+)
+@pytest.mark.parametrize("n", [0, 2, 4, 6, 8])
+def test_build_rows_match_numpy_unique_order(monkeypatch, pattern, n):
+    # Pins the row order too: only P3 + K1 repeats rows, but every pattern's
+    # rows on one subset come out of the sort.
+    H = PatternStats.from_graph(pattern)
+    rows = build_aux_hypergraph(n, range(n // 2), range(n // 2, n), H).rows
+    monkeypatch.setattr(aux_hypergraph, "_distinct_rows", lambda codes: np.unique(codes, axis=0))
+    want = build_aux_hypergraph(n, range(n // 2), range(n // 2, n), H).rows
+    assert rows.shape == want.shape == (len(want), H.ell) and rows.dtype == want.dtype
+    assert np.array_equal(rows, want)
 
 
 # Frozenset reference from the oracles' edge-set enumeration: j-degrees as a

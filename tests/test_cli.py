@@ -113,6 +113,16 @@ def test_sweep_subcommand_csv_and_json(tmp_path, capsys):
     assert json.loads(out_json)["rows"]
 
 
+def test_sweep_rejects_a_repeated_host_size(capsys):
+    code = main([
+        "sweep", "--pattern", "k3", "--n-list", "30,30", "--c-list", "5",
+        "--epsilon", "0.2", "--trials", "2",
+    ])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "error: n_list repeats 30\n"
+
+
 def test_missing_file_is_usage_error(capsys):
     code, _ = run(
         capsys, "good-count", "--graph", "/nonexistent", "--pattern", "k3",

@@ -1,14 +1,38 @@
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from monotile.embeddings import EmbeddedCopy
 from monotile.extraction import maximal_cluster_family
 from monotile.graphs import Colour, ColouredGraph, Graph, colour_all
 from monotile.oracles import good_copy_witness_count
-from monotile.richness import Side, richness_probe
+from monotile.richness import GoodCopy, Side, richness_probe
 from monotile.instances import bowtie_union
 
 from .conftest import all_colourings, coloured_graphs
+
+
+def test_good_copy_keeps_the_dataclass_contract():
+    # GoodCopy fills its own instance dict; everything else is the dataclass's.
+    def make():
+        return EmbeddedCopy(tuple([0, 2, 1]), Colour.BLUE)
+
+    record = GoodCopy(make(), Side.Y)
+    twin = GoodCopy(copy=make(), side_hit=Side.Y)
+    assert [f.name for f in dataclasses.fields(GoodCopy)] == ["copy", "side_hit"]
+    assert vars(record) == vars(twin) == {"copy": make(), "side_hit": Side.Y}
+    assert record == twin and hash(record) == hash(twin)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        record.side_hit = Side.X
+    changed = dataclasses.replace(record, side_hit=Side.X)
+    assert type(changed) is GoodCopy and vars(changed) == {"copy": make(), "side_hit": Side.X}
+    assert changed != record
+    assert repr(record) == f"GoodCopy(copy={make()!r}, side_hit={Side.Y!r})"
+    restored = pickle.loads(pickle.dumps(record))
+    assert restored == record and hash(restored) == hash(record)
 
 
 def test_probe_all_red_k6(k3):

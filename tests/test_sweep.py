@@ -175,6 +175,12 @@ def test_plan_validation():
         _small_plan(adversaries=("nope",))
     with pytest.raises(ValueError):
         _small_plan(epsilon=1.0)
+    with pytest.raises(ValueError, match="n_list repeats 12"):
+        _small_plan(n_list=(12, 15, 12))
+    with pytest.raises(ValueError, match="C_list repeats 50"):
+        _small_plan(C_list=(50.0, 50))
+    with pytest.raises(ValueError, match="adversaries repeats 'uniform-random'"):
+        _small_plan(adversaries=("uniform-random",) * 2)
 
 
 def test_trial_failures_become_rows(monkeypatch):
