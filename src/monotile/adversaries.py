@@ -68,9 +68,10 @@ def _uniform_random(G: Graph, spec: AdversarySpec) -> Masks:
 def _planted_partition(G: Graph, spec: AdversarySpec) -> Masks:
     part = spec.params.get("part")
     if part is None:
-        size = int(spec.params.get("part_size", max(1, G.n // 5)))
-        part = range(size)
-    inside = mask_of(v for v in part if 0 <= v < G.n)
+        part = range(min(int(spec.params.get("part_size", max(1, G.n // 5))), G.n))
+    elif not all(0 <= v < G.n for v in part):
+        raise ValueError(f"planted-partition part vertices must lie in range({G.n})")
+    inside = mask_of(part)
     return tuple(a & inside if inside >> v & 1 else 0 for v, a in enumerate(G.adjacency))
 
 

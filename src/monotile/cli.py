@@ -127,7 +127,7 @@ def cmd_good_count(args) -> int:
     coloured = _require_coloured(load_graph_file(args.graph))
     stats = PatternStats.from_graph(_load_pattern(args.pattern))
     A = _parse_vertices(args.part_a)
-    B = [v for v in range(coloured.n) if v not in set(A)]
+    B = sorted(set(range(coloured.n)).difference(A))
     count = good_copy_count(coloured, stats, A, B, args.budget)
     _emit(args, json.dumps({"good_copies": count}, sort_keys=True) + "\n")
     return EXIT_OK
@@ -139,7 +139,7 @@ def cmd_aux_check(args) -> int:
         A = _parse_vertices(args.part_a)
     else:
         A = list(range(args.n // 2))
-    B = [v for v in range(args.n) if v not in set(A)]
+    B = sorted(set(range(args.n)).difference(A))
     aux = build_aux_hypergraph(args.n, A, B, stats, args.budget)
     report = aux_degree_check(aux)
     lines = [

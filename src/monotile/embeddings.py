@@ -127,15 +127,6 @@ def iter_embeddings(
     yield from rec(0, 0, 0)
 
 
-def _resolve_universe(n: int, allowed_vertices: Iterable[int] | int | None) -> int:
-    full = (1 << n) - 1
-    if allowed_vertices is None:
-        return full
-    if isinstance(allowed_vertices, int):
-        return allowed_vertices & full
-    return mask_of(allowed_vertices) & full
-
-
 def find_mono_copy(
     G: ColouredGraph,
     H: PatternStats,
@@ -144,11 +135,14 @@ def find_mono_copy(
 ) -> EmbeddedCopy | None:
     """First monochromatic copy of ``H`` inside ``G[allowed_vertices]``, or ``None``.
 
-    With no colour filter, red is searched before blue.
+    With no colour filter, red is searched before blue.  Vertices outside the
+    host are ignored, as in :func:`first_copy`.
     """
     if H.ell == 0:
         raise ValueError("monochromatic copy search needs a pattern with at least one edge")
-    universe = _resolve_universe(G.n, allowed_vertices)
+    universe = -1 if allowed_vertices is None else allowed_vertices
+    if not isinstance(universe, int):
+        universe = mask_of(universe)
     colours = (colour_filter,) if colour_filter else (Colour.RED, Colour.BLUE)
     for colour in colours:
         vm = first_copy(G.adjacency_for(colour), H.pattern, universe)

@@ -3,11 +3,14 @@
 Each fixture is one JSON file embedding its own inputs (host text, pattern
 text, parameters) plus the cached value, keyed by content hashes.
 ``verify_fixtures`` recomputes every value within per-operation budgets and
-reports any drift as a hard failure naming the offending keys.
+reports any drift as a hard failure naming the offending keys; so is a file
+it cannot recompute (not a JSON object, or a host or pattern text that does
+not parse to the kind its operation takes), and the rest are still checked.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,40 +23,38 @@ from .patterns import PatternStats, independence_number, m2_density
 FIXTURE_SUFFIX = ".fixture.json"
 
 
+def _parsed(payload: dict, field: str, kind: type = Graph) -> Graph | ColouredGraph:
+    """The graph in ``payload[field]``; ``ValueError`` unless it parses to ``kind``."""
+    graph = parse_graph_text(payload[field])
+    if not isinstance(graph, kind):
+        wanted = "a coloured" if kind is ColouredGraph else "an uncoloured"
+        raise ValueError(f"{field} text must be {wanted} graph")
+    return graph
+
+
 def _stats(payload: dict) -> PatternStats:
-    return PatternStats.from_graph(parse_graph_text(payload["pattern"]))
-
-
-def _host(payload: dict) -> Graph | ColouredGraph:
-    return parse_graph_text(payload["host"])
+    return PatternStats.from_graph(_parsed(payload, "pattern"))
 
 
 def _compute_rt_exact(payload: dict, budget: float | None):
-    host = _host(payload)
-    assert isinstance(host, Graph)
-    return oracles.exact_rt(_stats(payload), host, budget).value
+    return oracles.exact_rt(_stats(payload), _parsed(payload, "host"), budget).value
 
 
 def _compute_good_copy_count(payload: dict, budget: float | None):
-    host = _host(payload)
-    assert isinstance(host, ColouredGraph)
+    host = _parsed(payload, "host", ColouredGraph)
     A = payload["params"]["A"]
-    B = [v for v in range(host.n) if v not in set(A)]
+    B = sorted(set(range(host.n)).difference(A))
     return oracles.good_copy_count(host, _stats(payload), A, B, budget)
 
 
 def _compute_richness(payload: dict, budget: float | None):
-    host = _host(payload)
-    assert isinstance(host, Graph)
-    verdict = oracles.richness_decide(host, _stats(payload), int(payload["params"]["s"]), budget)
-    return verdict.rich
+    s = int(payload["params"]["s"])
+    return oracles.richness_decide(_parsed(payload, "host"), _stats(payload), s, budget).rich
 
 
 def _compute_clique_supersat(payload: dict, budget: float | None):
-    host = _host(payload)
-    assert isinstance(host, Graph)
     params = payload["params"]
-    report = oracles.clique_supersat_count(host, int(params["R"]), params.get("t"), budget)
+    report = oracles.clique_supersat_count(_parsed(payload, "host"), int(params["R"]), params.get("t"), budget)
     return {
         "count": report.count,
         "hypothesis_met": report.hypothesis_met,
@@ -62,11 +63,11 @@ def _compute_clique_supersat(payload: dict, budget: float | None):
 
 
 def _compute_m2(payload: dict, budget: float | None):
-    return str(m2_density(parse_graph_text(payload["pattern"])))
+    return str(m2_density(_parsed(payload, "pattern")))
 
 
 def _compute_alpha(payload: dict, budget: float | None):
-    return independence_number(parse_graph_text(payload["pattern"]))
+    return independence_number(_parsed(payload, "pattern"))
 
 
 OPERATIONS: dict[str, Callable[[dict, float | None], object]] = {
@@ -81,8 +82,6 @@ OPERATIONS: dict[str, Callable[[dict, float | None], object]] = {
 
 def fixture_key(operation: str, host_hash: str, pattern_hash: str, params: dict) -> str:
     params_part = json.dumps(params, sort_keys=True).encode()
-    import hashlib
-
     params_hash = hashlib.sha256(params_part).hexdigest()[:8]
     return f"{operation}__{host_hash}__{pattern_hash}__{params_hash}"
 
@@ -134,13 +133,20 @@ def verify_fixtures(directory: Path | str, budget: float | None = None) -> Verif
     mismatches = []
     checked = 0
     for path in files:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        op = payload.get("operation")
-        key = payload.get("key", path.name)
-        if op not in OPERATIONS:
-            mismatches.append(f"{key}: unknown operation {op!r}")
+        key = path.name
+        try:
+            payload = json.loads(path.read_text(encoding="utf-8"))
+            if not isinstance(payload, dict):
+                raise ValueError("not a JSON object")
+            key = payload.get("key", key)
+            op = payload.get("operation")
+            if op not in OPERATIONS:
+                mismatches.append(f"{key}: unknown operation {op!r}")
+                continue
+            fresh = OPERATIONS[op](payload, budget)
+        except (ValueError, KeyError) as exc:
+            mismatches.append(f"{key}: cannot recompute: {exc}")
             continue
-        fresh = OPERATIONS[op](payload, budget)
         checked += 1
         if fresh != payload.get("value"):
             mismatches.append(

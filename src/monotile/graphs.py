@@ -13,9 +13,10 @@ parser already hold their edges as lexicographic arrays, so they build the
 graph with ``Graph.from_pairs``, which keeps those arrays as ``edge_pairs``;
 the adversaries build masks through ``Graph.from_adjacency`` and
 ``ColouredGraph.from_masks``.  Masks are built from pairs by setting bits in
-a transient bool matrix, one ``8*ceil(n/8)``-cell row per vertex with an
+a transient bool matrix, one ``64*ceil(n/64)``-cell row per vertex with an
 edge (n^2 bytes on a dense host, the size of the matrix ``pairs_of_masks``
-unpacks), packed in one ``np.packbits`` call.  Both classes are immutable.
+unpacks), packed in one call by ``_packed_rows``, which the planted
+instances share.  Both classes are immutable.
 """
 
 from __future__ import annotations
@@ -87,21 +88,39 @@ def disjoint_side_masks(n: int, X: Iterable[int], Y: Iterable[int]) -> tuple[int
     return x_mask, y_mask
 
 
+def _packed_rows(bits: np.ndarray) -> list[int]:
+    """Each row of a bool matrix as a mask, column ``j`` at bit ``j``: the rows padded to
+    whole 64-bit words (unless already C-ordered and that wide) and packed in one call,
+    and rows of one word converted in one ``tolist``."""
+    rows, cols = bits.shape
+    words = -(-cols // 64)
+    if cols != 64 * words or not bits.flags.c_contiguous:
+        padded = np.zeros((rows, 64 * words), bool)
+        padded[:, :cols] = bits
+        bits = padded
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    if words == 1:
+        return packed.view("<u8").ravel().tolist()
+    raw, width = packed.tobytes(), 8 * words
+    return [int.from_bytes(raw[i:i + width], "little") for i in range(0, len(raw), width)]
+
+
 def masks_from_pairs(n: int, us: np.ndarray, vs: np.ndarray) -> Masks:
     """Neighbour masks of the edges ``(us[i], vs[i])``, set in one bool matrix and packed
-    in one call.  The matrix has a row of ``8*ceil(n/8)`` cells only for each vertex
+    in one call.  The matrix has a row of ``64*ceil(n/64)`` cells only for each vertex
     with an edge, so a sparse host on many vertices does not cost ``n**2`` bytes."""
     present = np.zeros(n, bool)
     present[us] = True
     present[vs] = True
     rows, at = np.flatnonzero(present), np.cumsum(present) - 1
-    width = (n + 7) >> 3
-    cells = np.zeros(len(rows) * 8 * width, bool)
-    cells[at[us] * (8 * width) + vs] = True
-    cells[at[vs] * (8 * width) + us] = True
-    raw, masks = np.packbits(cells, bitorder="little").tobytes(), [0] * n
-    for i, v in enumerate(rows.tolist()):
-        masks[v] = int.from_bytes(raw[i * width:(i + 1) * width], "little")
+    width = 64 * ((n + 63) >> 6)
+    cells = np.zeros((len(rows), width), bool)
+    flat = cells.reshape(-1)
+    flat[at[us] * width + vs] = True
+    flat[at[vs] * width + us] = True
+    masks = [0] * n
+    for v, m in zip(rows.tolist(), _packed_rows(cells)):
+        masks[v] = m
     return tuple(masks)
 
 
@@ -272,14 +291,6 @@ class ColouredGraph:
 
     def content_hash(self) -> str:
         return hashlib.sha256(write_graph_text(self).encode()).hexdigest()[:16]
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    @cached_property
-    def _hash(self) -> int:
-        """The dataclass field-tuple hash, computed once: memo tables key on colourings."""
-        return hash((self.graph, self.red_adjacency, self.blue_adjacency))
 
 
 def colour_all(graph: Graph, colour: Colour) -> ColouredGraph:

@@ -2,17 +2,17 @@
 
 These feed the process and extraction tests: hosts built so that the
 cluster machinery provably has material to work with (or provably has
-none, for the failure paths).
+none, for the failure paths).  The red cross edges are drawn as one bool
+block, whose rows (for X) and columns (for Y) the row packer of
+:mod:`monotile.graphs` turns into masks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .embeddings import EmbeddedCopy
-from .graphs import Colour, ColouredGraph, Graph
+from .graphs import Colour, ColouredGraph, Graph, _packed_rows
 from .patterns import PatternStats
 from .sampling import derive_seed, philox_generator
 from .tilings import Tiling
@@ -25,23 +25,6 @@ class ProcessInstance:
     y_vertices: frozenset[int]
     blue_tiling: Tiling
     red_tiling: Tiling
-
-
-def _row_masks(bits: np.ndarray) -> list[int]:
-    """Each row of a bool matrix as a mask, column ``j`` at bit ``j``.
-
-    The rows are padded to whole 64-bit words and packed in one call; rows of
-    one word convert to ints in one ``tolist``.
-    """
-    rows, cols = bits.shape
-    words = -(-cols // 64)
-    padded = np.zeros((rows, 64 * words), bool)
-    padded[:, :cols] = bits
-    packed = np.packbits(padded, axis=1, bitorder="little")
-    if words == 1:
-        return packed.view("<u8").ravel().tolist()
-    raw, width = packed.tobytes(), 8 * words
-    return [int.from_bytes(raw[i:i + width], "little") for i in range(0, len(raw), width)]
 
 
 def _block_tiling(k: int, start: int, copies: int, colour: Colour) -> Tiling:
@@ -72,7 +55,7 @@ def planted_process_instance(
     if with_cross:
         draws = philox_generator(derive_seed("planted-cross", seed)).random(s * s)
         hits = (draws < cross_red_fraction).reshape(s, s)  # hits[x, y]: edge (x, s + y) is red
-        red = tuple([m << s for m in _row_masks(hits)] + [m | b for m, b in zip(_row_masks(hits.T), y_red)])
+        red = tuple([m << s for m in _packed_rows(hits)] + [m | b for m, b in zip(_packed_rows(hits.T), y_red)])
         host = Graph.complete(n)
     else:
         red = (0,) * s + tuple(y_red)

@@ -11,13 +11,14 @@ are swept once per pattern, into its distinct edge images over position
 pairs; each vertex subset then reads its present pairs from the masks, is
 skipped when they are fewer than the pattern's edges, and holds exactly the
 images inside them.  The good-copy and tiling oracles sweep each colour class
-of a colouring once, into the vertex masks of its copies kept as long as the
-colouring lives, and filter those lists for every side pair they are asked
-about.  ``exact_rt`` on an atlas host lists the host's copies once per call
-as ``(vertex mask, pair mask)`` entries, a pair mask setting one bit per
-edge, pairs ``u < v`` numbered in lexicographic order (at most 21 bits on
-seven vertices), and keeps the entries whose edges a colour class covers;
-on other hosts it sweeps each colour class of each colouring.  No table
+of a colouring once per pattern, into the vertex masks of its copies, keep
+them in the colouring's own instance dict, so they die with it, and filter
+those lists for every side pair they are asked about.  ``exact_rt`` on an
+atlas host lists the host's copies once per call as ``(vertex mask, pair
+mask)`` entries, a pair mask setting one bit per edge, pairs ``u < v``
+numbered in lexicographic order (at most 21 bits on seven vertices), and
+keeps the entries whose edges a colour class covers; on other hosts it
+sweeps each colour class of each colouring.  None of ``exact_rt``'s tables
 outlives the call that built it.
 
 Exhaustive colouring sweeps over complete hosts dedup colourings up to
@@ -31,7 +32,6 @@ colour-swap cut.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -209,20 +209,11 @@ def _swept(adjacency: Masks, pattern: Graph) -> tuple[int, ...]:
     return tuple(listed)
 
 
-# Per colouring, the vertex masks of its red and its blue copies of each
-# pattern, one entry per copy.  Weak keys: an entry lives exactly as long as
-# its colouring.
-_COPY_MASKS: weakref.WeakKeyDictionary[ColouredGraph, dict[Graph, tuple[tuple[int, ...], tuple[int, ...]]]] = (
-    weakref.WeakKeyDictionary()
-)
-
-
 def _copy_masks(G: ColouredGraph, pattern: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Vertex masks of every red and of every blue copy of ``pattern`` in ``G``,
-    each colour class swept once per colouring."""
-    memo = _COPY_MASKS.get(G)
-    if memo is None:
-        memo = _COPY_MASKS[G] = {}
+    each colour class swept once per colouring.  The lists are kept per pattern in the
+    colouring's instance dict, as ``cached_property`` keeps a view: they live as long as it."""
+    memo = G.__dict__.setdefault("_oracle_copy_masks", {})
     masks = memo.get(pattern)
     if masks is None:
         masks = memo[pattern] = (_swept(G.red_adjacency, pattern), _swept(G.blue_adjacency, pattern))

@@ -44,6 +44,12 @@ def test_planted_partition_example():
     assert cg.colour_of(4, 5) is Colour.BLUE
 
 
+@pytest.mark.parametrize("part", [[0, 1, 99], [-1, 0, 1], [6]])
+def test_planted_partition_rejects_part_vertices_outside_the_host(part):
+    with pytest.raises(ValueError, match=r"range\(6\)"):
+        colour_with(Graph.complete(6), AdversarySpec("planted-partition", {"part": part}, 0))
+
+
 def test_planted_partition_default_size():
     g = Graph.complete(25)
     cg = colour_with(g, AdversarySpec("planted-partition", {}, 0))

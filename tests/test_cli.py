@@ -1,6 +1,8 @@
+import importlib.util
 import json
 import re
 import shlex
+import time
 from pathlib import Path
 
 import pytest
@@ -192,6 +194,16 @@ def test_verify_fixtures_exit_codes(tmp_path, capsys):
     assert code == 3
 
 
+def test_verify_fixtures_reports_an_unreadable_file_as_drift(tmp_path, capsys):
+    save_fixture(tmp_path, "m2_density", Graph.complete(3), Graph.complete(3), {})
+    (tmp_path / "a.fixture.json").write_text("{not json")
+    code, out = run(capsys, "verify-fixtures", "--dir", str(tmp_path))
+    assert code == 3
+    payload = json.loads(out)
+    assert payload["checked"] == 1 and not payload["passed"]
+    assert [m.split(":")[:2] for m in payload["mismatches"]] == [["a.fixture.json", " cannot recompute"]]
+
+
 def test_colour_planted_part_flag(tmp_path, capsys):
     plain = tmp_path / "g.txt"
     plain.write_text(write_graph_text(Graph.complete(6)))
@@ -204,6 +216,20 @@ def test_colour_planted_part_flag(tmp_path, capsys):
     cg = load_graph_file(out_path)
     assert cg.colour_of(0, 1) is Colour.RED
     assert cg.colour_of(3, 4) is Colour.BLUE
+
+
+@pytest.mark.parametrize("part", ["0,1,99", "-1,0,1"])
+def test_colour_rejects_part_vertices_outside_the_host(capsys, part):
+    assert main(["colour", "--graph", "k6", "--adversary", "planted-partition", f"--part={part}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "range(6)" in captured.err
+
+
+def test_aux_check_refuses_a_large_host_quickly(capsys):
+    start = time.perf_counter()
+    code, _ = run(capsys, "aux-check", "--n", "60000", "--pattern", "k3")
+    assert code == 2
+    assert time.perf_counter() - start < 10  # a quadratic complement of part A took about 35 s
 
 
 def test_colour_budget_refusal_on_general_pattern(capsys):
@@ -227,3 +253,16 @@ def test_readme_commands_parse_and_scripts_exist():
         build_parser().parse_args(argv[1:])  # a usage error exits
     for script in sorted(scripts):
         assert (REPO / script).is_file(), script
+
+
+@pytest.mark.parametrize("script", sorted(path.name for path in (REPO / "scripts").glob("*.py")))
+def test_every_script_imports_without_running(script, tmp_path, monkeypatch):
+    """A rename in ``src/`` that a script still imports fails here; importing writes nothing."""
+    atlas = REPO / "src" / "monotile" / "atlas.txt"
+    before = atlas.stat().st_mtime_ns
+    monkeypatch.chdir(tmp_path)
+    spec = importlib.util.spec_from_file_location(f"script_{script[:-3]}", REPO / "scripts" / script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert callable(module.main)
+    assert not any(tmp_path.iterdir()) and atlas.stat().st_mtime_ns == before

@@ -1,7 +1,9 @@
 import json
 
+import pytest
+
 from monotile.fixtures import save_fixture, verify_fixtures
-from monotile.graphs import Colour, Graph, colour_all
+from monotile.graphs import Colour, Graph, colour_all, write_graph_text
 
 
 def test_pristine_fixture_dir_passes(tmp_path, k3):
@@ -52,3 +54,28 @@ def test_unknown_operation_reported(tmp_path):
     report = verify_fixtures(tmp_path)
     assert not report.passed
     assert "zzz" in report.mismatches[0]
+
+
+_K3_TEXT = write_graph_text(Graph.complete(3))
+
+
+@pytest.mark.parametrize("text, mismatch", [
+    (
+        json.dumps({"operation": "rt_exact", "key": "coloured-host", "params": {}, "value": 0, "pattern": _K3_TEXT,
+                    "host": write_graph_text(colour_all(Graph.complete(5), Colour.RED))}),
+        "coloured-host: cannot recompute: host text must be an uncoloured graph",
+    ),
+    (
+        json.dumps({"operation": "good_copy_count", "key": "bad-host", "params": {"A": [0]}, "value": 0,
+                    "pattern": _K3_TEXT, "host": "3 1\n0 7 r\n"}),
+        "bad-host: cannot recompute: ",
+    ),
+    ("{not json", "a.fixture.json: cannot recompute: Expecting property name"),
+    ("[1, 2]", "a.fixture.json: cannot recompute: not a JSON object"),
+])
+def test_a_file_that_cannot_be_recomputed_is_a_mismatch(tmp_path, text, mismatch):
+    (tmp_path / "a.fixture.json").write_text(text)
+    save_fixture(tmp_path, "m2_density", Graph.complete(3), Graph.complete(3), {})  # verified after it
+    report = verify_fixtures(tmp_path)
+    assert report.checked == 1 and len(report.mismatches) == 1
+    assert report.mismatches[0].startswith(mismatch)

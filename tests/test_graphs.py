@@ -467,6 +467,14 @@ def test_masks_from_pairs_matches_reference(case):
     assert masks_from_pairs(n, us, vs) == _reference_masks_from_pairs(n, us, vs)
 
 
+@pytest.mark.parametrize("cols", [1, 63, 64, 65, 128, 130])
+def test_packed_rows_match_the_bit_sums_in_either_order(cols):
+    bits = np.random.default_rng(cols).random((cols, cols)) < 0.5
+    for matrix in (bits, bits.T):  # the transpose is Fortran-ordered
+        want = [sum(1 << j for j in np.flatnonzero(row).tolist()) for row in matrix]
+        assert graphs_module._packed_rows(matrix) == want
+
+
 @given(boundary_hosts(), st.randoms(use_true_random=False), st.sampled_from(["\n", "\r\n"]))
 def test_parsed_edge_pairs_are_the_lexicographic_pairs(g, rnd, newline):
     """Reversed, shuffled and blank-separated lines still parse to read-only ``edge_pairs``
