@@ -11,7 +11,7 @@ when its endpoints' differences sum above zero. The copy-avoider reads, on
 the masks of the edges already coloured, the copies an edge closes in each
 colour: for complete patterns the ``K_(k-2)`` in the common neighbourhood,
 counted on masks (one popcount for triangles); for other patterns the pinned
-matcher under a work budget.
+matcher's embeddings, a fixed multiple of the copies, under a work budget.
 """
 
 from __future__ import annotations
@@ -25,8 +25,7 @@ import numpy as np
 
 from .budget import require_budget
 from .embeddings import _cached_order, iter_embeddings
-from .graphs import ColouredGraph, Edge, Graph, Masks, mask_of, masks_from_pairs
-from .graphs import normalize_edge, pattern_by_name
+from .graphs import ColouredGraph, Graph, Masks, mask_of, masks_from_pairs, pattern_by_name
 from .sampling import derive_seed, philox_generator
 
 ADVERSARY_NAMES = (
@@ -113,13 +112,17 @@ def _cliques(adj: list[int], cand: int, t: int) -> int:
 
 
 def _closing_counter(G: Graph, pattern: Graph, budget: float | None):
-    """``count(adj, u, v)``: copies of ``pattern`` that edge (u, v) closes in ``adj``, which
-    holds only the edges already coloured.
+    """``count(adj, u, v)``: the cost of the copies of ``pattern`` that edge (u, v) closes
+    in ``adj``, which holds only the edges already coloured.
 
     A ``K_k`` through uv is uv plus a ``K_(k-2)`` in the common neighbourhood, which
     placing uv does not change: triangles are one popcount, larger cliques ``_cliques``
-    under the budget. Other patterns set uv's bits, pin each pattern edge to (u, v)
-    both ways in the matcher, under the budget, dedupe edge sets and clear the bits.
+    under the budget. Other patterns set uv's bits, count the embeddings of the matcher
+    pinned at each pattern edge both ways, under the budget, and clear the bits. An
+    embedding maps exactly one pattern edge onto {u, v}, one way, so it is listed once;
+    a copy (an edge set) is the image of ``|Aut(H')| * P(n - k', i)`` embeddings, ``H'``
+    the pattern less its ``i`` isolated vertices, on ``k'`` vertices. That factor is fixed
+    per host and pattern, so ``_greedy``'s comparisons and ties are those of the copies.
     """
     if pattern.n >= 3 and pattern.num_edges == pattern.n * (pattern.n - 1) // 2:
         t = pattern.n - 2
@@ -134,14 +137,11 @@ def _closing_counter(G: Graph, pattern: Graph, budget: float | None):
         bu, bv = 1 << u, 1 << v
         adj[u] |= bv
         adj[v] |= bu
-        seen: set[frozenset[Edge]] = set()
-        for a, b in pattern.edges:
-            for x, y in ((u, v), (v, u)):
-                for vm in iter_embeddings(adj, pattern, universe, pin=((a, x), (b, y))):
-                    seen.add(frozenset(normalize_edge(vm[s], vm[t]) for s, t in pattern.edges))
+        pins = (pin for a, b in pattern.edges for pin in (((a, u), (b, v)), ((a, v), (b, u))))
+        total = sum(1 for pin in pins for _ in iter_embeddings(adj, pattern, universe, pin=pin))
         adj[u] ^= bv
         adj[v] ^= bu
-        return len(seen)
+        return total
 
     return count
 

@@ -9,9 +9,9 @@ instance is a hard failure of the build, never of the instance.
 
 The build writes each hyperedge as a sorted row of int codes,
 ``(u*n + v) << 1 | red`` per hypervertex, straight from the vertex subsets of
-the complete host and the pattern's edge images: every subset holds every
-image.  One lexsort per colour keeps the distinct rows, in
-``np.unique(rows, axis=0)``'s row order.  The degree check counts j-subsets
+the complete host and the oracles' decode of the pattern's edge images into
+position pairs: every subset holds every image.  One lexsort per colour keeps
+the distinct rows, in ``np.unique(rows, axis=0)``'s row order.  The degree check counts j-subsets
 of the rows as packed ints.  The frozenset form of the hyperedges is a view
 built on first use.
 """
@@ -29,7 +29,7 @@ import numpy as np
 
 from .budget import require_budget
 from .graphs import Colour, Edge
-from .oracles import _pattern_images
+from .oracles import _image_pairs
 from .patterns import PatternStats
 
 HVertex = tuple[Edge, Colour]
@@ -87,20 +87,20 @@ def build_aux_hypergraph(
     if H.ell < 1:
         raise ValueError("pattern needs at least one edge")
     k, n_subsets = H.k, math.comb(n, H.k)
+    decoded = _image_pairs(H.pattern)[1]
     # Charge the codes the build holds, one per pair of each image on each
     # subset, where they outnumber the n^k of the copy enumeration.
-    codes_held = n_subsets * len(_pattern_images(H.pattern)) * H.ell
+    codes_held = n_subsets * len(decoded) * H.ell
     require_budget(max(n**k, codes_held), budget, "good-copy enumeration")
 
     subsets = np.fromiter(chain.from_iterable(combinations(range(n), k)), np.int64, n_subsets * k)
     subsets = subsets.reshape(n_subsets, k)
     in_a = np.isin(subsets, list(part_a)).sum(axis=1)
-    # Codes of each subset's position pairs, then of each image's pairs: a
-    # subset's pairs come in combinations order, so every row ascends, and
-    # every image has ell pairs, so the row shape is the uniformity.
-    i, j = np.array(list(combinations(range(k), 2))).T
-    images = [[bit for bit in range(len(i)) if image >> bit & 1] for image in _pattern_images(H.pattern)]
-    codes = ((subsets[:, i] * n + subsets[:, j]) << 1)[:, images]  # subset, image, pair
+    # Codes of each image's position pairs on each subset: an image's pairs
+    # come in combinations order, so every row ascends, and every image has
+    # ell pairs, so the row shape is the uniformity.
+    i, j = np.array(list(decoded.values())).transpose(2, 0, 1)  # image, pair
+    codes = (subsets[:, i] * n + subsets[:, j]) << 1  # subset, image, pair
     red = (codes[in_a >= H.alpha] | 1).reshape(-1, H.ell)
     blue = codes[k - in_a >= H.alpha].reshape(-1, H.ell)
     rows = np.concatenate([_distinct_rows(red), _distinct_rows(blue)])
@@ -151,8 +151,7 @@ def _bound_holds(delta: int, factor: int, n: int, k: int, j: int, m2_or_one: Fra
     # raising both sides to the power of m's numerator.
     p, q = m2_or_one.numerator, m2_or_one.denominator
     exp = p * (k - 2) - (j - 1) * q
-    lhs = delta**p
-    rhs = factor**p
+    lhs, rhs = delta**p, factor**p
     if exp >= 0:
         return lhs <= rhs * n**exp
     return lhs * n**(-exp) <= rhs
@@ -160,10 +159,7 @@ def _bound_holds(delta: int, factor: int, n: int, k: int, j: int, m2_or_one: Fra
 
 def aux_degree_check(aux: AuxHypergraph) -> DegreeReport:
     """Exact maximum j-degrees against the factorial-tau bound, per j."""
-    ell = aux.uniformity
-    k = aux.pattern.k
-    n = aux.n
-    m2m = aux.pattern.m2_or_one
+    ell, k, n, m2m = aux.uniformity, aux.pattern.k, aux.n, aux.pattern.m2_or_one
     fact = math.factorial(ell)
 
     # A j-subset of a sorted row is one int, its codes in base 2n^2; object

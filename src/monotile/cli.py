@@ -21,6 +21,7 @@ from .fixtures import verify_fixtures
 from .graphs import (
     ColouredGraph,
     Graph,
+    _as_colouring,
     load_graph_file,
     pattern_by_name,
     write_graph_text,
@@ -68,12 +69,6 @@ def _load_pattern(token: str) -> Graph:
         return g
 
 
-def _require_coloured(g) -> ColouredGraph:
-    if not isinstance(g, ColouredGraph):
-        raise ValueError("expected a coloured graph file (edge lines 'u v c')")
-    return g
-
-
 def _parse_vertices(text: str) -> list[int]:
     return [int(tok) for tok in text.replace(",", " ").split()]
 
@@ -102,7 +97,7 @@ def cmd_colour(args) -> int:
 
 
 def cmd_extract(args) -> int:
-    coloured = _require_coloured(load_graph_file(args.graph))
+    coloured = _as_colouring(load_graph_file(args.graph))
     stats = PatternStats.from_graph(_load_pattern(args.pattern))
     tiling, report = extract_tiling(coloured, stats, args.epsilon, seed=args.seed)
     payload = json.loads(report.to_json())
@@ -124,7 +119,7 @@ def cmd_rt_exact(args) -> int:
 
 
 def cmd_good_count(args) -> int:
-    coloured = _require_coloured(load_graph_file(args.graph))
+    coloured = _as_colouring(load_graph_file(args.graph))
     stats = PatternStats.from_graph(_load_pattern(args.pattern))
     A = _parse_vertices(args.part_a)
     B = sorted(set(range(coloured.n)).difference(A))

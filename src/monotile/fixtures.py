@@ -17,18 +17,20 @@ from pathlib import Path
 from typing import Callable
 
 from . import oracles
-from .graphs import ColouredGraph, Graph, parse_graph_text, write_graph_text
+from .graphs import ColouredGraph, Graph, _as_colouring, parse_graph_text, write_graph_text
 from .patterns import PatternStats, independence_number, m2_density
 
 FIXTURE_SUFFIX = ".fixture.json"
 
 
 def _parsed(payload: dict, field: str, kind: type = Graph) -> Graph | ColouredGraph:
-    """The graph in ``payload[field]``; ``ValueError`` unless it parses to ``kind``."""
+    """The graph in ``payload[field]``; ``ValueError`` unless it parses to ``kind``, an
+    edgeless graph counting as its one colouring."""
     graph = parse_graph_text(payload[field])
+    if kind is ColouredGraph:
+        return _as_colouring(graph)
     if not isinstance(graph, kind):
-        wanted = "a coloured" if kind is ColouredGraph else "an uncoloured"
-        raise ValueError(f"{field} text must be {wanted} graph")
+        raise ValueError(f"{field} text must be an uncoloured graph")
     return graph
 
 

@@ -90,10 +90,10 @@ def disjoint_side_masks(n: int, X: Iterable[int], Y: Iterable[int]) -> tuple[int
 
 def _packed_rows(bits: np.ndarray) -> list[int]:
     """Each row of a bool matrix as a mask, column ``j`` at bit ``j``: the rows padded to
-    whole 64-bit words (unless already C-ordered and that wide) and packed in one call,
-    and rows of one word converted in one ``tolist``."""
+    whole 64-bit words, at least one (unless already C-ordered and that wide), and packed
+    in one call, and rows of one word converted in one ``tolist``."""
     rows, cols = bits.shape
-    words = -(-cols // 64)
+    words = max(-(-cols // 64), 1)
     if cols != 64 * words or not bits.flags.c_contiguous:
         padded = np.zeros((rows, 64 * words), bool)
         padded[:, :cols] = bits
@@ -289,8 +289,17 @@ class ColouredGraph:
     def swap_colours(self) -> "ColouredGraph":
         return ColouredGraph.from_masks(self.graph, self.blue_adjacency)
 
-    def content_hash(self) -> str:
-        return hashlib.sha256(write_graph_text(self).encode()).hexdigest()[:16]
+    content_hash = Graph.content_hash
+
+
+def _as_colouring(g: Graph | ColouredGraph) -> ColouredGraph:
+    """``g`` if coloured, or an edgeless ``Graph``, which is what an edgeless colouring's
+    text parses to, as its one colouring; ``ValueError`` for a plain graph with edges."""
+    if isinstance(g, ColouredGraph):
+        return g
+    if any(g.adjacency):
+        raise ValueError("expected a coloured graph (edge lines 'u v c')")
+    return ColouredGraph.from_masks(g, g.adjacency)
 
 
 def colour_all(graph: Graph, colour: Colour) -> ColouredGraph:

@@ -8,9 +8,10 @@ of it may call into the search code it validates.
 
 Copy enumeration reads host adjacency masks.  The pattern's permutations
 are swept once per pattern, into its distinct edge images over position
-pairs; each vertex subset then reads its present pairs from the masks, is
-skipped when they are fewer than the pattern's edges, and holds exactly the
-images inside them.  The good-copy and tiling oracles sweep each colour class
+pairs, each decoded once into its position pairs for every reader; each
+vertex subset then reads its present pairs from the masks, is skipped when
+they are fewer than the pattern's edges, and holds exactly the images inside
+them.  The good-copy and tiling oracles sweep each colour class
 of a colouring once per pattern, into the vertex masks of its copies, keep
 them in the colouring's own instance dict, so they die with it, and filter
 those lists for every side pair they are asked about.  ``exact_rt`` on an
@@ -110,6 +111,14 @@ def _pattern_images(pattern: Graph) -> tuple[int, ...]:
     return tuple(images)
 
 
+@cache
+def _image_pairs(pattern: Graph) -> tuple[tuple[Edge, ...], dict[int, tuple[Edge, ...]]]:
+    """The position pairs in ``combinations(range(k), 2)`` order, and each of
+    ``_pattern_images``' images, in their order, as the pairs it covers, in that order."""
+    pairs, images = tuple(combinations(range(pattern.n), 2)), _pattern_images(pattern)
+    return pairs, {image: tuple(p for b, p in enumerate(pairs) if image >> b & 1) for image in images}
+
+
 def _iter_subset_images(
     host_adjacency: Masks, pattern: Graph, universe: Iterable[int]
 ) -> Iterator[tuple[tuple[int, ...], list[int]]]:
@@ -118,7 +127,7 @@ def _iter_subset_images(
     masks once, then every image inside them is a copy."""
     images = _pattern_images(pattern)
     need = images[0].bit_count()
-    pairs = tuple((1 << bit, i, j) for bit, (i, j) in enumerate(combinations(range(pattern.n), 2)))
+    pairs = tuple((1 << bit, i, j) for bit, (i, j) in enumerate(_image_pairs(pattern)[0]))
     for subset in combinations(sorted(universe), pattern.n):
         present = 0
         for pair_bit, i, j in pairs:
@@ -143,14 +152,10 @@ def iter_copies_bruteforce(
     image is present depends only on the image, so filtering the pattern's
     images keeps that order.
     """
-    pairs = tuple(combinations(range(pattern.n), 2))
-    positions = {
-        image: tuple(pair for bit, pair in enumerate(pairs) if image >> bit & 1)
-        for image in _pattern_images(pattern)
-    }
+    decoded = _image_pairs(pattern)[1]
     for subset, held in _iter_subset_images(host_adjacency, pattern, universe):
         for image in held:
-            yield subset, frozenset((subset[i], subset[j]) for i, j in positions[image])
+            yield subset, frozenset((subset[i], subset[j]) for i, j in decoded[image])
 
 
 def mono_copy_count_bruteforce(
@@ -178,20 +183,15 @@ def host_copies(host: Graph, pattern: Graph) -> tuple[tuple[int, int], ...]:
     """``(vertex mask, pair mask)`` of every copy of ``pattern`` in ``host``, in
     ``iter_copies_bruteforce`` order."""
     n = host.n
-    positions = tuple(combinations(range(pattern.n), 2))
-    image_pairs = {
-        image: tuple(bit for bit in range(len(positions)) if image >> bit & 1)
-        for image in _pattern_images(pattern)
-    }
+    decoded = _image_pairs(pattern)[1]
     start = [u * (2 * n - u - 1) // 2 - u - 1 for u in range(n)]  # pair (u, v) is bit start[u] + v
     listed: list[tuple[int, int]] = []
     for subset, held in _iter_subset_images(host.adjacency, pattern, range(n)):
         vm = mask_of(subset)
-        bits = [1 << (start[subset[i]] + subset[j]) for i, j in positions]
         for image in held:
             em = 0
-            for bit in image_pairs[image]:
-                em |= bits[bit]
+            for i, j in decoded[image]:
+                em |= 1 << (start[subset[i]] + subset[j])
             listed.append((vm, em))
     return tuple(listed)
 
@@ -275,6 +275,13 @@ def is_complete_host(G: Graph) -> bool:
     return G.num_edges == G.n * (G.n - 1) // 2
 
 
+_ATLAS_CEILING = 7  # the atlas table's largest order
+
+
+def _atlas_host(G: Graph) -> bool:
+    return G.n <= _ATLAS_CEILING and is_complete_host(G)
+
+
 def _read_atlas_table() -> str:
     return (Path(__file__).parent / "atlas.txt").read_text()
 
@@ -286,7 +293,7 @@ def _atlas() -> dict[int, tuple[Graph, ...]]:
     A line ``n mask`` is the graph on ``n`` vertices whose edges are the pairs
     of ``combinations(range(n), 2)`` at the set bits of the hex ``mask``.
     """
-    pairs = [tuple(combinations(range(n), 2)) for n in range(8)]
+    pairs = [tuple(combinations(range(n), 2)) for n in range(_ATLAS_CEILING + 1)]
     by_order: dict[int, list[Graph]] = {}
     for line in _read_atlas_table().splitlines():
         order, hex_mask = line.split()
@@ -302,8 +309,8 @@ def _atlas() -> dict[int, tuple[Graph, ...]]:
 
 def atlas_graphs(n: int) -> list[Graph]:
     """All graphs on ``n`` vertices up to isomorphism (atlas ceiling: 7)."""
-    if n > 7:
-        raise ValueError("the graph atlas stops at 7 vertices")
+    if n > _ATLAS_CEILING:
+        raise ValueError(f"the graph atlas stops at {_ATLAS_CEILING} vertices")
     return list(_atlas().get(n, ()))
 
 
@@ -317,7 +324,7 @@ def iter_colourings(G: Graph):
     richness).  It charges no budget: callers stop it or price its
     ``2**(m-1)`` colourings first.
     """
-    if is_complete_host(G) and G.n <= 7:
+    if _atlas_host(G):
         for red_graph in atlas_graphs(G.n):
             yield ColouredGraph.from_masks(G, red_graph.adjacency)
         return
@@ -392,13 +399,11 @@ def exact_rt(H: PatternStats, G: Graph, budget: float | None = None) -> RtResult
     degrades to a certified bracket: the upper end is the worst colouring
     seen, the lower end stays at the trivial zero rather than guessing.
     """
-    atlas_mode = is_complete_host(G) and G.n <= 7
+    atlas_mode = _atlas_host(G)
     best_upper = G.n // max(H.k, 1)
-    checked = 0
-    spent = 0.0
+    checked, spent, exhausted = 0, 0.0, False
     limit = work_limit(budget)
     per_colouring = max(1.0, float(G.n) ** H.k)  # copy enumeration dominates
-    exhausted = False
     # Atlas hosts (pair masks of at most 21 bits) filter one table of their
     # copies; raw hosts sweep each colour class, the work per_colouring charges.
     table = host_copies(G, H.pattern) if atlas_mode else None
@@ -419,12 +424,8 @@ def exact_rt(H: PatternStats, G: Graph, budget: float | None = None) -> RtResult
             best_upper = max(red, blue)
         if best_upper == 0:
             break  # nothing can go lower
-    mode = "atlas" if atlas_mode else "raw"
-    if exhausted:
-        return RtResult(lower=0, upper=best_upper, exact=False, colourings_checked=checked, mode=mode)
-    return RtResult(
-        lower=best_upper, upper=best_upper, exact=True, colourings_checked=checked, mode=mode
-    )
+    lower = 0 if exhausted else best_upper
+    return RtResult(lower, best_upper, not exhausted, checked, "atlas" if atlas_mode else "raw")
 
 
 # ---------------------------------------------------------------------------
@@ -476,10 +477,8 @@ def richness_decide(
     if not pairs:
         return RichnessVerdict(rich=True, mode="vacuous", trials=0)
 
-    atlas_mode = is_complete_host(G_template) and n <= 7
-    colouring_count = (
-        len(atlas_graphs(n)) if atlas_mode else 2 ** max(G_template.num_edges - 1, 0)
-    )
+    atlas_mode = _atlas_host(G_template)
+    colouring_count = len(atlas_graphs(n)) if atlas_mode else 2 ** max(G_template.num_edges - 1, 0)
     limit = work_limit(budget)
     work = colouring_count * len(pairs) * n**H.k  # exact: past 1,024 edges it overflows a float
 
@@ -560,12 +559,12 @@ class SupersatReport:
 
 
 def densest_t(G: Graph) -> int:
-    """Largest integer ``t`` with ``e(G) >= (1 - 1/t) * n^2 / 2``."""
-    n, e = G.n, G.num_edges
-    gap = n * n - 2 * e
-    if gap <= 0:
-        raise AssertionError("simple graphs always leave a diagonal gap")
-    return (n * n) // gap
+    """Largest integer ``t`` with ``e(G) >= (1 - 1/t) * n^2 / 2``, below ``n^2 / (n^2 - 2e)``
+    with ``n^2 - 2e >= n``; ``ValueError`` on the zero-vertex host, where every ``t`` qualifies."""
+    n = G.n
+    if n == 0:
+        raise ValueError("densest_t needs a host with at least one vertex")
+    return (n * n) // (n * n - 2 * G.num_edges)
 
 
 def clique_supersat_count(
@@ -583,10 +582,8 @@ def clique_supersat_count(
     n = G.n
     t_used = densest_t(G) if t is None else t
     dense_enough = Fraction(G.num_edges) >= (1 - Fraction(1, t_used)) * Fraction(n * n, 2)
-    hypothesis = t_used >= R and dense_enough
-    if not hypothesis:
+    if t_used < R or not dense_enough:
         return SupersatReport(count, R, t_used, False, None, None)
-    bound_exact_num = comb(t_used, R) * n**R  # bound = num / t^R
-    meets = count * t_used**R >= bound_exact_num
+    meets = count * t_used**R >= comb(t_used, R) * n**R  # both sides of count >= bound times t^R
     bound = comb(t_used, R) * (n / t_used) ** R
     return SupersatReport(count, R, t_used, True, bound, meets)

@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -146,9 +148,11 @@ def _reference_copy_avoider(G: Graph, spec: AdversarySpec) -> dict[Edge, Colour]
 # A triangle with a pendant edge: no automorphism reverses the pendant edge,
 # so copies through a host edge are found only by pinning it both ways.
 PAW = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
+P3_PLUS_ISOLATED = Graph.from_edges(4, [(0, 1), (1, 2)])
 
 
-REFERENCE_PATTERNS = ("k3", "p3", "p4", "c4", "k4", "matching-2", PAW)
+REFERENCE_PATTERNS = ("k3", "p3", "p4", "c4", "k4", "matching-2", PAW, P3_PLUS_ISOLATED)
+REFERENCE_IDS = ["k3", "p3", "p4", "c4", "k4", "matching-2", "paw", "p3+k1"]
 
 
 @settings(max_examples=150, deadline=None)
@@ -158,7 +162,7 @@ def test_copy_avoider_matches_reference(g, pattern, seed):
     assert colour_with(g, spec).colour == _reference_copy_avoider(g, spec)
 
 
-@pytest.mark.parametrize("pattern", REFERENCE_PATTERNS, ids=lambda p: "paw" if p is PAW else p)
+@pytest.mark.parametrize("pattern", REFERENCE_PATTERNS, ids=REFERENCE_IDS)
 def test_copy_avoider_matches_reference_on_complete_hosts(pattern):
     for n in range(5, 9):
         for seed in range(3):
@@ -177,14 +181,7 @@ def test_copy_avoider_matches_reference_on_random_hosts(n, C):
         assert colour_with(host, spec).colour == _reference_copy_avoider(host, spec)
 
 
-P3_PLUS_ISOLATED = Graph.from_edges(4, [(0, 1), (1, 2)])
-
-
-@pytest.mark.parametrize(
-    "pattern",
-    REFERENCE_PATTERNS[1:] + (P3_PLUS_ISOLATED,),
-    ids=["p3", "p4", "c4", "k4", "matching-2", "paw", "p3+k1"],
-)
+@pytest.mark.parametrize("pattern", REFERENCE_PATTERNS[1:], ids=REFERENCE_IDS[1:])
 def test_closing_estimate_bounds_pinned_embeddings(pattern):
     pattern = _resolve_pattern(AdversarySpec("copy-avoider-greedy", {"pattern": pattern}))
     hosts = [Graph.complete(7)] + [
@@ -202,6 +199,43 @@ def test_closing_estimate_bounds_pinned_embeddings(pattern):
                 for _ in iter_embeddings(host.adjacency, pattern, universe, pin=((a, x), (b, y)))
             )
             assert leaves <= per_edge
+
+
+def _automorphisms(pattern: Graph) -> int:
+    return sum(
+        all(normalize_edge(perm[a], perm[b]) in pattern.edges for a, b in pattern.edges)
+        for perm in permutations(range(pattern.n))
+    )
+
+
+@pytest.mark.parametrize("pattern", [PAW, "p4", "c4", "matching-2"], ids=["paw", "p4", "c4", "matching-2"])
+def test_pinned_cost_is_automorphisms_times_closed_copies(pattern):
+    """Without isolated vertices a copy is the image of ``|Aut(H)|`` embeddings, and the
+    pinned searches list each embedding through uv once."""
+    pattern = _resolve_pattern(AdversarySpec("copy-avoider-greedy", {"pattern": pattern}))
+    aut = _automorphisms(pattern)
+    assert aut > 1
+    hosts = [Graph.complete(7)] + [
+        sample_gnp(n, p, derive_seed("pinned-cost", n, p, seed))
+        for n, p in ((10, 0.4), (12, 0.6)) for seed in range(2)
+    ]
+    for host in hosts:
+        count = _closing_counter(host, pattern, float("inf"))
+        by_edge = _reference_copies_by_edge(host, pattern)
+        for u, v in host.edges:
+            adj = list(host.adjacency)  # the other edges, uv not yet placed
+            adj[u] ^= 1 << v
+            adj[v] ^= 1 << u
+            without_uv = list(adj)
+            assert count(adj, u, v) == aut * len(by_edge[(u, v)])
+            assert adj == without_uv
+
+
+@pytest.mark.parametrize("name", ADVERSARY_NAMES)
+@pytest.mark.parametrize("pattern", ["k3", "c4"])
+def test_every_adversary_colours_the_zero_vertex_graph(name, pattern):
+    cg = colour_with(Graph(0), AdversarySpec(name, {"pattern": pattern}, 0))
+    assert cg.n == 0 and cg.red_adjacency == cg.blue_adjacency == () and cg.colour == {}
 
 
 def test_closing_estimate_admits_c4_at_n300():

@@ -62,6 +62,34 @@ def test_pipeline_sample_colour_extract(tmp_path, capsys):
     }
 
 
+@pytest.mark.parametrize("n", ["0", "5"])
+def test_pipeline_on_an_edgeless_host(tmp_path, capsys, n):
+    """The colouring of an edgeless host is written as a plain header line and read
+    back as that colouring by extract and good-count.  The sampler needs a vertex, so
+    the zero-vertex host is written by hand."""
+    plain, coloured = tmp_path / "g.txt", tmp_path / "c.txt"
+    if n == "0":
+        plain.write_text("0 0\n")
+    else:
+        assert run(capsys, "sample", "--n", n, "--p", "0", "--out", str(plain))[0] == 0
+    for adversary in ("uniform-random", "majority-degree", "copy-avoider-greedy"):
+        code, _ = run(
+            capsys, "colour", "--graph", str(plain), "--adversary", adversary, "--out", str(coloured),
+        )
+        assert code == 0 and coloured.read_text() == f"{n} 0\n"
+    code, out = run(capsys, "extract", "--graph", str(coloured), "--pattern", "k3", "--epsilon", "0.2")
+    assert code == 0 and json.loads(out)["achieved_size"] == 0
+    code, out = run(capsys, "good-count", "--graph", str(coloured), "--pattern", "k3", "--part-a", "")
+    assert code == 0 and json.loads(out) == {"good_copies": 0}
+
+
+def test_extract_rejects_a_plain_graph_with_edges(tmp_path, capsys):
+    path = tmp_path / "g.txt"
+    path.write_text(write_graph_text(Graph.complete(4)))
+    assert main(["extract", "--graph", str(path), "--pattern", "k3", "--epsilon", "0.2"]) == 1
+    assert "expected a coloured graph" in capsys.readouterr().err
+
+
 def test_huge_header_n_is_a_usage_error(tmp_path, capsys):
     path = tmp_path / "huge.txt"
     path.write_text("9223372036854775808 1\n0 1 r\n", encoding="utf-8")

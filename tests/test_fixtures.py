@@ -48,6 +48,14 @@ def test_clique_supersat_fixture(tmp_path):
     assert verify_fixtures(tmp_path).passed
 
 
+@pytest.mark.parametrize("n", [0, 4])
+def test_an_edgeless_colouring_round_trips_as_a_good_copy_fixture(tmp_path, n):
+    """Its text is a plain header line, read back as the one colouring of the edgeless graph."""
+    save_fixture(tmp_path, "good_copy_count", colour_all(Graph(n), Colour.RED), Graph.complete(3), {"A": [0, 1][:n]})
+    report = verify_fixtures(tmp_path)
+    assert report.passed and report.checked == 1
+
+
 def test_unknown_operation_reported(tmp_path):
     bad = tmp_path / "zzz.fixture.json"
     bad.write_text(json.dumps({"operation": "nope", "key": "zzz"}))
@@ -69,6 +77,16 @@ _K3_TEXT = write_graph_text(Graph.complete(3))
         json.dumps({"operation": "good_copy_count", "key": "bad-host", "params": {"A": [0]}, "value": 0,
                     "pattern": _K3_TEXT, "host": "3 1\n0 7 r\n"}),
         "bad-host: cannot recompute: ",
+    ),
+    (
+        json.dumps({"operation": "good_copy_count", "key": "plain-host", "params": {"A": [0]}, "value": 0,
+                    "pattern": _K3_TEXT, "host": _K3_TEXT}),
+        "plain-host: cannot recompute: expected a coloured graph",
+    ),
+    (
+        json.dumps({"operation": "clique_supersat", "key": "empty-host", "params": {"R": 3}, "pattern": _K3_TEXT,
+                    "value": {"count": 0, "hypothesis_met": False, "meets_bound": None}, "host": "0 0\n"}),
+        "empty-host: cannot recompute: densest_t needs a host with at least one vertex",
     ),
     ("{not json", "a.fixture.json: cannot recompute: Expecting property name"),
     ("[1, 2]", "a.fixture.json: cannot recompute: not a JSON object"),

@@ -475,6 +475,13 @@ def test_packed_rows_match_the_bit_sums_in_either_order(cols):
         assert graphs_module._packed_rows(matrix) == want
 
 
+def test_the_zero_vertex_graph_round_trips_through_text():
+    assert graphs_module._packed_rows(np.zeros((3, 0), bool)) == [0, 0, 0]
+    assert write_graph_text(Graph(0)) == "0 0\n"
+    back = parse_graph_text("0 0\n")
+    assert back == Graph(0) and back.content_hash() == Graph(0).content_hash()
+
+
 @given(boundary_hosts(), st.randoms(use_true_random=False), st.sampled_from(["\n", "\r\n"]))
 def test_parsed_edge_pairs_are_the_lexicographic_pairs(g, rnd, newline):
     """Reversed, shuffled and blank-separated lines still parse to read-only ``edge_pairs``

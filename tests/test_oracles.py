@@ -527,6 +527,12 @@ def test_densest_t_on_complete():
     assert densest_t(Graph.complete(4)) == 4
 
 
+def test_densest_t_rejects_the_zero_vertex_host():
+    assert densest_t(Graph(1)) == 1
+    with pytest.raises(ValueError, match="at least one vertex"):
+        densest_t(Graph(0))
+
+
 def test_ramsey_table_reference():
     assert RAMSEY_TABLE[(3, 3)] == 6
 
