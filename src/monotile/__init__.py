@@ -10,7 +10,7 @@ from .graphs import Colour, ColouredGraph, Graph, colour_all, pattern_by_name
 from .patterns import PatternStats, independence_number, m2_density
 from .sampling import sample_gnp, threshold_probability
 from .embeddings import EmbeddedCopy, find_mono_copy
-from .richness import GoodCopy, Side, richness_probe
+from .richness import richness_probe
 from .tilings import Tiling, validate_tiling
 from .clusters import (
     ClusterCertificate,

@@ -24,8 +24,8 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from .budget import require_budget
-from .embeddings import _cached_order, iter_embeddings
-from .graphs import ColouredGraph, Graph, Masks, mask_of, masks_from_pairs, pattern_by_name
+from .embeddings import _expansion_order, iter_embeddings
+from .graphs import ColouredGraph, Graph, Masks, _cliques, mask_of, masks_from_pairs, pattern_by_name
 from .sampling import derive_seed, philox_generator
 
 ADVERSARY_NAMES = (
@@ -82,7 +82,7 @@ def _resolve_pattern(spec: AdversarySpec) -> Graph:
 def _closing_estimate(G: Graph, pattern: Graph) -> int:
     """Bound on the pinned matcher's embeddings over all host edges: per pin, each later
     position has at most max degree (one placed neighbour), co-degree (more) or n (none)."""
-    pins = [[len(p) for p in _cached_order(pattern, (a, b))[1][2:]] for a, b in pattern.edges]
+    pins = [[len(p) for p in _expansion_order(pattern, (a, b))[1][2:]] for a, b in pattern.edges]
     width = {0: G.n, 1: max((a.bit_count() for a in G.adjacency), default=0)}
     if any(c >= 2 for pin in pins for c in pin):
         width[2] = max(((x & y).bit_count() for x, y in combinations(G.adjacency, 2)), default=0)
@@ -97,18 +97,6 @@ def _clique_estimate(G: Graph, k: int) -> int:
     us, vs = G.edge_pairs
     cod = max(((adj[u] & adj[v]).bit_count() for u, v in zip(us.tolist(), vs.tolist())), default=0)
     return 2 * G.num_edges * sum(cod**i for i in range(1, k - 2))
-
-
-def _cliques(adj: list[int], cand: int, t: int) -> int:
-    """Copies of ``K_t`` inside ``cand``, each grown from its least vertex over later ones."""
-    if t == 1:
-        return cand.bit_count()
-    total = 0
-    while cand:
-        low = cand & -cand
-        cand ^= low
-        total += _cliques(adj, cand & adj[low.bit_length() - 1], t - 1)
-    return total
 
 
 def _closing_counter(G: Graph, pattern: Graph, budget: float | None):

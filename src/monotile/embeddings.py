@@ -48,6 +48,7 @@ class EmbeddedCopy:
         return mask_of(self.vertex_map)
 
 
+@lru_cache(maxsize=256)
 def _expansion_order(pattern: Graph, lead: tuple[int, ...] = ()):
     """Pattern vertex order opening with ``lead``, plus each position's earlier neighbours."""
     adj = pattern.adjacency
@@ -71,14 +72,9 @@ def _expansion_order(pattern: Graph, lead: tuple[int, ...] = ()):
     return tuple(order), parents
 
 
-@lru_cache(maxsize=256)
-def _cached_order(pattern: Graph, lead: tuple[int, ...] = ()):
-    return _expansion_order(pattern, lead)
-
-
 def lead_vertex(pattern: Graph) -> int:
     """The pattern vertex an unpinned scan places first; ``leads`` masks hold its image."""
-    return _cached_order(pattern)[0][0]
+    return _expansion_order(pattern)[0][0]
 
 
 def iter_embeddings(
@@ -100,7 +96,7 @@ def iter_embeddings(
     """
     k = pattern.n
     universe_mask &= (1 << len(adjacency)) - 1
-    order, parents = _cached_order(pattern, tuple(p for p, _ in pin) if pin else ())
+    order, parents = _expansion_order(pattern, tuple(p for p, _ in pin) if pin else ())
     allowed = [universe_mask & leads] + [universe_mask] * (k - 1)
     for pos, (_, h) in enumerate(pin):
         allowed[pos] &= 1 << h

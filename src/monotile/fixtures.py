@@ -4,8 +4,9 @@ Each fixture is one JSON file embedding its own inputs (host text, pattern
 text, parameters) plus the cached value, keyed by content hashes.
 ``verify_fixtures`` recomputes every value within per-operation budgets and
 reports any drift as a hard failure naming the offending keys; so is a file
-it cannot recompute (not a JSON object, or a host or pattern text that does
-not parse to the kind its operation takes), and the rest are still checked.
+it cannot recompute (not a JSON object, a host or pattern text that does
+not parse to the kind its operation takes, or a parameter of the wrong type
+or out of range), and the rest are still checked.
 """
 
 from __future__ import annotations
@@ -146,7 +147,7 @@ def verify_fixtures(directory: Path | str, budget: float | None = None) -> Verif
                 mismatches.append(f"{key}: unknown operation {op!r}")
                 continue
             fresh = OPERATIONS[op](payload, budget)
-        except (ValueError, KeyError) as exc:
+        except (ValueError, KeyError, TypeError) as exc:  # TypeError: a param of the wrong type
             mismatches.append(f"{key}: cannot recompute: {exc}")
             continue
         checked += 1

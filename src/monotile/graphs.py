@@ -16,7 +16,8 @@ the adversaries build masks through ``Graph.from_adjacency`` and
 a transient bool matrix, one ``64*ceil(n/64)``-cell row per vertex with an
 edge (n^2 bytes on a dense host, the size of the matrix ``pairs_of_masks``
 unpacks), packed in one call by ``_packed_rows``, which the planted
-instances share.  Both classes are immutable.
+instances share.  Both classes are immutable.  ``_cliques``, the one ordered
+clique count, serves the clique oracle and the copy-avoider.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -63,6 +64,19 @@ def iter_bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _cliques(adj: Sequence[int], cand: int, t: int) -> int:
+    """Copies of ``K_t`` inside ``cand``, each grown from its least vertex over later ones;
+    ``adj`` is read once per clique on fewer than ``t`` vertices that it grows."""
+    if t == 1:
+        return cand.bit_count()
+    total = 0
+    while cand:
+        low = cand & -cand
+        cand ^= low
+        total += _cliques(adj, cand & adj[low.bit_length() - 1], t - 1)
+    return total
 
 
 def mask_of(vertices: Iterable[int]) -> int:

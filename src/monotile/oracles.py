@@ -20,7 +20,10 @@ mask)`` entries, a pair mask setting one bit per edge, pairs ``u < v``
 numbered in lexicographic order (at most 21 bits on seven vertices), and
 keeps the entries whose edges a colour class covers; on other hosts it
 sweeps each colour class of each colouring.  None of ``exact_rt``'s tables
-outlives the call that built it.
+outlives the call that built it.  ``richness_decide`` counts its side pairs
+and unranks each sampled one, so it never lists them all.  ``count_cliques``
+runs the ordered clique extension ``graphs._cliques``, which the copy-avoider
+also runs; no check compares the two.
 
 Exhaustive colouring sweeps over complete hosts dedup colourings up to
 relabelling through the graph atlas (all isomorphism classes up to seven
@@ -42,17 +45,8 @@ from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
 from .budget import require_budget, work_limit
-from .graphs import Colour, ColouredGraph, Edge, Graph, Masks, disjoint_side_masks, iter_bits, mask_of
+from .graphs import Colour, ColouredGraph, Edge, Graph, Masks, _cliques, disjoint_side_masks, iter_bits, mask_of
 from .patterns import PatternStats
-
-#: Classical two-colour Ramsey numbers R(K_a, K_b) kept as reference fixtures.
-RAMSEY_TABLE: Mapping[tuple[int, int], int] = {
-    (3, 3): 6,
-    (3, 4): 9,
-    (3, 5): 14,
-    (3, 6): 18,
-    (4, 4): 18,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -457,6 +451,25 @@ def iter_disjoint_pairs(n: int, s: int) -> Iterator[tuple[tuple[int, ...], tuple
             yield xs, ys
 
 
+def _nth_combination(pool: list[int], r: int, index: int) -> tuple[int, ...]:
+    """The ``index``-th of ``combinations(pool, r)``, counted from 0."""
+    n, c, picked = len(pool), comb(len(pool), r), []
+    while r:
+        c, n, r = c * r // n, n - 1, r - 1  # c: the combinations that pick pool[-1 - n] next
+        while index >= c:
+            index -= c
+            c, n = c * (n - r) // n, n - 1
+        picked.append(pool[-1 - n])
+    return tuple(picked)
+
+
+def _nth_disjoint_pair(n: int, s: int, index: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The ``index``-th pair of ``iter_disjoint_pairs(n, s)``, without listing those before it."""
+    x_index, y_index = divmod(index, comb(n - s, s))
+    xs = _nth_combination(list(range(n)), s, x_index)
+    return xs, _nth_combination([v for v in range(n) if v not in xs], s, y_index)
+
+
 def richness_decide(
     G_template: Graph,
     H: PatternStats,
@@ -473,14 +486,14 @@ def richness_decide(
     if s < 1:
         raise ValueError("s must be positive")
     n = G_template.n
-    pairs = list(iter_disjoint_pairs(n, s))
-    if not pairs:
+    pair_count = comb(n, s) * comb(n - s, s) if 2 * s <= n else 0  # iter_disjoint_pairs' length
+    if not pair_count:
         return RichnessVerdict(rich=True, mode="vacuous", trials=0)
 
     atlas_mode = _atlas_host(G_template)
     colouring_count = len(atlas_graphs(n)) if atlas_mode else 2 ** max(G_template.num_edges - 1, 0)
     limit = work_limit(budget)
-    work = colouring_count * len(pairs) * n**H.k  # exact: past 1,024 edges it overflows a float
+    work = colouring_count * pair_count * n**H.k  # exact: past 1,024 edges it overflows a float
 
     def sampled() -> Iterator[tuple[ColouredGraph, tuple[int, ...], tuple[int, ...]]]:
         # Adversarial colourings first, then uniform random ones.
@@ -494,18 +507,14 @@ def richness_decide(
             AdversarySpec("majority-degree", {}, seed),
         ]
         for trial in range(samples):
-            if trial < len(specs):
-                coloured = colour_with(G_template, specs[trial])
-            else:
-                coloured = colour_with(
-                    G_template, AdversarySpec("uniform-random", {}, derive_seed(seed, trial))
-                )
-            for _ in range(min(len(pairs), 20)):
-                yield (coloured, *pairs[int(rng.integers(len(pairs)))])
+            uniform = AdversarySpec("uniform-random", {}, derive_seed(seed, trial))
+            coloured = colour_with(G_template, specs[trial] if trial < len(specs) else uniform)
+            for _ in range(min(pair_count, 20)):
+                yield (coloured, *_nth_disjoint_pair(n, s, int(rng.integers(pair_count))))
 
     if atlas_mode or work <= limit:
         mode = "exhaustive"
-        draws = ((c, xs, ys) for c in iter_colourings(G_template) for xs, ys in pairs)
+        draws = ((c, xs, ys) for c in iter_colourings(G_template) for xs, ys in iter_disjoint_pairs(n, s))
     else:
         mode, draws = "sampled", sampled()
     trials = 0
@@ -522,30 +531,15 @@ def richness_decide(
 # ---------------------------------------------------------------------------
 
 def count_cliques(G: Graph, r: int, budget: float | None = None) -> int:
-    """Number of ``r``-cliques, by ordered bitset extension.
+    """Number of ``r``-cliques, by ordered bitset extension (``graphs._cliques``).
 
     The budget is charged ``comb(n, 1) + ... + comb(n, r - 1)``: the
-    extension loop visits each clique on fewer than ``r`` vertices once.
+    extension reads one mask per clique on fewer than ``r`` vertices.
     """
     if r < 1:
         raise ValueError("clique order must be positive")
     require_budget(sum(comb(G.n, d) for d in range(1, r)), budget, "clique enumeration")
-    adj = G.adjacency
-    count = 0
-
-    def extend(cand: int, depth: int) -> None:
-        # depth vertices are fixed so far; candidates extend them upward.
-        nonlocal count
-        if depth == r - 1:
-            count += cand.bit_count()
-            return
-        for v in iter_bits(cand):
-            extend(cand & adj[v] & ~((1 << (v + 1)) - 1), depth + 1)
-
-    if r == 1:
-        return G.n
-    extend((1 << G.n) - 1, 0)
-    return count
+    return _cliques(G.adjacency, (1 << G.n) - 1, r)
 
 
 @dataclass(frozen=True)
@@ -578,6 +572,8 @@ def clique_supersat_count(
     """
     if R < 3:
         raise ValueError("clique order below 3 is outside the supersaturation regime")
+    if t is not None and (not isinstance(t, int) or t < 1):
+        raise ValueError(f"t must be a positive int, not {t!r}")
     count = count_cliques(G, R, budget)
     n = G.n
     t_used = densest_t(G) if t is None else t

@@ -4,40 +4,19 @@ A pair of disjoint sets ``(X, Y)`` is *served* when the coloured host has a
 red copy of the pattern inside ``G[X + Y]`` meeting ``X`` in at least
 ``alpha`` vertices, or a blue copy meeting ``Y`` likewise.  A host is rich at
 size ``s`` when every disjoint pair of ``s``-sets is served under every
-colouring; a single failed probe is the counterexample certificate.
+colouring; a single failed probe is the counterexample certificate, and a
+served probe returns the copy, whose colour names the side it serves.
 :func:`find_side_good_copy` also finds the blue half of each extraction tie
 (for K3, a bow tie: two triangles of different colours sharing one vertex).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import Enum
 from typing import Iterable
 
 from .embeddings import EmbeddedCopy, first_copy
 from .graphs import Colour, ColouredGraph, disjoint_side_masks
 from .patterns import PatternStats
-
-
-class Side(Enum):
-    X = "X"
-    Y = "Y"
-
-
-@dataclass(frozen=True, init=False)
-class GoodCopy:
-    """A monochromatic copy meeting the required side in >= alpha vertices."""
-
-    copy: EmbeddedCopy
-    side_hit: Side
-
-    def __init__(self, copy: EmbeddedCopy, side_hit: Side) -> None:
-        # Fills the instance dict directly: the generated frozen __init__
-        # pays one object.__setattr__ per field, and every served probe builds one.
-        d = self.__dict__
-        d["copy"] = copy
-        d["side_hit"] = side_hit
 
 
 def find_side_good_copy(
@@ -62,17 +41,18 @@ def richness_probe(
     H: PatternStats,
     X: Iterable[int],
     Y: Iterable[int],
-) -> GoodCopy | None:
-    """Witness for the pair ``(X, Y)``, red side first; ``None`` means the pair fails.
+) -> EmbeddedCopy | None:
+    """The copy serving ``(X, Y)``, red side first; ``None`` means the pair fails.
 
-    ``X`` and ``Y`` must be disjoint vertex sets of the host.
+    A red copy means ``X`` was served, a blue one ``Y``.  ``X`` and ``Y`` must
+    be disjoint vertex sets of the host.
     """
     x_mask, y_mask = disjoint_side_masks(G.n, X, Y)
     universe = x_mask | y_mask
     vm = first_copy(G.red_adjacency, H.pattern, universe, x_mask, H.alpha)
     if vm is not None:
-        return GoodCopy(EmbeddedCopy(vm, Colour.RED), Side.X)
+        return EmbeddedCopy(vm, Colour.RED)
     vm = first_copy(G.blue_adjacency, H.pattern, universe, y_mask, H.alpha)
     if vm is not None:
-        return GoodCopy(EmbeddedCopy(vm, Colour.BLUE), Side.Y)
+        return EmbeddedCopy(vm, Colour.BLUE)
     return None

@@ -55,3 +55,13 @@ def all_colourings(g: Graph):
             g,
             {e: (Colour.RED if (bits >> i) & 1 else Colour.BLUE) for i, e in enumerate(edges)},
         )
+
+
+class CountingMasks(list):
+    """Adjacency masks that count their reads (``reads``), for bounds on mask work."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)

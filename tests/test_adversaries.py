@@ -20,7 +20,7 @@ from monotile.graphs import Colour, Edge, Graph, normalize_edge, pattern_by_name
 from monotile.patterns import PatternStats
 from monotile.sampling import derive_seed, philox_generator, sample_gnp, threshold_probability
 
-from .conftest import graphs
+from .conftest import CountingMasks, graphs
 
 
 def test_unknown_adversary_rejected():
@@ -335,17 +335,6 @@ def test_clique_avoider_matches_reference_on_complete_hosts(pattern):
             assert colour_with(g, spec).colour == _reference_copy_avoider(g, spec)
 
 
-class _CountingMasks(list):
-    """Adjacency masks that count their reads: the clique cost reads ``adj[u]`` and
-    ``adj[v]`` once, then one mask per loop iteration of its recursion."""
-
-    reads = 0
-
-    def __getitem__(self, i):
-        self.reads += 1
-        return super().__getitem__(i)
-
-
 @pytest.mark.parametrize("pattern", CLIQUES)
 def test_clique_estimate_bounds_iterations_and_old_estimate(pattern):
     clique = pattern_by_name(pattern)
@@ -358,9 +347,10 @@ def test_clique_estimate_bounds_iterations_and_old_estimate(pattern):
         assert estimate <= _closing_estimate(host, clique)
         count = _closing_counter(host, clique, float("inf"))
         for u, v in host.edges:
-            adj = _CountingMasks(host.adjacency)
+            adj = CountingMasks(host.adjacency)
             count(adj, u, v)
-            # each greedy edge counts twice, in colour masks that are subgraphs of the host
+            # the cost reads adj[u] and adj[v] once, then one mask per loop iteration of its
+            # recursion; each greedy edge counts twice, in colour masks that are subgraphs of the host
             assert 2 * (adj.reads - 2) <= estimate // host.num_edges
 
 

@@ -1,8 +1,9 @@
 """The names and signatures the benchmark harness in ``perfbench/`` relies on.
 
-``perfbench/run.py --trace 1`` wraps engine functions by module attribute and
-its host workloads call ``extract_tiling(..., seed=...)``; a rename or a
-signature change breaks the benchmark, so it should fail here first.
+``perfbench/run.py --trace 1`` wraps engine functions by module attribute, its
+host workloads call ``extract_tiling(..., seed=...)`` and its desk round calls
+the probes and oracles; a rename or a signature change breaks the benchmark,
+so it should fail here first.
 """
 
 from __future__ import annotations
@@ -38,6 +39,22 @@ def test_a_traced_host_op_runs_clean(workload):
         tracer.unwrap_all()
     assert probe.errors == []
     assert {"extraction.extract_tiling", "extraction.maximal_cluster_family"} <= {s[0] for s in tracer.spans}
+
+
+def test_a_traced_desk_op_runs_clean(tmp_path):
+    desk = workloads.WORKLOADS["desk-oracles"]
+    state = desk.setup(1, tmp_path)
+    tracer = Tracer()
+    try:
+        workloads.install_layer_spans(tracer)
+        probe = Probe(tracer)
+        desk.op(state, 0, probe)
+    finally:
+        tracer.unwrap_all()
+    assert probe.errors == []
+    assert {
+        "richness.richness_probe", "oracles.richness_decide", "oracles.clique_supersat_count",
+    } <= {s[0] for s in tracer.spans}
 
 
 def test_desk_corpus_is_the_documented_corpus(tmp_path, monkeypatch):

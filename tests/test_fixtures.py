@@ -67,6 +67,13 @@ def test_unknown_operation_reported(tmp_path):
 _K3_TEXT = write_graph_text(Graph.complete(3))
 
 
+def _malformed(operation, params):
+    # Each of these used to end verify_fixtures with ZeroDivisionError or TypeError.
+    host = Graph.complete(5) if operation == "clique_supersat" else colour_all(Graph.complete(5), Colour.RED)
+    return json.dumps({"operation": operation, "key": "malformed", "params": params, "value": 0,
+                       "pattern": _K3_TEXT, "host": write_graph_text(host)})
+
+
 @pytest.mark.parametrize("text, mismatch", [
     (
         json.dumps({"operation": "rt_exact", "key": "coloured-host", "params": {}, "value": 0, "pattern": _K3_TEXT,
@@ -88,6 +95,12 @@ _K3_TEXT = write_graph_text(Graph.complete(3))
                     "value": {"count": 0, "hypothesis_met": False, "meets_bound": None}, "host": "0 0\n"}),
         "empty-host: cannot recompute: densest_t needs a host with at least one vertex",
     ),
+    (_malformed("clique_supersat", {"R": 3, "t": 0}), "malformed: cannot recompute: t must be a positive int"),
+    (_malformed("clique_supersat", {"R": 3, "t": "3"}), "malformed: cannot recompute: t must be a positive int"),
+    (_malformed("clique_supersat", {"R": 3, "t": 2.5}), "malformed: cannot recompute: t must be a positive int"),
+    (_malformed("good_copy_count", {"A": 5}), "malformed: cannot recompute: 'int' object is not iterable"),
+    (_malformed("good_copy_count", {"A": [[0]]}), "malformed: cannot recompute: unhashable type: 'list'"),
+    (_malformed("good_copy_count", []), "malformed: cannot recompute: list indices must be integers"),
     ("{not json", "a.fixture.json: cannot recompute: Expecting property name"),
     ("[1, 2]", "a.fixture.json: cannot recompute: not a JSON object"),
 ])

@@ -59,7 +59,7 @@ def test_p4_probe_needs_two_side_vertices(p4):
         inst.coloured, p4, sorted(inst.x_vertices)[:4], sorted(inst.y_vertices)[:4]
     )
     assert hit is not None
-    assert len(hit.copy.vertices & inst.x_vertices) >= 2
+    assert hit.colour is Colour.RED and len(hit.vertices & inst.x_vertices) >= 2
 
 
 @settings(max_examples=60, deadline=None)

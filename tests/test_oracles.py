@@ -12,8 +12,8 @@ from monotile import oracles
 from monotile.budget import DEFAULT_WORK_BUDGET, BudgetExceededError
 from monotile.graphs import Colour, ColouredGraph, Edge, Graph, colour_all, mask_of, normalize_edge, pattern_by_name
 from monotile.oracles import (
-    RAMSEY_TABLE,
     _atlas,
+    _nth_disjoint_pair,
     atlas_graphs,
     clique_supersat_count,
     count_cliques,
@@ -23,13 +23,14 @@ from monotile.oracles import (
     good_copy_witness_count,
     iter_colourings,
     iter_copies_bruteforce,
+    iter_disjoint_pairs,
     max_disjoint_copies,
     max_mono_tiling_size,
     richness_decide,
 )
 from monotile.patterns import PatternStats
 
-from .conftest import all_colourings, coloured_graphs, graphs
+from .conftest import CountingMasks, all_colourings, coloured_graphs, graphs
 
 
 def test_good_copy_count_k6_all_red(k3):
@@ -460,6 +461,31 @@ def test_richness_sampled_mode(k3):
     assert verdict.rich in (None, False)
 
 
+def test_nth_disjoint_pair_follows_the_pair_order():
+    for n in range(11):
+        for s in range(1, n // 2 + 1):
+            pairs = list(iter_disjoint_pairs(n, s))
+            assert len(pairs) == math.comb(n, s) * math.comb(n - s, s)
+            assert [_nth_disjoint_pair(n, s, i) for i in range(len(pairs))] == pairs, (n, s)
+
+
+def test_sampled_richness_does_not_list_every_pair(k3):
+    import tracemalloc
+
+    from monotile.sampling import sample_gnp
+
+    # 756,756 disjoint 5-set pairs on 15 vertices: listing them took over 100 MiB
+    host = sample_gnp(15, 0.5, 1)
+    tracemalloc.start()
+    try:
+        verdict = richness_decide(host, k3, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict.mode == "sampled" and verdict.trials > 0
+    assert peak < 10 * 2**20
+
+
 def test_clique_counts_match_binomials():
     import math
 
@@ -470,28 +496,18 @@ def test_clique_counts_match_binomials():
     assert count_cliques(Graph.cycle(5), 3) == 0
 
 
-def test_clique_estimate_bounds_the_extension_loop(monkeypatch):
-    from monotile.graphs import iter_bits
+def test_clique_estimate_bounds_the_extension_loop():
     from monotile.sampling import sample_gnp
 
-    visits = 0
-
-    def counting_bits(mask):
-        nonlocal visits
-        for v in iter_bits(mask):
-            visits += 1
-            yield v
-
-    monkeypatch.setattr(oracles, "iter_bits", counting_bits)
     hosts = [Graph.complete(6), Graph.complete(9), Graph.cycle(7)]
     hosts += [sample_gnp(12, 0.6, seed) for seed in range(3)]
     for host in hosts:
         for r in range(2, 7):
             with pytest.raises(BudgetExceededError) as refused:
                 count_cliques(host, r, budget=0)
-            visits = 0
-            count_cliques(host, r)
-            assert refused.value.estimate >= visits > 0, (host.n, r)
+            adj = CountingMasks(host.adjacency)  # one read per clique the extension grows
+            assert count_cliques(Graph.from_adjacency(host.n, adj), r) == count_cliques(host, r)
+            assert refused.value.estimate >= adj.reads > 0, (host.n, r)
     # K30 holds 30,045,015 10-cliques, far past what a 1e5 budget allows
     with pytest.raises(BudgetExceededError, match="clique enumeration"):
         count_cliques(Graph.complete(30), 10, budget=1e5)
@@ -522,6 +538,13 @@ def test_supersat_k9_minus_matching():
     assert report.hypothesis_met and report.meets_bound
 
 
+@pytest.mark.parametrize("t", [0, -1, "3", 2.5])
+def test_supersat_rejects_a_t_that_is_not_a_positive_int(t):
+    # t = 0 used to raise ZeroDivisionError and a str or float TypeError
+    with pytest.raises(ValueError, match="t must be a positive int"):
+        clique_supersat_count(Graph.complete(5), 3, t=t)
+
+
 def test_densest_t_on_complete():
     assert densest_t(Graph.complete(10)) == 10
     assert densest_t(Graph.complete(4)) == 4
@@ -531,10 +554,6 @@ def test_densest_t_rejects_the_zero_vertex_host():
     assert densest_t(Graph(1)) == 1
     with pytest.raises(ValueError, match="at least one vertex"):
         densest_t(Graph(0))
-
-
-def test_ramsey_table_reference():
-    assert RAMSEY_TABLE[(3, 3)] == 6
 
 
 def test_good_copy_symmetry_sample(k3):
