@@ -2,9 +2,8 @@
 
 A *cluster* at slack ``eta`` is a vertex set ``T`` whose induced coloured
 graph carries both a red and a blue tiling of size at least
-``|T|/(2k - alpha) - eta*|T|`` (clamped at zero, which is what makes the
-``eta >= 1`` degenerate case work).  Certificates store the tilings
-explicitly, so verification never solves a maximum-tiling problem.
+``|T|/(2k - alpha) - eta*|T|``, clamped at zero.  Certificates store the
+tilings explicitly, so verification never solves a maximum-tiling problem.
 
 ``cluster_process`` consumes two equal-size tiled sets, X covered by blue
 copies and Y by red, and runs one process indexed by side: side 0 is X,
@@ -16,9 +15,13 @@ the copy-accounting identity and termination are written once, for the
 side ``i`` the copy hit.  The process ends when either pool is smaller
 than a window.  If one side's events reach the crossing quota, they pair
 with that side's base half.  Otherwise the side whose pool ran dry tops its
-events up from the other side's reserve.  One assembler builds every
-certificate.  Every rounding choice is listed in the README's rounding
-table; the table version travels with extraction reports.
+events up from the other side's reserve.  Every slack takes this one path:
+at ``eta >= 1`` the guard ``ceil(eta^2 * s)`` exceeds either active half, so
+no step runs and X's base half pairs with Y's whole reserve on all ``s``
+vertices.  One assembler builds every certificate, and every run checks its
+inputs and re-verifies its certificate.  Every rounding choice is listed in
+the README's rounding table; the table version travels with extraction
+reports.
 
 All randomness (the "arbitrary" window choice) comes from one seeded
 shuffle per side, so runs replay exactly from the recorded seed.
@@ -26,6 +29,7 @@ shuffle per side, so runs replay exactly from the recorded seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -88,7 +92,8 @@ class StepRecord:
 
 
 def required_tiling_size(t_size: int, H: PatternStats, eta) -> int:
-    """Clamped lower bound each colour's tiling must meet inside a cluster."""
+    """Lower bound each colour's tiling must meet inside a cluster, clamped at
+    zero, which it is at every ``eta >= 1/(2k - alpha)``."""
     # t/D - eta*t over the common denominator D * eta.denominator, rounded up.
     eta, d = exact_ratio(eta), H.tiling_denominator
     return max(0, -(-t_size * (eta.denominator - d * eta.numerator) // (d * eta.denominator)))
@@ -185,25 +190,16 @@ def cluster_process(
 
     Returns a :class:`FailureReport` when some probe window contains no good
     copy, which is a legitimate outcome on hosts that are not rich enough.
-    Success is internally re-verified; with ``eta * len(X) >= 2`` (always,
-    when the per-side copy count is even) the verification cannot fail.
+    Inputs are checked and success is internally re-verified at every slack;
+    with ``eta * len(X) >= 2`` (always, when the per-side copy count is even)
+    the verification cannot fail.
     """
     x_set = frozenset(X)
     y_set = frozenset(Y)
     if x_set & y_set:
         raise ValueError("X and Y must be disjoint")
-    if eta <= 0:
-        raise ValueError("eta must be positive")
-    if eta >= 1:
-        # Degenerate regime: the bound clamps to zero on any nonempty set.
-        if not (x_set or y_set):
-            raise ValueError("need a nonempty input set")
-        return ClusterCertificate(
-            vertices=x_set | y_set,
-            red_tiling=Tiling(Colour.RED, ()),
-            blue_tiling=Tiling(Colour.BLUE, ()),
-            eta=eta,
-        )
+    if not 0 < eta < math.inf:
+        raise ValueError(f"eta must be positive and finite, not {eta!r}")
     k, alpha = H.k, H.alpha
     if k < 3:
         raise ValueError("the cluster process needs a pattern on at least 3 vertices")

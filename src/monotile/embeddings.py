@@ -32,12 +32,11 @@ from .patterns import PatternStats
 class EmbeddedCopy:
     """An embedded copy of the pattern: pattern vertex ``i`` sits at ``vertex_map[i]``.
 
-    ``colour`` is the single colour of all mapped edges, or ``None`` for a
-    copy that is not monochromatic.
+    ``colour`` is the single colour of all mapped edges.
     """
 
     vertex_map: tuple[int, ...]
-    colour: Colour | None
+    colour: Colour
 
     @property
     def vertices(self) -> frozenset[int]:

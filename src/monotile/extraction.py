@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Mapping
 
@@ -68,15 +68,9 @@ class ExtractionReport:
     blue_copies: int
 
     def to_json(self) -> str:
-        payload = {
-            "target_size": self.target_size,
-            "achieved_size": self.achieved_size,
-            "colour": self.colour,
-            "cluster_vertices": self.cluster_vertices,
-            "seed": self.seed,
-            "epsilon": self.epsilon,
-            "rounding_table_version": self.rounding_table_version,
-        }
+        """Every field but ``red_copies`` and ``blue_copies``, keys sorted."""
+        payload = asdict(self)
+        del payload["red_copies"], payload["blue_copies"]
         return json.dumps(payload, sort_keys=True)
 
 

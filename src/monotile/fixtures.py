@@ -51,13 +51,13 @@ def _compute_good_copy_count(payload: dict, budget: float | None):
 
 
 def _compute_richness(payload: dict, budget: float | None):
-    s = int(payload["params"]["s"])
+    s = payload["params"]["s"]
     return oracles.richness_decide(_parsed(payload, "host"), _stats(payload), s, budget).rich
 
 
 def _compute_clique_supersat(payload: dict, budget: float | None):
     params = payload["params"]
-    report = oracles.clique_supersat_count(_parsed(payload, "host"), int(params["R"]), params.get("t"), budget)
+    report = oracles.clique_supersat_count(_parsed(payload, "host"), params["R"], params.get("t"), budget)
     return {
         "count": report.count,
         "hypothesis_met": report.hypothesis_met,

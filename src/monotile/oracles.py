@@ -86,31 +86,27 @@ def independence_number_bruteforce(pattern: Graph) -> int:
 # ---------------------------------------------------------------------------
 
 @cache
-def _pattern_images(pattern: Graph) -> tuple[int, ...]:
-    """The pattern's distinct edge images under permutations of its positions.
+def _image_pairs(pattern: Graph) -> tuple[tuple[Edge, ...], dict[int, tuple[Edge, ...]]]:
+    """The position pairs, and the pattern's distinct edge images under
+    permutations of its positions, each with the pairs it covers.
 
     Position pairs ``i < j`` are numbered in ``combinations(range(k), 2)``
-    order and an image is the bitmask of the pairs it covers; images are
-    kept in the order their first permutation reaches them.
+    order and an image is the bitmask of the pairs it covers, decoded into
+    those pairs in that order; images are kept in the order their first
+    permutation reaches them.
     """
-    index = {pair: bit for bit, pair in enumerate(combinations(range(pattern.n), 2))}
+    pairs = tuple(combinations(range(pattern.n), 2))
+    index = {pair: bit for bit, pair in enumerate(pairs)}
     edges = sorted(pattern.edges)
-    images: dict[int, None] = {}
+    decoded: dict[int, tuple[Edge, ...]] = {}
     for perm in permutations(range(pattern.n)):
         image = 0
         for u, v in edges:
             a, b = perm[u], perm[v]
             image |= 1 << index[(a, b) if a < b else (b, a)]
-        images.setdefault(image)
-    return tuple(images)
-
-
-@cache
-def _image_pairs(pattern: Graph) -> tuple[tuple[Edge, ...], dict[int, tuple[Edge, ...]]]:
-    """The position pairs in ``combinations(range(k), 2)`` order, and each of
-    ``_pattern_images``' images, in their order, as the pairs it covers, in that order."""
-    pairs, images = tuple(combinations(range(pattern.n), 2)), _pattern_images(pattern)
-    return pairs, {image: tuple(p for b, p in enumerate(pairs) if image >> b & 1) for image in images}
+        if image not in decoded:
+            decoded[image] = tuple(p for bit, p in enumerate(pairs) if image >> bit & 1)
+    return pairs, decoded
 
 
 def _iter_subset_images(
@@ -119,9 +115,10 @@ def _iter_subset_images(
     """``(subset, images)`` for every subset that holds a copy, with the images
     it holds: the subset's present position pairs are read from the host
     masks once, then every image inside them is a copy."""
-    images = _pattern_images(pattern)
+    positions, decoded = _image_pairs(pattern)
+    images = tuple(decoded)
     need = images[0].bit_count()
-    pairs = tuple((1 << bit, i, j) for bit, (i, j) in enumerate(_image_pairs(pattern)[0]))
+    pairs = tuple((1 << bit, i, j) for bit, (i, j) in enumerate(positions))
     for subset in combinations(sorted(universe), pattern.n):
         present = 0
         for pair_bit, i, j in pairs:
@@ -483,8 +480,8 @@ def richness_decide(
     Non-atlas hosts are sampled when the exhaustive work estimate exceeds
     the budget (``None`` is the default budget).
     """
-    if s < 1:
-        raise ValueError("s must be positive")
+    if not isinstance(s, int) or s < 1:
+        raise ValueError(f"s must be a positive int, not {s!r}")
     n = G_template.n
     pair_count = comb(n, s) * comb(n - s, s) if 2 * s <= n else 0  # iter_disjoint_pairs' length
     if not pair_count:
@@ -570,6 +567,8 @@ def clique_supersat_count(
     ``e(G) >= (1 - 1/t) * n^2 / 2`` and ``t >= R >= 3``; outside that regime
     the count is still returned with the hypothesis flagged unmet.
     """
+    if not isinstance(R, int):
+        raise ValueError(f"R must be an int, not {R!r}")
     if R < 3:
         raise ValueError("clique order below 3 is outside the supersaturation regime")
     if t is not None and (not isinstance(t, int) or t < 1):

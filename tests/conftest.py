@@ -1,9 +1,11 @@
+import math
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
 from hypothesis import strategies as st
 
-from monotile.graphs import Colour, ColouredGraph, Graph
+from monotile.graphs import Colour, ColouredGraph, Graph, mask_of
 from monotile.patterns import PatternStats
 
 
@@ -65,3 +67,37 @@ class CountingMasks(list):
     def __getitem__(self, i):
         self.reads += 1
         return super().__getitem__(i)
+
+
+def recheck_trace(inst, H, eta, trace):
+    """Recheck a ``cluster_process`` trace on ``inst`` from the documented split
+    rule, independently of the process; the last state, or None for no steps.
+
+    Every step removes ``k`` pool vertices, at most ``k - alpha`` of them from
+    the side it did not hit; both copy-accounting identities hold; the pools
+    stay inside their base halves and never meet the kept vertices; and the
+    loop stops below the guard ``ceil(eta^2 * s)``, with ``eta`` read as its
+    shortest decimal, as the process reads it.
+    """
+    k, s = H.k, len(inst.x_vertices)
+    half = (s // k + 1) // 2
+    x1 = mask_of(v for c in inst.blue_tiling.copies[:half] for v in c.vertex_map)
+    y1 = mask_of(v for c in inst.red_tiling.copies[:half] for v in c.vertex_map)
+    for rec in trace:
+        st = rec.state_after
+        assert rec.removed_from_x + rec.removed_from_y == k
+        assert rec.removed_from_y <= k - H.alpha or rec.step_type is Colour.BLUE
+        assert rec.removed_from_x <= k - H.alpha or rec.step_type is Colour.RED
+        removed_x = x1.bit_count() - len(st.active_x)
+        removed_y = y1.bit_count() - len(st.active_y)
+        assert removed_x == k * st.red_steps - len(st.saved_y) + len(st.saved_x)
+        assert removed_y == k * st.blue_steps - len(st.saved_x) + len(st.saved_y)
+        assert mask_of(st.active_x) & ~x1 == 0
+        assert mask_of(st.active_y) & ~y1 == 0
+        pools = mask_of(st.active_x) | mask_of(st.active_y)
+        assert (mask_of(st.saved_x) | mask_of(st.saved_y)) & pools == 0
+    if not trace:
+        return None
+    final = trace[-1].state_after
+    assert min(len(final.active_x), len(final.active_y)) < math.ceil(Fraction(str(eta)) ** 2 * s)
+    return final

@@ -17,7 +17,7 @@ from monotile.adversaries import ADVERSARY_NAMES, AdversarySpec, colour_with
 from monotile.aux_hypergraph import aux_degree_check, build_aux_hypergraph
 from monotile.clusters import ClusterCertificate, cluster_process, verify_cluster
 from monotile.extraction import extract_tiling
-from monotile.graphs import Colour, ColouredGraph, Graph, colour_all, mask_of
+from monotile.graphs import Colour, ColouredGraph, Graph, colour_all
 from monotile.instances import planted_process_instance
 from monotile.oracles import exact_rt, good_copy_count, m2_density_bruteforce
 from monotile.patterns import PatternStats, m2_density
@@ -25,6 +25,8 @@ from monotile.richness import richness_probe
 from monotile.sampling import derive_seed
 from monotile.sweep import SweepPlan, run_sweep
 from monotile.tilings import validate_tiling
+
+from .conftest import recheck_trace
 
 K3 = PatternStats.from_graph(Graph.complete(3))
 K2 = PatternStats.from_graph(Graph.complete(2))
@@ -84,31 +86,6 @@ def test_criterion_3_degree_bounds():
                 assert report.all_passed, (stats.pattern, n, report)
 
 
-def _recheck_trace(inst, eta, trace):
-    s = len(inst.x_vertices)
-    k = K3.k
-    half = ((s // k) + 1) // 2
-    x1 = mask_of(v for c in inst.blue_tiling.copies[:half] for v in c.vertex_map)
-    y1 = mask_of(v for c in inst.red_tiling.copies[:half] for v in c.vertex_map)
-    for rec in trace:
-        st = rec.state_after
-        assert rec.removed_from_x + rec.removed_from_y == k
-        assert rec.removed_from_y <= k - K3.alpha or rec.step_type is Colour.BLUE
-        assert rec.removed_from_x <= k - K3.alpha or rec.step_type is Colour.RED
-        removed_x = x1.bit_count() - len(st.active_x)
-        removed_y = y1.bit_count() - len(st.active_y)
-        assert removed_x == k * st.red_steps - len(st.saved_y) + len(st.saved_x)
-        assert removed_y == k * st.blue_steps - len(st.saved_x) + len(st.saved_y)
-        pools = mask_of(st.active_x) | mask_of(st.active_y)
-        assert (mask_of(st.saved_x) | mask_of(st.saved_y)) & pools == 0
-    if trace:
-        final = trace[-1].state_after
-        guard = math.ceil(Fraction(str(eta)) ** 2 * s)
-        assert min(len(final.active_x), len(final.active_y)) < guard
-        return final
-    return None
-
-
 def _recheck_residual_size(inst, eta, final, cert):
     s = len(inst.x_vertices)
     m = s // K3.k
@@ -140,7 +117,7 @@ def test_criterion_4_process_invariants():
                 inst.coloured, K3, inst.x_vertices, inst.y_vertices, eta,
                 inst.blue_tiling, inst.red_tiling, seed=i, trace=trace,
             )
-            final = _recheck_trace(inst, eta, trace)
+            final = recheck_trace(inst, K3, eta, trace)
             if isinstance(out, ClusterCertificate):
                 successes += 1
                 assert verify_cluster(inst.coloured, K3, out), i

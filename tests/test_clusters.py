@@ -1,4 +1,6 @@
+import itertools
 import math
+import re
 from fractions import Fraction
 from unittest import mock
 
@@ -21,6 +23,8 @@ from monotile.instances import bowtie_union, planted_process_instance
 from monotile.patterns import PatternStats
 from monotile.sampling import derive_seed, philox_generator
 from monotile.tilings import Tiling
+
+from .conftest import recheck_trace
 
 
 def tightest_eta(cert: ClusterCertificate, H: PatternStats) -> Fraction:
@@ -127,23 +131,54 @@ def test_process_failure_without_cross_edges(k3):
 
 
 def test_process_eta_one_degenerate(k3):
-    inst = planted_process_instance(k3, 12, with_cross=False)
-    out = cluster_process(
-        inst.coloured, k3, inst.x_vertices, inst.y_vertices, 1.0,
-        inst.blue_tiling, inst.red_tiling,
-    )
-    assert isinstance(out, ClusterCertificate)
-    assert out.red_tiling.size == 0 and out.blue_tiling.size == 0
-    assert verify_cluster(inst.coloured, k3, out)
+    """At eta >= 1 no step runs: X's base half pairs with Y's whole reserve on all s vertices."""
+    for s, eta in itertools.product((6, 9, 12), (1, 1.0, 1.5, 7)):
+        inst = planted_process_instance(k3, s, with_cross=False)
+        half = (s // k3.k + 1) // 2
+        trace = []
+        out = cluster_process(
+            inst.coloured, k3, inst.x_vertices, inst.y_vertices, eta,
+            inst.blue_tiling, inst.red_tiling, trace=trace,
+        )
+        assert isinstance(out, ClusterCertificate) and not trace, (s, eta)
+        assert verify_cluster(inst.coloured, k3, out)
+        assert len(out.vertices) == s
+        assert out.red_tiling == Tiling(Colour.RED, inst.red_tiling.copies[half:])
+        assert out.blue_tiling == Tiling(Colour.BLUE, inst.blue_tiling.copies[:half])
+
+
+def _invalid_process_inputs(k2, k3):
+    """(host, pattern, X, Y, X's tiling, Y's tiling) that every slack must reject."""
+    inst = planted_process_instance(k3, 12)
+    G, X, Y, blue, red = inst.coloured, inst.x_vertices, inst.y_vertices, inst.blue_tiling, inst.red_tiling
+    short_y = Tiling(Colour.RED, red.copies[:-1])
+    x_only = colour_all(Graph.complete(12), Colour.BLUE)  # Y = 12..23 lies outside it
+    return {
+        "k2-pattern": (G, k2, X, Y, blue, red),
+        "unequal-sides": (G, k3, X, short_y.vertices, blue, short_y),
+        "swapped-tilings": (G, k3, X, Y, red, blue),
+        "sides-outside-host": (x_only, k3, X, Y, blue, red),
+    }
+
+
+@pytest.mark.parametrize("case", ["k2-pattern", "unequal-sides", "swapped-tilings", "sides-outside-host"])
+def test_process_validates_inputs_at_every_slack(k2, k3, case):
+    G, H, X, Y, blue, red = _invalid_process_inputs(k2, k3)[case]
+    with pytest.raises(ValueError) as reference:
+        cluster_process(G, H, X, Y, 0.5, blue, red)
+    for eta in (1, 1.5, 7):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(reference.value))}$"):
+            cluster_process(G, H, X, Y, eta, blue, red)
 
 
 def test_process_validates_inputs(k3):
     inst = planted_process_instance(k3, 12)
-    with pytest.raises(ValueError):
-        cluster_process(
-            inst.coloured, k3, inst.x_vertices, inst.y_vertices, 0.0,
-            inst.blue_tiling, inst.red_tiling,
-        )
+    for eta in (0.0, -1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="^eta must be positive and finite"):
+            cluster_process(
+                inst.coloured, k3, inst.x_vertices, inst.y_vertices, eta,
+                inst.blue_tiling, inst.red_tiling,
+            )
     with pytest.raises(ValueError):  # sides must be disjoint
         cluster_process(
             inst.coloured, k3, inst.x_vertices, inst.x_vertices, 0.3,
@@ -184,37 +219,13 @@ def test_process_rejects_tiny_patterns(k2, k3):
         )
 
 
-def _recheck_trace(inst, k3, eta, trace):
-    """Independent accounting recheck from the documented split rule."""
-    s = len(inst.x_vertices)
-    m = s // k3.k
-    half = (m + 1) // 2
-    x1 = mask_of(v for c in inst.blue_tiling.copies[:half] for v in c.vertex_map)
-    y1 = mask_of(v for c in inst.red_tiling.copies[:half] for v in c.vertex_map)
-    guard = math.ceil(Fraction(eta) ** 2 * s)
-    for rec in trace:
-        st = rec.state_after
-        assert rec.removed_from_x + rec.removed_from_y == k3.k
-        removed_x = x1.bit_count() - len(st.active_x)
-        removed_y = y1.bit_count() - len(st.active_y)
-        assert removed_x == k3.k * st.red_steps - len(st.saved_y) + len(st.saved_x)
-        assert removed_y == k3.k * st.blue_steps - len(st.saved_x) + len(st.saved_y)
-        assert mask_of(st.active_x) & ~x1 == 0
-        assert mask_of(st.active_y) & ~y1 == 0
-        pools = mask_of(st.active_x) | mask_of(st.active_y)
-        assert (mask_of(st.saved_x) | mask_of(st.saved_y)) & pools == 0
-    if trace:
-        final = trace[-1].state_after
-        assert min(len(final.active_x), len(final.active_y)) < guard
-
-
 def test_process_trace_invariants(k3):
     for seed, fraction in [(0, 1.0), (1, 0.0), (2, 0.6), (3, 0.4)]:
         trace = []
         inst, out = _run_planted(k3, 24, seed=seed, fraction=fraction, trace=trace)
         assert isinstance(out, ClusterCertificate)
         assert trace, "the loop must run on planted instances"
-        _recheck_trace(inst, k3, 0.3, trace)
+        recheck_trace(inst, k3, 0.3, trace)
 
 
 def _rescanned_window(shuffle, active, size):

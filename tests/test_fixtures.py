@@ -68,8 +68,11 @@ _K3_TEXT = write_graph_text(Graph.complete(3))
 
 
 def _malformed(operation, params):
-    # Each of these used to end verify_fixtures with ZeroDivisionError or TypeError.
-    host = Graph.complete(5) if operation == "clique_supersat" else colour_all(Graph.complete(5), Colour.RED)
+    # Each of these used to end verify_fixtures with ZeroDivisionError or TypeError,
+    # or, a float s or R, to be recomputed at the truncated int.
+    host = Graph.complete(5)
+    if operation == "good_copy_count":
+        host = colour_all(host, Colour.RED)
     return json.dumps({"operation": operation, "key": "malformed", "params": params, "value": 0,
                        "pattern": _K3_TEXT, "host": write_graph_text(host)})
 
@@ -98,6 +101,10 @@ def _malformed(operation, params):
     (_malformed("clique_supersat", {"R": 3, "t": 0}), "malformed: cannot recompute: t must be a positive int"),
     (_malformed("clique_supersat", {"R": 3, "t": "3"}), "malformed: cannot recompute: t must be a positive int"),
     (_malformed("clique_supersat", {"R": 3, "t": 2.5}), "malformed: cannot recompute: t must be a positive int"),
+    (_malformed("clique_supersat", {"R": 3.8}), "malformed: cannot recompute: R must be an int, not 3.8"),
+    (_malformed("clique_supersat", {"R": "3"}), "malformed: cannot recompute: R must be an int, not '3'"),
+    (_malformed("richness_rich", {"s": 2.9}), "malformed: cannot recompute: s must be a positive int, not 2.9"),
+    (_malformed("richness_rich", {"s": "2"}), "malformed: cannot recompute: s must be a positive int, not '2'"),
     (_malformed("good_copy_count", {"A": 5}), "malformed: cannot recompute: 'int' object is not iterable"),
     (_malformed("good_copy_count", {"A": [[0]]}), "malformed: cannot recompute: unhashable type: 'list'"),
     (_malformed("good_copy_count", []), "malformed: cannot recompute: list indices must be integers"),

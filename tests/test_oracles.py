@@ -188,9 +188,14 @@ def _automorphism_count(pattern: Graph) -> int:
 
 
 def test_pattern_image_counts():
-    counts = [len(oracles._pattern_images(pattern)) for pattern in ENUMERATION_PATTERNS]
+    counts = [len(oracles._image_pairs(pattern)[1]) for pattern in ENUMERATION_PATTERNS]
     # k3, p3, p4, c4, k4, matching-2, paw, path plus an isolated vertex
     assert counts == [1, 3, 12, 3, 1, 3, 12, 12]
+    for pattern in ENUMERATION_PATTERNS:
+        pairs, decoded = oracles._image_pairs(pattern)
+        for image, covered in decoded.items():
+            assert covered == tuple(p for bit, p in enumerate(pairs) if image >> bit & 1)
+            assert len(covered) == pattern.num_edges
     for pattern, count in zip(ENUMERATION_PATTERNS, counts):
         assert count == math.factorial(pattern.n) // _automorphism_count(pattern)
 
