@@ -67,7 +67,7 @@ def _uniform_random(G: Graph, spec: AdversarySpec) -> Masks:
 def _planted_partition(G: Graph, spec: AdversarySpec) -> Masks:
     part = spec.params.get("part")
     if part is None:
-        part = range(min(int(spec.params.get("part_size", max(1, G.n // 5))), G.n))
+        part = range(min(max(1, G.n // 5), G.n))
     elif not all(0 <= v < G.n for v in part):
         raise ValueError(f"planted-partition part vertices must lie in range({G.n})")
     inside = mask_of(part)

@@ -190,6 +190,8 @@ def cluster_process(
 
     Returns a :class:`FailureReport` when some probe window contains no good
     copy, which is a legitimate outcome on hosts that are not rich enough.
+    A window of ``ceil(eta^2 * s)`` vertices per side that cannot hold a good
+    copy (below ``alpha``, or twice it below ``k``) is a ``ValueError``.
     Inputs are checked and success is internally re-verified at every slack;
     with ``eta * len(X) >= 2`` (always, when the per-side copy count is even)
     the verification cannot fail.
@@ -224,6 +226,9 @@ def cluster_process(
 
     eta_exact = exact_ratio(eta)
     guard = probe_window_size(eta_exact, s)
+    # A good copy has alpha vertices in one window and all k in the two.
+    if guard < alpha or 2 * guard < k:
+        raise ValueError(f"a probe window of {guard} vertices per side cannot hold a good copy (alpha {alpha}, k {k})")
     q_cross = half  # crossing-case event quota
     q_res = m // 2  # residual-case tiling target
 

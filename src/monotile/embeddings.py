@@ -4,9 +4,9 @@ Searches take one colour class's per-vertex adjacency bitmasks and a universe
 bitmask, clipped to the host's vertices.  The generic matcher backtracks over
 a fixed pattern vertex order (connected expansion, highest degree first),
 trying host candidates in ascending order, so the first copy is the
-lexicographically first embedding.  Triangles dispatch to a bitset search
-(Chiba-Nishizeki style) returning the same copy; with a side requirement it
-seeds only from side vertices.
+lexicographically first embedding.  Triangles needing at most one side
+vertex dispatch to a bitset search (Chiba-Nishizeki style) returning the same
+copy; with a side requirement it seeds only from side vertices.
 
 Every search takes a ``leads`` mask of the vertices allowed in the first scan
 position.  :func:`copy_leads` finds, once per colour class, the vertices that
@@ -154,8 +154,8 @@ def first_copy(
     min_side: int = 0,
     leads: int = -1,
 ) -> tuple[int, ...] | None:
-    """The first embedding :func:`iter_embeddings` yields, or ``None``; triangles take
-    the bit-loop fast path, :func:`find_triangle`.
+    """The first embedding :func:`iter_embeddings` yields, or ``None``; triangles at
+    ``min_side <= 1`` take the bit-loop fast path, :func:`find_triangle`.
 
     Universe bits outside the host are ignored: both searches clip the
     universe to ``range(len(adjacency))``.  ``leads`` is a promise: no copy in
@@ -163,7 +163,7 @@ def first_copy(
     outside it, so the scan skips those vertices.  A resume cursor at ``v`` is
     ``leads & ~((1 << v) - 1)``.
     """
-    if pattern.adjacency == _TRIANGLE:
+    if pattern.adjacency == _TRIANGLE and min_side <= 1:
         return find_triangle(adjacency, universe_mask, side_mask, min_side, leads)
     return next(iter_embeddings(adjacency, pattern, universe_mask, side_mask, min_side, leads), None)
 
@@ -262,11 +262,13 @@ def find_triangle(
     min_side: int = 0,
     leads: int = -1,
 ) -> tuple[int, int, int] | None:
-    """Lexicographically first triangle meeting the side set in >= ``min_side`` vertices.
+    """Lexicographically first triangle, meeting the side set when ``min_side`` is 1.
 
-    The universe is clipped to the host, and every scan is a bit loop over a
-    mask.  Unsided, it is the first triangle of :func:`iter_triangles`, whose
-    least vertex runs over ``leads``, a promise as in :func:`first_copy`.
+    ``min_side`` is 0 or 1: :func:`first_copy` sends larger ones to the
+    generic matcher.  The universe is clipped to the host, and every scan is
+    a bit loop over a mask.  Unsided, it is the first triangle of
+    :func:`iter_triangles`, whose least vertex runs over ``leads``, a promise
+    as in :func:`first_copy`.
     Every triangle meeting the side set passes through a side vertex ``s``,
     so the sided search seeds from side vertices only and keeps the least
     first triangle per ``s``; two comparisons order its three vertices.
@@ -295,12 +297,6 @@ def find_triangle(
             seconds ^= low
             v = low.bit_length() - 1
             closing = ns & adjacency[v] & -(low << 1)
-            if min_side > 1:
-                need = min_side - 1 - (side_mask >> v & 1)  # side hits owed by the third
-                if need > 1:
-                    continue
-                if need == 1:
-                    closing &= side_mask
             if closing:
                 c = (closing & -closing).bit_length() - 1
                 tri = (s, v, c) if s < v else (v, s, c) if s < c else (v, c, s)

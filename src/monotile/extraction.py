@@ -111,19 +111,19 @@ def _find_tie(
 def maximal_cluster_family(
     G: ColouredGraph,
     H: PatternStats,
-    builder_budget: int = DEFAULT_BUILDER_BUDGET,
     leads: Mapping[Colour, int] | None = None,
 ) -> ClusterFamily:
     """Vertex-disjoint tie clusters at slack 0, found in scan order.
 
-    ``leads`` maps each colour to a lead mask promise (see
+    The scan stops after ``DEFAULT_BUILDER_BUDGET`` steps, marking the family
+    ``truncated``.  ``leads`` maps each colour to a lead mask promise (see
     :func:`~monotile.embeddings.first_copy`); every vertex by default.
     """
     if H.ell == 0:
         raise ValueError("monochromatic copy search needs a pattern with at least one edge")
     certs: list[ClusterCertificate] = []
     free_mask = (1 << G.n) - 1
-    budget = [builder_budget]
+    budget = [DEFAULT_BUILDER_BUDGET]
 
     # A red copy with no blue partner keeps none as the free set shrinks, so
     # each scan resumes at the lead vertex of the last tie's red copy.

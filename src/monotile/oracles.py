@@ -267,6 +267,7 @@ def is_complete_host(G: Graph) -> bool:
 
 
 _ATLAS_CEILING = 7  # the atlas table's largest order
+_SAMPLED_COLOURINGS = 200  # colourings a sampled richness_decide draws
 
 
 def _atlas_host(G: Graph) -> bool:
@@ -299,7 +300,7 @@ def _atlas() -> dict[int, tuple[Graph, ...]]:
 
 
 def atlas_graphs(n: int) -> list[Graph]:
-    """All graphs on ``n`` vertices up to isomorphism (atlas ceiling: 7)."""
+    """All graphs on ``n`` vertices up to isomorphism (the atlas holds orders up to 7)."""
     if n > _ATLAS_CEILING:
         raise ValueError(f"the graph atlas stops at {_ATLAS_CEILING} vertices")
     return list(_atlas().get(n, ()))
@@ -472,13 +473,12 @@ def richness_decide(
     H: PatternStats,
     s: int,
     budget: float | None = None,
-    samples: int = 200,
-    seed: int = 0,
 ) -> RichnessVerdict:
     """Decide (or sample) whether every colouring serves every disjoint s-set pair.
 
     Non-atlas hosts are sampled when the exhaustive work estimate exceeds
-    the budget (``None`` is the default budget).
+    the budget (``None`` is the default budget): ``_SAMPLED_COLOURINGS`` (200)
+    colourings at seed 0, adversarial ones first, each with up to 20 pairs.
     """
     if not isinstance(s, int) or s < 1:
         raise ValueError(f"s must be a positive int, not {s!r}")
@@ -497,14 +497,14 @@ def richness_decide(
         from .adversaries import AdversarySpec, colour_with
         from .sampling import derive_seed, philox_generator
 
-        rng = philox_generator(derive_seed("richness-sample", seed))
+        rng = philox_generator(derive_seed("richness-sample", 0))
         specs = [
-            AdversarySpec("copy-avoider-greedy", {"pattern": H.pattern}, seed),
-            AdversarySpec("planted-partition", {}, seed),
-            AdversarySpec("majority-degree", {}, seed),
+            AdversarySpec("copy-avoider-greedy", {"pattern": H.pattern}, 0),
+            AdversarySpec("planted-partition", {}, 0),
+            AdversarySpec("majority-degree", {}, 0),
         ]
-        for trial in range(samples):
-            uniform = AdversarySpec("uniform-random", {}, derive_seed(seed, trial))
+        for trial in range(_SAMPLED_COLOURINGS):
+            uniform = AdversarySpec("uniform-random", {}, derive_seed(0, trial))
             coloured = colour_with(G_template, specs[trial] if trial < len(specs) else uniform)
             for _ in range(min(pair_count, 20)):
                 yield (coloured, *_nth_disjoint_pair(n, s, int(rng.integers(pair_count))))

@@ -42,11 +42,11 @@ def m2_density(pattern: Graph) -> Fraction:
     return best
 
 
-def independence_number(pattern: Graph, ceiling: int = INDEPENDENCE_CEILING) -> int:
-    """Size of a maximum independent set, by exact branch and bound."""
-    if pattern.n > ceiling:
+def independence_number(pattern: Graph) -> int:
+    """Size of a maximum independent set, by exact branch and bound, up to ``INDEPENDENCE_CEILING`` vertices."""
+    if pattern.n > INDEPENDENCE_CEILING:
         raise ValueError(
-            f"graph has {pattern.n} vertices, above the brute-force ceiling {ceiling}"
+            f"graph has {pattern.n} vertices, above the brute-force ceiling {INDEPENDENCE_CEILING}"
         )
     adj = pattern.adjacency
     best = 0

@@ -81,5 +81,7 @@ def sample_gnp(n: int, p: float, seed: int) -> Graph:
 
 def threshold_probability(n: int, C: float, pattern: PatternStats) -> float:
     """``min(1, C * n**(-1/max(m2, 1)))`` with the exponent compared exactly."""
+    if n < 1:
+        raise ValueError(f"need at least one vertex, not n = {n}")
     exponent = Fraction(1) / pattern.m2_or_one
     return min(1.0, C * float(n) ** (-float(exponent)))

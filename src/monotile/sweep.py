@@ -46,6 +46,8 @@ class SweepPlan:
                 raise ValueError(f"unknown adversary {name!r}")
         if not 0 < self.epsilon < 1:
             raise ValueError("epsilon must lie in (0, 1)")
+        if min(self.n_list, default=1) < 1:
+            raise ValueError(f"every n needs at least one vertex, not {min(self.n_list)}")
         # A repeated entry would rerun its cells with the same seeds and count
         # the copies as independent trials.
         for label, values in (("n_list", self.n_list), ("C_list", self.C_list), ("adversaries", self.adversaries)):
@@ -151,7 +153,8 @@ class SweepResult:
 _CELL_TEXT = {"float": lambda x: repr(float(x)), "bool": lambda x: str(int(x))}
 
 
-def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    z = 1.96  # the 95 % score interval
     if trials == 0:
         return (0.0, 1.0)
     phat = successes / trials

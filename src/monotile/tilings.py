@@ -8,7 +8,6 @@ stored on it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 from .embeddings import EmbeddedCopy
 from .graphs import Colour, ColouredGraph, mask_of, normalize_edge
@@ -36,30 +35,23 @@ def tiling_errors(
     G: ColouredGraph,
     H: PatternStats,
     tiling: Tiling,
-    inside: Iterable[int] | int | None = None,
+    inside: int = -1,
 ) -> list[str]:
     """All violations of the tiling contract, empty when valid.
 
-    Each copy is read as one vertex mask; ``inside`` is a vertex iterable or
-    a vertex mask.  A copy's map must have one entry per pattern vertex, be
-    injective, stay in the host and send every pattern edge to an edge of the
-    tiling's colour; copies must be disjoint and lie inside ``inside``.  A map
-    with a negative vertex is reported as leaving the host vertex range, and
-    its other entries still count for the disjointness and ``inside`` checks.
-    Never raises on a vertex value.
+    Each copy is read as one vertex mask; ``inside`` is a vertex mask (see
+    :func:`~monotile.graphs.mask_of`), every vertex by default.  A copy's
+    map must have one entry per pattern vertex, be injective, stay in the
+    host and send every pattern edge to an edge of the tiling's colour;
+    copies must be disjoint and lie inside ``inside``.  A map with a negative
+    vertex is reported as leaving the host vertex range, and its other
+    entries still count for the disjointness and ``inside`` checks.  Never
+    raises on a vertex value.
     """
     try:
         masks = [mask_of(c.vertex_map) for c in tiling.copies]
     except ValueError:  # a negative vertex: each copy's mask holds its entries >= 0
         masks = [mask_of(v for v in c.vertex_map if v >= 0) for c in tiling.copies]
-    if inside is None:
-        allowed = -1
-    elif isinstance(inside, int):
-        allowed = inside
-    else:
-        # An entry that no copy vertex can equal, negative or past them all, drops out.
-        top = max(G.n, max(masks, default=0).bit_length())
-        allowed = mask_of(v for v in inside if 0 <= v < top)
     n, k, colour = G.n, H.k, tiling.colour
     adjacency = G.graph.adjacency
     wanted = G.adjacency_for(colour)
@@ -86,7 +78,7 @@ def tiling_errors(
         if m & seen:
             problems.append(f"copy {i} overlaps an earlier copy")
         seen |= m
-        if m & ~allowed:
+        if m & ~inside:
             problems.append(f"copy {i} leaves the allowed vertex set")
     return problems
 
@@ -95,6 +87,6 @@ def validate_tiling(
     G: ColouredGraph,
     H: PatternStats,
     tiling: Tiling,
-    inside: Iterable[int] | int | None = None,
+    inside: int = -1,
 ) -> bool:
     return not tiling_errors(G, H, tiling, inside)

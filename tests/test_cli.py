@@ -183,6 +183,20 @@ def test_budget_refusal_from_aux(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sample", "--n", "0", "--C", "5"],
+        ["sample", "--n", "0", "--p", "0.5"],
+        ["sweep", "--pattern", "k3", "--n-list", "0", "--c-list", "1", "--epsilon", "0.1"],
+        ["sweep", "--pattern", "k3", "--n-list", "-5", "--c-list", "1", "--epsilon", "0.1"],
+    ],
+)
+def test_a_host_without_vertices_is_a_usage_error(capsys, argv):
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as err:
         main(["sample", "--n"])  # missing value

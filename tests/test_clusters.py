@@ -14,6 +14,7 @@ from monotile.clusters import (
     ClusterCertificate,
     FailureReport,
     cluster_process,
+    probe_window_size,
     required_tiling_size,
     verify_cluster,
 )
@@ -128,6 +129,25 @@ def test_process_failure_without_cross_edges(k3):
     assert isinstance(out, FailureReport)
     assert out.exhausted_at.red_steps == 0 and out.exhausted_at.blue_steps == 0
     assert out.probe_x and out.probe_y
+
+
+def test_process_rejects_a_window_too_small_for_a_good_copy(k3):
+    """A one-vertex window cannot hold a good triangle, so the run is refused
+    rather than reported as a failure of the host."""
+    for s, eta in ((6, 0.1), (12, 0.2), (24, 0.2), (48, 0.1)):
+        inst = planted_process_instance(k3, s, 0, 1.0)
+        assert probe_window_size(eta, s) == 1
+        with pytest.raises(ValueError, match="^a probe window of 1 vertices per side cannot hold a good copy"):
+            cluster_process(
+                inst.coloured, k3, inst.x_vertices, inst.y_vertices, eta,
+                inst.blue_tiling, inst.red_tiling,
+            )
+    # The s = 24 instance with a three-vertex window builds a certificate.
+    out = cluster_process(
+        inst.coloured, k3, inst.x_vertices, inst.y_vertices, 0.3,
+        inst.blue_tiling, inst.red_tiling,
+    )
+    assert isinstance(out, ClusterCertificate) and verify_cluster(inst.coloured, k3, out)
 
 
 def test_process_eta_one_degenerate(k3):

@@ -158,8 +158,9 @@ def test_triangle_fast_path_matches_generic_matcher(cg, data):
             }
             assert set(fast) == slow
             # The lexicographically first triangle, also the generic matcher's first copy.
-            first = find_triangle(adj, universe, side, min_side)
-            assert first == (min(fast) if fast else None)
+            first = min(fast, default=None)
+            if min_side <= 1:
+                assert find_triangle(adj, universe, side, min_side) == first
             generic = next(iter_embeddings(adj, pattern, universe, side, min_side), None)
             assert generic == first
             # Any superset of the class's lead mask, cut at or below the first
@@ -188,7 +189,9 @@ def test_side_seeded_triangle_search_matches_brute_force():
         ]
         for min_side in range(4):
             valid = [t for t in triangles if sum((side >> v) & 1 for v in t) >= min_side]
-            assert find_triangle(adj, universe, side, min_side) == min(valid, default=None)
+            if min_side <= 1:
+                assert find_triangle(adj, universe, side, min_side) == min(valid, default=None)
+            assert first_copy(adj, Graph.complete(3), universe, side, min_side) == min(valid, default=None)
 
 
 @settings(max_examples=150, deadline=None)
@@ -202,9 +205,12 @@ def test_sided_triangle_search_under_lead_mask_matches_unmasked(cg, universe, si
         # No triangle in the universe leads below the first one's lead vertex.
         cut = n if first is None else first[0]
         leads = copy_leads(adj, Graph.complete(3)) & ~((1 << cut) - 1)
-        for min_side in range(4):
+        for min_side in range(2):
             expected = find_triangle(adj, universe, side, min_side)
             assert find_triangle(adj, universe, side, min_side, leads=leads) == expected
+        for min_side in range(2, 4):
+            expected = first_copy(adj, Graph.complete(3), universe, side, min_side)
+            assert first_copy(adj, Graph.complete(3), universe, side, min_side, leads=leads) == expected
 
 
 @settings(max_examples=150, deadline=None)

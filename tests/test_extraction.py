@@ -44,7 +44,7 @@ def test_all_red_complete_host(k3):
 
 def test_planted_ten_set_on_k50(k3):
     host = Graph.complete(50)
-    cg = colour_with(host, AdversarySpec("planted-partition", {"part_size": 10}, 0))
+    cg = colour_with(host, AdversarySpec("planted-partition", {"part": range(10)}, 0))
     tiling, report = extract_tiling(cg, k3, epsilon=0.1, seed=3)
     assert validate_tiling(cg, k3, tiling)
     assert report.achieved_size >= 5
@@ -129,9 +129,10 @@ def test_family_rejects_an_edgeless_pattern():
         maximal_cluster_family(cg, PatternStats.from_graph(Graph(2)))
 
 
-def test_family_budget_truncation(k3):
+def test_family_budget_truncation(k3, monkeypatch):
     cg = bowtie_union(4)
-    fam = maximal_cluster_family(cg, k3, builder_budget=2)
+    monkeypatch.setattr(extraction, "DEFAULT_BUILDER_BUDGET", 2)
+    fam = maximal_cluster_family(cg, k3)
     assert fam.truncated
     assert len(fam.certificates) < 4
 

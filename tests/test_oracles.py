@@ -403,10 +403,11 @@ def test_rt_monotone_in_host_size(k2, k3):
         assert values == sorted(values), (stats.pattern, values)
 
 
-def test_colouring_counts_past_the_float_range(k3):
+def test_colouring_counts_past_the_float_range(k3, monkeypatch):
     host = Graph.complete(46)  # 1,035 edges: 2^1034 colourings overflow a float
+    monkeypatch.setattr(oracles, "_SAMPLED_COLOURINGS", 2)
     for budget, mode in ((float("inf"), "exhaustive"), (None, "sampled"), (1e6, "sampled")):
-        verdict = richness_decide(host, k3, 1, budget=budget, samples=2)
+        verdict = richness_decide(host, k3, 1, budget=budget)
         assert (verdict.rich, verdict.mode) == (False, mode)
     assert str(BudgetExceededError(2**1100, 5e7)) == "work estimate 1.36e+331 exceeds budget 5e+07"
 
@@ -459,8 +460,9 @@ def test_richness_vacuous_when_no_pairs(k3):
     assert verdict.rich is True and verdict.mode == "vacuous"
 
 
-def test_richness_sampled_mode(k3):
-    verdict = richness_decide(Graph.complete(10), k3, 2, budget=10.0, samples=3)
+def test_richness_sampled_mode(k3, monkeypatch):
+    monkeypatch.setattr(oracles, "_SAMPLED_COLOURINGS", 3)
+    verdict = richness_decide(Graph.complete(10), k3, 2, budget=10.0)
     assert verdict.mode == "sampled"
     assert verdict.trials > 0
     assert verdict.rich in (None, False)

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
+from monotile import patterns
 from monotile.graphs import Graph
 from monotile.oracles import independence_number_bruteforce, m2_density_bruteforce
 from monotile.patterns import PatternStats, independence_number, m2_density
@@ -79,10 +80,11 @@ def test_independence_matches_subset_oracle(g):
     assert independence_number(g) == independence_number_bruteforce(g)
 
 
-def test_independence_ceiling():
+def test_independence_ceiling(monkeypatch):
     with pytest.raises(ValueError):
         independence_number(Graph.empty(21))
-    assert independence_number(Graph.empty(21), ceiling=25) == 21
+    monkeypatch.setattr(patterns, "INDEPENDENCE_CEILING", 25)
+    assert independence_number(Graph.empty(21)) == 21
 
 
 def test_pattern_stats_caches():

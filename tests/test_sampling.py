@@ -134,6 +134,12 @@ def test_threshold_probability_uses_m2_exponent(k3, k2):
     assert threshold_probability(4, 10.0, k3) == 1.0
 
 
+@pytest.mark.parametrize("n", [0, -5])
+def test_threshold_probability_needs_a_vertex(k3, n):
+    with pytest.raises(ValueError, match=f"^need at least one vertex, not n = {n}$"):
+        threshold_probability(n, 5.0, k3)
+
+
 def test_derive_seed_stable():
     assert derive_seed("a", 1) == derive_seed("a", 1)
     assert derive_seed("a", 1) != derive_seed("a", 2)

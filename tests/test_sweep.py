@@ -181,6 +181,9 @@ def test_plan_validation():
         _small_plan(C_list=(50.0, 50))
     with pytest.raises(ValueError, match="adversaries repeats 'uniform-random'"):
         _small_plan(adversaries=("uniform-random",) * 2)
+    for n in (0, -5):
+        with pytest.raises(ValueError, match=f"^every n needs at least one vertex, not {n}$"):
+            _small_plan(n_list=(12, n))
 
 
 def test_trial_failures_become_rows(monkeypatch):
