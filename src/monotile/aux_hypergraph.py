@@ -79,6 +79,8 @@ def build_aux_hypergraph(
     budget: float | None = None,
 ) -> AuxHypergraph:
     """Exhaustively build the hypergraph over the complete host on ``n`` vertices."""
+    if n < 1:
+        raise ValueError(f"the host needs at least one vertex, not n = {n}")
     part_a, part_b = frozenset(A), frozenset(B)
     if part_a & part_b or part_a | part_b != frozenset(range(n)):
         raise ValueError("A and B must partition the host vertex set")

@@ -130,10 +130,7 @@ def cmd_good_count(args) -> int:
 
 def cmd_aux_check(args) -> int:
     stats = PatternStats.from_graph(_load_pattern(args.pattern))
-    if args.part_a:
-        A = _parse_vertices(args.part_a)
-    else:
-        A = list(range(args.n // 2))
+    A = _parse_vertices(args.part_a) if args.part_a else list(range(args.n // 2))
     B = sorted(set(range(args.n)).difference(A))
     aux = build_aux_hypergraph(args.n, A, B, stats, args.budget)
     report = aux_degree_check(aux)

@@ -5,8 +5,8 @@ text, parameters) plus the cached value, keyed by content hashes.
 ``verify_fixtures`` recomputes every value within per-operation budgets and
 reports any drift as a hard failure naming the offending keys; so is a file
 it cannot recompute (not a JSON object, a host or pattern text that does
-not parse to the kind its operation takes, or a parameter of the wrong type
-or out of range), and the rest are still checked.
+not parse to the kind its operation takes, a parameter of the wrong type or
+out of range, or a budget refusal), and the rest are still checked.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from pathlib import Path
 from typing import Callable
 
 from . import oracles
+from .budget import BudgetExceededError
 from .graphs import ColouredGraph, Graph, _as_colouring, parse_graph_text, write_graph_text
 from .patterns import PatternStats, independence_number, m2_density
 
@@ -147,7 +148,7 @@ def verify_fixtures(directory: Path | str, budget: float | None = None) -> Verif
                 mismatches.append(f"{key}: unknown operation {op!r}")
                 continue
             fresh = OPERATIONS[op](payload, budget)
-        except (ValueError, KeyError, TypeError) as exc:  # TypeError: a param of the wrong type
+        except (ValueError, KeyError, TypeError, BudgetExceededError) as exc:  # TypeError: a param of the wrong type
             mismatches.append(f"{key}: cannot recompute: {exc}")
             continue
         checked += 1

@@ -20,10 +20,10 @@ mask)`` entries, a pair mask setting one bit per edge, pairs ``u < v``
 numbered in lexicographic order (at most 21 bits on seven vertices), and
 keeps the entries whose edges a colour class covers; on other hosts it
 sweeps each colour class of each colouring.  None of ``exact_rt``'s tables
-outlives the call that built it.  ``richness_decide`` counts its side pairs
-and unranks each sampled one, so it never lists them all.  ``count_cliques``
-runs the ordered clique extension ``graphs._cliques``, which the copy-avoider
-also runs; no check compares the two.
+outlives the call that built it.  ``richness_decide`` enumerates, or refuses
+past its budget off the atlas.  ``count_cliques`` runs the ordered clique
+extension ``graphs._cliques``, which the copy-avoider also runs; no check
+compares the two.
 
 Exhaustive colouring sweeps over complete hosts dedup colourings up to
 relabelling through the graph atlas (all isomorphism classes up to seven
@@ -267,7 +267,6 @@ def is_complete_host(G: Graph) -> bool:
 
 
 _ATLAS_CEILING = 7  # the atlas table's largest order
-_SAMPLED_COLOURINGS = 200  # colourings a sampled richness_decide draws
 
 
 def _atlas_host(G: Graph) -> bool:
@@ -433,10 +432,9 @@ class RichnessCounterexample:
 
 @dataclass(frozen=True)
 class RichnessVerdict:
-    """``rich`` is definitive in exhaustive mode; in sampled mode only a found
-    counterexample is definitive (``rich=False``), otherwise ``rich=None``."""
+    """A definitive ``rich``: ``mode`` is ``"exhaustive"``, or ``"vacuous"`` when no pair exists."""
 
-    rich: bool | None
+    rich: bool
     mode: str
     trials: int
     counterexample: RichnessCounterexample | None = None
@@ -449,36 +447,17 @@ def iter_disjoint_pairs(n: int, s: int) -> Iterator[tuple[tuple[int, ...], tuple
             yield xs, ys
 
 
-def _nth_combination(pool: list[int], r: int, index: int) -> tuple[int, ...]:
-    """The ``index``-th of ``combinations(pool, r)``, counted from 0."""
-    n, c, picked = len(pool), comb(len(pool), r), []
-    while r:
-        c, n, r = c * r // n, n - 1, r - 1  # c: the combinations that pick pool[-1 - n] next
-        while index >= c:
-            index -= c
-            c, n = c * (n - r) // n, n - 1
-        picked.append(pool[-1 - n])
-    return tuple(picked)
-
-
-def _nth_disjoint_pair(n: int, s: int, index: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The ``index``-th pair of ``iter_disjoint_pairs(n, s)``, without listing those before it."""
-    x_index, y_index = divmod(index, comb(n - s, s))
-    xs = _nth_combination(list(range(n)), s, x_index)
-    return xs, _nth_combination([v for v in range(n) if v not in xs], s, y_index)
-
-
 def richness_decide(
     G_template: Graph,
     H: PatternStats,
     s: int,
     budget: float | None = None,
 ) -> RichnessVerdict:
-    """Decide (or sample) whether every colouring serves every disjoint s-set pair.
+    """Decide whether every colouring serves every disjoint s-set pair.
 
-    Non-atlas hosts are sampled when the exhaustive work estimate exceeds
-    the budget (``None`` is the default budget): ``_SAMPLED_COLOURINGS`` (200)
-    colourings at seed 0, adversarial ones first, each with up to 20 pairs.
+    Atlas hosts always enumerate.  Other hosts enumerate when the exact
+    estimate ``2**(e-1) * pairs * n**k`` is within the budget (``None`` is
+    the default budget) and raise ``BudgetExceededError`` otherwise.
     """
     if not isinstance(s, int) or s < 1:
         raise ValueError(f"s must be a positive int, not {s!r}")
@@ -486,41 +465,16 @@ def richness_decide(
     pair_count = comb(n, s) * comb(n - s, s) if 2 * s <= n else 0  # iter_disjoint_pairs' length
     if not pair_count:
         return RichnessVerdict(rich=True, mode="vacuous", trials=0)
-
-    atlas_mode = _atlas_host(G_template)
-    colouring_count = len(atlas_graphs(n)) if atlas_mode else 2 ** max(G_template.num_edges - 1, 0)
-    limit = work_limit(budget)
-    work = colouring_count * pair_count * n**H.k  # exact: past 1,024 edges it overflows a float
-
-    def sampled() -> Iterator[tuple[ColouredGraph, tuple[int, ...], tuple[int, ...]]]:
-        # Adversarial colourings first, then uniform random ones.
-        from .adversaries import AdversarySpec, colour_with
-        from .sampling import derive_seed, philox_generator
-
-        rng = philox_generator(derive_seed("richness-sample", 0))
-        specs = [
-            AdversarySpec("copy-avoider-greedy", {"pattern": H.pattern}, 0),
-            AdversarySpec("planted-partition", {}, 0),
-            AdversarySpec("majority-degree", {}, 0),
-        ]
-        for trial in range(_SAMPLED_COLOURINGS):
-            uniform = AdversarySpec("uniform-random", {}, derive_seed(0, trial))
-            coloured = colour_with(G_template, specs[trial] if trial < len(specs) else uniform)
-            for _ in range(min(pair_count, 20)):
-                yield (coloured, *_nth_disjoint_pair(n, s, int(rng.integers(pair_count))))
-
-    if atlas_mode or work <= limit:
-        mode = "exhaustive"
-        draws = ((c, xs, ys) for c in iter_colourings(G_template) for xs, ys in iter_disjoint_pairs(n, s))
-    else:
-        mode, draws = "sampled", sampled()
+    if not _atlas_host(G_template):  # exact: past 1,024 edges it overflows a float
+        require_budget(2 ** max(G_template.num_edges - 1, 0) * pair_count * n**H.k, budget, "richness enumeration")
     trials = 0
-    for coloured, xs, ys in draws:
-        trials += 1
-        if good_copy_witness_count(coloured, H, xs, ys) == 0:
-            counterexample = RichnessCounterexample(dict(coloured.colour), frozenset(xs), frozenset(ys))
-            return RichnessVerdict(rich=False, mode=mode, trials=trials, counterexample=counterexample)
-    return RichnessVerdict(rich=True if mode == "exhaustive" else None, mode=mode, trials=trials)
+    for coloured in iter_colourings(G_template):
+        for xs, ys in iter_disjoint_pairs(n, s):
+            trials += 1
+            if good_copy_witness_count(coloured, H, xs, ys) == 0:
+                counterexample = RichnessCounterexample(dict(coloured.colour), frozenset(xs), frozenset(ys))
+                return RichnessVerdict(rich=False, mode="exhaustive", trials=trials, counterexample=counterexample)
+    return RichnessVerdict(rich=True, mode="exhaustive", trials=trials)
 
 
 # ---------------------------------------------------------------------------

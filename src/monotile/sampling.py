@@ -15,6 +15,7 @@ O(m + 2**16) for m edges, plus the transient bit matrix of the mask build.
 from __future__ import annotations
 
 import hashlib
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -83,5 +84,7 @@ def threshold_probability(n: int, C: float, pattern: PatternStats) -> float:
     """``min(1, C * n**(-1/max(m2, 1)))`` with the exponent compared exactly."""
     if n < 1:
         raise ValueError(f"need at least one vertex, not n = {n}")
+    if not math.isfinite(C):
+        raise ValueError(f"C must be finite, not {C}")
     exponent = Fraction(1) / pattern.m2_or_one
     return min(1.0, C * float(n) ** (-float(exponent)))

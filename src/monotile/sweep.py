@@ -48,6 +48,9 @@ class SweepPlan:
             raise ValueError("epsilon must lie in (0, 1)")
         if min(self.n_list, default=1) < 1:
             raise ValueError(f"every n needs at least one vertex, not {min(self.n_list)}")
+        for C in self.C_list:
+            if not math.isfinite(C):
+                raise ValueError(f"every C must be finite, not {C}")
         # A repeated entry would rerun its cells with the same seeds and count
         # the copies as independent trials.
         for label, values in (("n_list", self.n_list), ("C_list", self.C_list), ("adversaries", self.adversaries)):

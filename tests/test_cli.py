@@ -197,6 +197,27 @@ def test_a_host_without_vertices_is_a_usage_error(capsys, argv):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sample", "--n", "4", "--C", "nan"],
+        ["sample", "--n", "4", "--C", "inf"],
+        ["sweep", "--pattern", "k3", "--n-list", "4", "--c-list", "nan", "--epsilon", "0.1"],
+        ["sweep", "--pattern", "k3", "--n-list", "4", "--c-list", "1,inf", "--epsilon", "0.1"],
+    ],
+)
+def test_a_non_finite_threshold_constant_is_a_usage_error(capsys, argv):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("n", ["0", "-4"])
+def test_aux_check_needs_a_vertex(capsys, n):
+    assert main(["aux-check", "--n", n, "--pattern", "k3"]) == 1
+    assert capsys.readouterr().err == f"error: the host needs at least one vertex, not n = {n}\n"
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as err:
         main(["sample", "--n"])  # missing value
@@ -234,6 +255,17 @@ def test_verify_fixtures_exit_codes(tmp_path, capsys):
     victim.write_text(json.dumps(payload))
     code, out = run(capsys, "verify-fixtures", "--dir", str(tmp_path))
     assert code == 3
+
+
+def test_verify_fixtures_reports_a_budget_refusal_per_file(tmp_path, capsys):
+    save_fixture(tmp_path, "good_copy_count", colour_all(Graph.complete(6), Colour.RED), Graph.complete(3), {"A": [0, 1, 2]})
+    save_fixture(tmp_path, "m2_density", Graph.complete(3), Graph.complete(3), {})
+    code, out = run(capsys, "verify-fixtures", "--dir", str(tmp_path), "--budget", "200")
+    assert code == 3
+    payload = json.loads(out)
+    assert payload["checked"] == 1 and len(payload["mismatches"]) == 1
+    assert payload["mismatches"][0].startswith("good_copy_count__")
+    assert payload["mismatches"][0].endswith(": cannot recompute: good-copy enumeration estimate 216 exceeds budget 200")
 
 
 def test_verify_fixtures_reports_an_unreadable_file_as_drift(tmp_path, capsys):

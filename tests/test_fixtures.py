@@ -41,6 +41,19 @@ def test_richness_fixture_roundtrip(tmp_path):
     assert report.passed and report.checked == 2
 
 
+def test_a_budget_refusal_is_reported_and_the_rest_still_checked(tmp_path):
+    save_fixture(
+        tmp_path, "good_copy_count",
+        colour_all(Graph.complete(6), Colour.RED), Graph.complete(3), {"A": [0, 1, 2]},
+    )
+    save_fixture(tmp_path, "m2_density", Graph.complete(3), Graph.complete(3), {})
+    report = verify_fixtures(tmp_path, budget=200)  # the K6 count's estimate is 6^3 = 216
+    assert report.checked == 1 and not report.passed
+    assert [m.split(": ")[1:] for m in report.mismatches] == [
+        ["cannot recompute", "good-copy enumeration estimate 216 exceeds budget 200"]
+    ]
+
+
 def test_clique_supersat_fixture(tmp_path):
     save_fixture(
         tmp_path, "clique_supersat", Graph.complete(8), Graph.complete(3), {"R": 3}

@@ -1,7 +1,9 @@
+import ast
 import gc
 import math
 import weakref
 from itertools import combinations, permutations
+from pathlib import Path
 from typing import Iterable, Iterator
 
 import pytest
@@ -13,7 +15,6 @@ from monotile.budget import DEFAULT_WORK_BUDGET, BudgetExceededError
 from monotile.graphs import Colour, ColouredGraph, Edge, Graph, colour_all, mask_of, normalize_edge, pattern_by_name
 from monotile.oracles import (
     _atlas,
-    _nth_disjoint_pair,
     atlas_graphs,
     clique_supersat_count,
     count_cliques,
@@ -31,6 +32,17 @@ from monotile.oracles import (
 from monotile.patterns import PatternStats
 
 from .conftest import CountingMasks, all_colourings, coloured_graphs, graphs
+
+
+@pytest.mark.parametrize("module", ["oracles", "aux_hypergraph"])
+def test_oracle_modules_import_only_the_substrate(module):
+    """A second route calls none of the code it checks, not even from a function body."""
+    tree = ast.parse(Path(oracles.__file__).with_name(f"{module}.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            imported.update([node.module] if node.module else [alias.name for alias in node.names])
+    assert imported <= {"budget", "graphs", "patterns", "oracles"}, imported
 
 
 def test_good_copy_count_k6_all_red(k3):
@@ -403,12 +415,13 @@ def test_rt_monotone_in_host_size(k2, k3):
         assert values == sorted(values), (stats.pattern, values)
 
 
-def test_colouring_counts_past_the_float_range(k3, monkeypatch):
+def test_colouring_counts_past_the_float_range(k3):
     host = Graph.complete(46)  # 1,035 edges: 2^1034 colourings overflow a float
-    monkeypatch.setattr(oracles, "_SAMPLED_COLOURINGS", 2)
-    for budget, mode in ((float("inf"), "exhaustive"), (None, "sampled"), (1e6, "sampled")):
-        verdict = richness_decide(host, k3, 1, budget=budget)
-        assert (verdict.rich, verdict.mode) == (False, mode)
+    verdict = richness_decide(host, k3, 1, budget=float("inf"))
+    assert (verdict.rich, verdict.mode) == (False, "exhaustive")
+    for budget in (None, 1e6):
+        with pytest.raises(BudgetExceededError, match=r"^richness enumeration estimate 3\.71e\+319 exceeds"):
+            richness_decide(host, k3, 1, budget=budget)
     assert str(BudgetExceededError(2**1100, 5e7)) == "work estimate 1.36e+331 exceeds budget 5e+07"
 
 
@@ -429,8 +442,8 @@ def test_no_budget_means_the_default_budget(k3):
     res = exact_rt(c5, petersen)  # 10^5 work per colouring against the default 5e7
     assert (res.exact, res.colourings_checked, res.mode) == (False, DEFAULT_WORK_BUDGET // 10**5, "raw")
     assert (res.upper, res.colourings_checked, res.exact) == _reference_exact_rt(c5, petersen)
-    verdict = richness_decide(Graph.complete(10), k3, 2)  # ~2^44 colourings
-    assert verdict.mode == "sampled" and verdict.rich in (None, False)
+    with pytest.raises(BudgetExceededError, match="exceeds budget 5e\\+07$"):
+        richness_decide(Graph.complete(10), k3, 2)  # ~2^44 colourings
 
 
 def test_rt_general_host(k2):
@@ -448,6 +461,7 @@ def test_richness_k4_not_rich(k3):
 def test_richness_k6_rich(k3):
     verdict = richness_decide(Graph.complete(6), k3, 3)
     assert verdict.rich is True and verdict.mode == "exhaustive"
+    assert verdict.trials == len(atlas_graphs(6)) * math.comb(6, 3)  # every colouring, every pair
 
 
 def test_richness_empty_graph_not_rich(k3):
@@ -458,22 +472,9 @@ def test_richness_empty_graph_not_rich(k3):
 def test_richness_vacuous_when_no_pairs(k3):
     verdict = richness_decide(Graph.complete(3), k3, 2)
     assert verdict.rich is True and verdict.mode == "vacuous"
-
-
-def test_richness_sampled_mode(k3, monkeypatch):
-    monkeypatch.setattr(oracles, "_SAMPLED_COLOURINGS", 3)
-    verdict = richness_decide(Graph.complete(10), k3, 2, budget=10.0)
-    assert verdict.mode == "sampled"
-    assert verdict.trials > 0
-    assert verdict.rich in (None, False)
-
-
-def test_nth_disjoint_pair_follows_the_pair_order():
-    for n in range(11):
-        for s in range(1, n // 2 + 1):
-            pairs = list(iter_disjoint_pairs(n, s))
-            assert len(pairs) == math.comb(n, s) * math.comb(n - s, s)
-            assert [_nth_disjoint_pair(n, s, i) for i in range(len(pairs))] == pairs, (n, s)
+    for n in range(11):  # the pair count richness_decide reads instead of listing
+        for s in range(1, n + 1):
+            assert len(list(iter_disjoint_pairs(n, s))) == math.comb(n, s) * math.comb(n - s, s), (n, s)
 
 
 def test_sampled_richness_does_not_list_every_pair(k3):
@@ -485,12 +486,12 @@ def test_sampled_richness_does_not_list_every_pair(k3):
     host = sample_gnp(15, 0.5, 1)
     tracemalloc.start()
     try:
-        verdict = richness_decide(host, k3, 5)
+        with pytest.raises(BudgetExceededError):
+            richness_decide(host, k3, 5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert verdict.mode == "sampled" and verdict.trials > 0
-    assert peak < 10 * 2**20
+    assert peak < 2**20
 
 
 def test_clique_counts_match_binomials():

@@ -140,6 +140,12 @@ def test_threshold_probability_needs_a_vertex(k3, n):
         threshold_probability(n, 5.0, k3)
 
 
+@pytest.mark.parametrize("C", [math.nan, math.inf, -math.inf])
+def test_threshold_probability_needs_a_finite_constant(k3, C):
+    with pytest.raises(ValueError, match=f"^C must be finite, not {C}$"):
+        threshold_probability(4, C, k3)
+
+
 def test_derive_seed_stable():
     assert derive_seed("a", 1) == derive_seed("a", 1)
     assert derive_seed("a", 1) != derive_seed("a", 2)

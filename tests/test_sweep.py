@@ -184,6 +184,9 @@ def test_plan_validation():
     for n in (0, -5):
         with pytest.raises(ValueError, match=f"^every n needs at least one vertex, not {n}$"):
             _small_plan(n_list=(12, n))
+    for C in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match=f"^every C must be finite, not {C}$"):
+            _small_plan(C_list=(50.0, C))
 
 
 def test_trial_failures_become_rows(monkeypatch):
