@@ -1,0 +1,115 @@
+#!/usr/bin/env python3
+"""Compare a git revision with the working tree on one benchmark workload.
+
+Checks ``--rev`` out into a temporary git worktree, then runs
+
+    python3 perfbench/run.py --workload W --seed S --seconds T
+
+there and in this checkout, alternately, for ``--pairs`` pairs; the parent
+side runs first in even pairs and second in odd ones.  Only the last line
+of each run's output (perfbench's JSON summary) is read.  For every
+end-to-end metric that ``BENCHMARK.json`` declares, it prints each side's
+median and quartiles, the change of the medians, and how many pairs the
+working tree won (ties count for neither side).  The worktree is removed
+on exit, also when a run fails.  Example, from the root of a checkout:
+
+    python3 scripts/bench_pairs.py --rev HEAD --workload pipeline-dense --seed 1 --seconds 20 --pairs 10
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict[str, float]:
+    """One benchmark run in ``checkout``: the metric values of its last output line."""
+    command = [
+        sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+        "--seconds", str(seconds),
+    ]
+    done = subprocess.run(command, cwd=checkout, capture_output=True, text=True, check=False)
+    lines = done.stdout.strip().splitlines()
+    if done.returncode != 0 or not lines:
+        raise RuntimeError(f"benchmark run in {checkout} failed (exit {done.returncode}):\n{done.stderr}")
+    summary = json.loads(lines[-1])
+    if summary["failed"]:
+        print(f"  {checkout}: {summary['failed']} of {summary['attempted']} ops failed", file=sys.stderr)
+    return {name: metric["value"] for name, metric in summary["metrics"].items()}
+
+
+def quartiles(values: list[float]) -> tuple[float, float]:
+    if len(values) < 2:
+        return values[0], values[0]
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q3
+
+
+def report(metrics: list[dict], parent: list[dict[str, float]], change: list[dict[str, float]]) -> list[str]:
+    """One line per end-to-end metric: medians, quartiles, change of the medians and wins."""
+    lines = [
+        f"{'metric':22s} {'parent p50':>12s} {'[q1, q3]':>25s} {'change p50':>12s} {'[q1, q3]':>25s}"
+        f" {'delta':>8s} {'wins':>6s}"
+    ]
+    for metric in metrics:
+        name, sign = metric["name"], 1 if metric["better"] == "higher" else -1
+        old, new = [run[name] for run in parent], [run[name] for run in change]
+        wins = sum(1 for a, b in zip(old, new) if sign * (b - a) > 0)
+        old_mid, new_mid = statistics.median(old), statistics.median(new)
+        delta = f"{(new_mid - old_mid) / old_mid:+.1%}" if old_mid else "n/a"
+        (o1, o3), (n1, n3) = quartiles(old), quartiles(new)
+        lines.append(
+            f"{name:22s} {old_mid:12.6g} {f'[{o1:.6g}, {o3:.6g}]':>25s} {new_mid:12.6g}"
+            f" {f'[{n1:.6g}, {n3:.6g}]':>25s} {delta:>8s} {f'{wins}/{len(old)}':>6s}"
+        )
+    return lines
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--rev", required=True, help="the parent revision, e.g. HEAD or a commit")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--seconds", type=float, default=20.0)
+    parser.add_argument("--pairs", type=int, default=10)
+    args = parser.parse_args()
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
+
+    parent: list[dict[str, float]] = []
+    change: list[dict[str, float]] = []
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as scratch:
+        tree = Path(scratch) / "parent"
+        add = ["git", "worktree", "add", "--quiet", "--detach", str(tree), args.rev]
+        subprocess.run(add, cwd=ROOT, check=True)
+        try:
+            for i in range(args.pairs):
+                sides = [(tree, parent), (ROOT, change)]
+                for checkout, runs in sides if i % 2 == 0 else sides[::-1]:
+                    runs.append(run_bench(checkout, args.workload, args.seed, args.seconds))
+                print(
+                    f"pair {i + 1}/{args.pairs}: op_s_p50 parent {parent[-1]['op_s_p50']:.6g}"
+                    f" change {change[-1]['op_s_p50']:.6g}", file=sys.stderr, flush=True,
+                )
+        finally:
+            subprocess.run(["git", "worktree", "remove", "--force", str(tree)], cwd=ROOT, check=False)
+            subprocess.run(["git", "worktree", "prune"], cwd=ROOT, check=False)
+
+    print(
+        f"workload={args.workload} seed={args.seed} seconds={args.seconds}"
+        f" pairs={args.pairs} rev={args.rev}"
+    )
+    print("\n".join(report(metrics, parent, change)))
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -89,7 +89,7 @@ def cmd_colour(args) -> int:
     params: dict[str, object] = {}
     if args.pattern:
         params["pattern"] = _load_pattern(args.pattern)
-    if args.part:
+    if args.part is not None:
         params["part"] = _parse_vertices(args.part)
     coloured = colour_with(host, AdversarySpec(args.adversary, params, args.seed), args.budget)
     _emit(args, write_graph_text(coloured))
@@ -130,7 +130,7 @@ def cmd_good_count(args) -> int:
 
 def cmd_aux_check(args) -> int:
     stats = PatternStats.from_graph(_load_pattern(args.pattern))
-    A = _parse_vertices(args.part_a) if args.part_a else list(range(args.n // 2))
+    A = _parse_vertices(args.part_a) if args.part_a is not None else list(range(args.n // 2))
     B = sorted(set(range(args.n)).difference(A))
     aux = build_aux_hypergraph(args.n, A, B, stats, args.budget)
     report = aux_degree_check(aux)

@@ -14,10 +14,10 @@ graph with ``Graph.from_pairs``, which keeps those arrays as ``edge_pairs``;
 the adversaries build masks through ``Graph.from_adjacency`` and
 ``ColouredGraph.from_masks``.  Masks are built from pairs by setting bits in
 a transient bool matrix, one ``64*ceil(n/64)``-cell row per vertex with an
-edge (n^2 bytes on a dense host, the size of the matrix ``pairs_of_masks``
-unpacks), packed in one call by ``_packed_rows``, which the planted
-instances share.  Both classes are immutable.  ``_cliques``, the one ordered
-clique count, serves the clique oracle and the copy-avoider.
+edge, built and packed by ``_packed_rows`` (which the planted instances
+share) in blocks of at most ``_MASK_CELLS`` cells.  Both classes are
+immutable.  ``_cliques``, the one ordered clique count, serves the clique
+oracle and the copy-avoider.
 """
 
 from __future__ import annotations
@@ -102,6 +102,9 @@ def disjoint_side_masks(n: int, X: Iterable[int], Y: Iterable[int]) -> tuple[int
     return x_mask, y_mask
 
 
+_MASK_CELLS = 1 << 22  # bool cells per block of the matrix masks_from_pairs packs
+
+
 def _packed_rows(bits: np.ndarray) -> list[int]:
     """Each row of a bool matrix as a mask, column ``j`` at bit ``j``: the rows padded to
     whole 64-bit words, at least one (unless already C-ordered and that wide), and packed
@@ -120,28 +123,41 @@ def _packed_rows(bits: np.ndarray) -> list[int]:
 
 
 def masks_from_pairs(n: int, us: np.ndarray, vs: np.ndarray) -> Masks:
-    """Neighbour masks of the edges ``(us[i], vs[i])``, set in one bool matrix and packed
-    in one call.  The matrix has a row of ``64*ceil(n/64)`` cells only for each vertex
-    with an edge, so a sparse host on many vertices does not cost ``n**2`` bytes."""
+    """Neighbour masks of the edges ``(us[i], vs[i])``, set in a bool matrix and packed by
+    ``_packed_rows``.  The matrix has a row of ``64*ceil(n/64)`` cells for each vertex
+    with an edge, indexed by vertex when every vertex has one.  It is built in blocks of
+    rows of at most ``_MASK_CELLS`` cells, one block whenever it fits, so its transient
+    memory stays bounded; the masks themselves take up to ``n/8`` bytes each."""
     present = np.zeros(n, bool)
     present[us] = True
     present[vs] = True
-    rows, at = np.flatnonzero(present), np.cumsum(present) - 1
+    if present.all():
+        rows, heads, tails = None, us, vs
+    else:
+        rows, at = np.flatnonzero(present), np.cumsum(present) - 1
+        heads, tails = at[us], at[vs]
+    count = n if rows is None else len(rows)
     width = 64 * ((n + 63) >> 6)
-    cells = np.zeros((len(rows), width), bool)
-    flat = cells.reshape(-1)
-    flat[at[us] * width + vs] = True
-    flat[at[vs] * width + us] = True
+    step = max(_MASK_CELLS // max(width, 64), 1)  # rows per block
+    if count > step:  # several blocks: sorted, each block's bits are one run
+        bits = np.sort(np.concatenate((heads * width + vs, tails * width + us)))
+        cuts = np.searchsorted(bits, np.arange(0, count + step, step) * width).tolist()
+    packed: list[int] = []
+    for block, lo in enumerate(range(0, count, step)):
+        cells = np.zeros((min(step, count - lo), width), bool)
+        flat = cells.reshape(-1)
+        if count > step:
+            flat[bits[cuts[block]:cuts[block + 1]] - lo * width] = True
+        else:
+            flat[heads * width + vs] = True
+            flat[tails * width + us] = True
+        packed += _packed_rows(cells)
+    if rows is None:
+        return tuple(packed)
     masks = [0] * n
-    for v, m in zip(rows.tolist(), _packed_rows(cells)):
+    for v, m in zip(rows.tolist(), packed):
         masks[v] = m
     return tuple(masks)
-
-
-def _unpacked_bits(masks: Iterable[int], width: int) -> np.ndarray:
-    """The masks' low ``8*width`` bits, one 0/1 byte per bit, row after row."""
-    raw = b"".join(m.to_bytes(width, "little") for m in masks)
-    return np.unpackbits(np.frombuffer(raw, np.uint8), bitorder="little")
 
 
 def pairs_of_masks(masks: Masks) -> tuple[np.ndarray, np.ndarray]:
@@ -149,7 +165,8 @@ def pairs_of_masks(masks: Masks) -> tuple[np.ndarray, np.ndarray]:
     in lexicographic order."""
     rows = [u for u, m in enumerate(masks) if m >> u + 1]
     width = (len(masks) + 7) >> 3
-    bits = _unpacked_bits((masks[u] >> u + 1 << u + 1 for u in rows), width)
+    raw = b"".join((masks[u] >> u + 1 << u + 1).to_bytes(width, "little") for u in rows)
+    bits = np.unpackbits(np.frombuffer(raw, np.uint8), bitorder="little")  # one 0/1 byte per bit
     at, vs = np.divmod(np.flatnonzero(bits), 8 * width)
     us = np.array(rows, np.intp)[at]
     us.flags.writeable = vs.flags.writeable = False
@@ -157,11 +174,15 @@ def pairs_of_masks(masks: Masks) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _bits_at_pairs(masks: Masks, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-    """Whether bit ``vs[i]`` is set in ``masks[us[i]]``, for ``us`` in ascending order."""
-    new_row = np.diff(us, prepend=-1) != 0
+    """Whether bit ``vs[i]`` is set in ``masks[us[i]]``: each pair's byte gathered from
+    the bytes of the rows that ``us`` names, then shifted."""
+    named = np.zeros(len(masks), bool)
+    named[us] = True
     width = (len(masks) + 7) >> 3
-    bits = _unpacked_bits((masks[u] for u in us[new_row].tolist()), width)
-    return bits[(np.cumsum(new_row) - 1) * (8 * width) + vs].astype(bool)
+    raw = b"".join([masks[u].to_bytes(width, "little") for u in np.flatnonzero(named).tolist()])
+    start = (np.cumsum(named) - 1) * width  # of each named row's bytes in raw
+    byte = np.frombuffer(raw, np.uint8)[start[us] + (vs >> 3)]
+    return (byte >> (vs & 7).astype(np.uint8) & 1).astype(bool)
 
 
 @dataclass(frozen=True, init=False)
@@ -342,7 +363,7 @@ def colour_all(graph: Graph, colour: Colour) -> ColouredGraph:
 
 _TEXT_GRAMMAR = "graph text is not a line 'n m' then lines all 'u v' or all 'u v c'"
 _INT64_MAX = (1 << 63) - 1
-_BLOCK = 1 << 16  # body bytes per tokenizer pass, cut after a newline
+_BLOCK = 1 << 16  # body bytes per tokenizer pass (cut after a newline) and per writer block
 _HEADER = re.compile(rb"(\d+)[ \t]+(\d+)[ \t]*\r?")
 
 
@@ -454,24 +475,57 @@ def _text_keys(text: str) -> tuple[int, int, int, np.ndarray, str | None]:
     return n, int(header[2]), width, keys, fault
 
 
+def _label_cells(n: int, width: int, suffixes: Sequence[bytes]) -> np.ndarray:
+    """One ``(n, width)`` byte table per suffix, whose row ``v`` holds the decimal digits
+    of ``v`` then the suffix, NUL-padded.  The digits come from one broadcast over place
+    values; each run of labels with one digit count is then shifted left in every table."""
+    size = len(str(max(n - 1, 0)))
+    digits = ord("0") + np.arange(n)[:, None] // 10 ** np.arange(size - 1, -1, -1) % 10
+    longest = max(map(len, suffixes))
+    ends = np.array([list(suffix.ljust(longest, b"\0")) for suffix in suffixes], np.uint8)
+    tables = np.zeros((len(suffixes), n, width), np.uint8)
+    for k in range(1, size + 1):
+        run = slice(10 ** (k - 1) if k > 1 else 0, 10**k)
+        tables[:, run, :k] = digits[run, size - k:]
+        tables[:, run, k:k + longest] = ends[:, None]
+    return tables
+
+
 def write_graph_text(g: Graph | ColouredGraph) -> str:
+    """The text of ``g`` in the format above, built as bytes.  Each line is two cells of
+    NUL-padded 64-bit words, ``"u "`` and ``"v\\n"`` or ``"v c\\n"``, gathered from per-label
+    tables in line order into a buffer of at most ``_BLOCK`` bytes at a time; one
+    ``translate`` per block drops the padding."""
     n = g.n
+    size = len(str(max(n - 1, 0)))  # digits of the longest label
+    width = 8 * -(-(size + 3) // 8)  # bytes of a cell, which holds "v c\n"
     if isinstance(g, ColouredGraph):
         us, vs = g.graph.edge_pairs
-        tails = [f"{v} {c}\n" for c in "br" for v in range(n)]  # blue tails, then red
+        cells = _label_cells(n, width, (b" ", b" b\n", b" r\n"))  # blue tails, then red
         picks = vs + n * _bits_at_pairs(g.red_adjacency, us, vs)
     else:
         us, vs = g.edge_pairs
-        tails, picks = [f"{v}\n" for v in range(n)], vs
+        cells = _label_cells(n, width, (b" ", b"\n"))
+        picks = vs
+    # A label's string rank: the space and the NUL padding after its digits sort
+    # below every digit, as the end of a string does.
     rank = np.empty(n, np.intp)
-    rank[sorted(range(n), key=str)] = np.arange(n)
+    rank[np.lexsort(cells[0, :, size - 1::-1].T)] = np.arange(n)
     # The keys are unique, so any sort gives this order; the stable one runs
     # fastest on these keys, which the sorted edge pairs nearly order already.
     order = np.argsort(rank[us] * n + rank[vs], kind="stable")
-    parts = np.empty(2 * len(order), dtype=object)  # each line's "u " then its "v ...\n"
-    parts[0::2] = np.array([f"{u} " for u in range(n)], dtype=object)[us[order]]
-    parts[1::2] = np.array(tails, dtype=object)[picks[order]]
-    return f"{n} {len(order)}\n" + "".join(parts.tolist())
+    heads, tails = cells[0].view(np.uint64), cells[1:].reshape(-1, width).view(np.uint64)
+    words, step = width // 8, _BLOCK // (2 * width)  # step: lines per block
+    text = bytearray(f"{n} {len(order)}\n".encode())
+    block = bytearray(2 * width * min(len(order), step))
+    lines = np.frombuffer(block, np.uint64).reshape(-1, 2 * words)
+    for lo in range(0, len(order), step):
+        part = order[lo:lo + step]
+        lines[:len(part), :words] = heads.take(us[part], axis=0)
+        lines[:len(part), words:] = tails.take(picks[part], axis=0)
+        lines[len(part):] = 0  # past the last block's lines: padding too
+        text += block.translate(None, b"\0")
+    return text.decode("ascii")
 
 
 def parse_graph_text(text: str) -> Graph | ColouredGraph:
@@ -491,10 +545,11 @@ def parse_graph_text(text: str) -> Graph | ColouredGraph:
     pairs = keys >> (width - 2)
     if (pairs[1:] == pairs[:-1]).any():
         raise ValueError("duplicate edge in graph text")
-    graph = Graph.from_pairs(n, *np.divmod(pairs, n))
+    us = pairs // n
+    graph = Graph.from_pairs(n, us, pairs - us * n)
     if width == 2:
         return graph
-    red = np.flatnonzero(keys & 1)  # an index, not a bool mask: much faster to gather
+    red = np.flatnonzero((keys & 1).astype(bool))  # an index, not a bool mask: much faster to gather
     us, vs = graph.edge_pairs
     return ColouredGraph.from_masks(graph, masks_from_pairs(n, us[red], vs[red]))
 

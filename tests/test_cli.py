@@ -9,7 +9,7 @@ import pytest
 
 from monotile.cli import build_parser, main
 from monotile.fixtures import save_fixture
-from monotile.graphs import Graph, colour_all, Colour, load_graph_file, write_graph_text
+from monotile.graphs import Graph, colour_all, Colour, load_graph_file, parse_graph_text, write_graph_text
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -290,6 +290,25 @@ def test_colour_planted_part_flag(tmp_path, capsys):
     cg = load_graph_file(out_path)
     assert cg.colour_of(0, 1) is Colour.RED
     assert cg.colour_of(3, 4) is Colour.BLUE
+
+
+def test_an_empty_planted_part_is_the_empty_set(tmp_path, capsys):
+    """``--part ""`` lists no vertex, as ``--part ","`` does; neither means the default part."""
+    host = tmp_path / "g.txt"
+    assert main(["sample", "--n", "30", "--C", "3", "--seed", "2", "--out", str(host)]) == 0
+    argv = ["colour", "--graph", str(host), "--adversary", "planted-partition"]
+    default, empty, comma = (run(capsys, *argv, *part) for part in ([], ["--part="], ["--part=,"]))
+    assert default[0] == empty[0] == comma[0] == 0
+    assert empty[1] == comma[1] != default[1]
+    assert not any(parse_graph_text(empty[1]).red_adjacency)
+
+
+def test_an_empty_aux_part_is_the_empty_set(capsys):
+    """``--part-a ""`` lists no vertex, as ``--part-a ","`` does: an unbalanced partition."""
+    for part in ("--part-a=", "--part-a=,"):
+        assert main(["aux-check", "--n", "6", "--pattern", "k3", part]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "the partition must be balanced" in captured.err
 
 
 @pytest.mark.parametrize("part", ["0,1,99", "-1,0,1"])

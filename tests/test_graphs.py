@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -213,6 +214,50 @@ def test_bulk_writer_matches_reference(g):
     text = write_graph_text(g)
     assert text == _reference_write_graph_text(g)
     assert parse_graph_text(text) == _reference_parse_graph_text(text)
+
+
+# Past five-digit labels a coloured line's cell grows from one 64-bit word to two.
+WIDE_N = (9999, 10000, 10001, 99999, 100000, 100001)
+
+
+def _wide_hosts():
+    """Plain, two-coloured, all-red and all-blue hosts on ``WIDE_N`` vertices, each a clique
+    on the labels next to every digit-count boundary, and the smallest hosts."""
+    for n in WIDE_N:
+        near = sorted({v for b in (0, 10, 100, 1000, 10000, 100000, n) for v in (b - 1, b, b + 1) if 0 <= v < n})
+        g = Graph.from_edges(n, [(u, v) for i, u in enumerate(near) for v in near[i + 1:]])
+        mixed = {(u, v): Colour.RED if (u ^ v) & 1 else Colour.BLUE for u, v in g.edges}
+        yield pytest.param(g, id=f"plain-{n}")
+        yield pytest.param(ColouredGraph(g, mixed), id=f"mixed-{n}")
+        yield pytest.param(colour_all(g, Colour.RED), id=f"red-{n}")
+        yield pytest.param(colour_all(g, Colour.BLUE), id=f"blue-{n}")
+    for n in (0, 1):
+        yield pytest.param(Graph(n), id=f"plain-{n}")
+        yield pytest.param(colour_all(Graph(n), Colour.RED), id=f"red-{n}")
+
+
+@pytest.mark.parametrize("g", _wide_hosts())
+def test_writer_matches_reference_past_five_digit_labels(g):
+    text = write_graph_text(g)
+    assert text == _reference_write_graph_text(g)
+    back = parse_graph_text(text)
+    assert back == (g if isinstance(g, Graph) or g.graph.num_edges else g.graph)
+
+
+@pytest.mark.parametrize("n", [300, 100_001])
+def test_writer_matches_reference_over_several_blocks(n):
+    """More lines than two writer blocks hold, the last block partly filled, with one-word
+    cells (n = 300) and two-word cells (n = 100001, edges mostly among its low labels, so
+    that the masks stay small)."""
+    rng = np.random.default_rng(n)
+    pairs = rng.integers(0, 300, (12_000, 2)).tolist() + [(v, n - 1) for v in range(40)]
+    g = Graph.from_edges(n, [e for e in map(tuple, pairs) if e[0] != e[1]])
+    assert g.num_edges > 2 * graphs_module._BLOCK // 16  # 16 bytes a line in one-word cells
+    cg = ColouredGraph(g, {e: Colour.RED if (e[0] * 7 + e[1]) % 3 else Colour.BLUE for e in g.edges})
+    for host in (g, cg):
+        text = write_graph_text(host)
+        assert text == _reference_write_graph_text(host)
+        assert parse_graph_text(text) == host
 
 
 @given(boundary_hosts(), st.data())
@@ -461,10 +506,48 @@ def pair_arrays(draw):
     return n, us, vs
 
 
-@given(pair_arrays())
-def test_masks_from_pairs_matches_reference(case):
+@given(pair_arrays(), st.sampled_from([None, 64, 200]))
+def test_masks_from_pairs_matches_reference(case, cells):
+    """With the default block size, one block; with 64 or 200 cells, blocks of 1 to 3 rows."""
     n, us, vs = case
-    assert masks_from_pairs(n, us, vs) == _reference_masks_from_pairs(n, us, vs)
+    with pytest.MonkeyPatch.context() as patch:
+        if cells is not None:
+            patch.setattr(graphs_module, "_MASK_CELLS", cells)
+        assert masks_from_pairs(n, us, vs) == _reference_masks_from_pairs(n, us, vs)
+
+
+@pytest.mark.parametrize("n", [63, 64, 65, 128])
+def test_masks_from_pairs_with_and_without_isolated_vertices(n):
+    """Hosts where every vertex has an edge, whose rows are indexed by vertex, and hosts
+    with isolated vertices, whose rows are only those of the vertices with an edge."""
+    cycle = [(v, (v + 1) % n) for v in range(n)]
+    matching = [(v, v + 1) for v in range(0, n - 1, 2)] + ([(n - 2, n - 1)] if n % 2 else [])
+    path = [(v, v + 1) for v in range(n // 2)]
+    spaced = [(v, v + 3) for v in range(0, n - 3, 6)]
+    for edges, covering in ((cycle, True), (matching, True), (path, False), (spaced, False)):
+        us, vs = (np.array(side, np.intp) for side in zip(*edges))
+        assert (len(np.union1d(us, vs)) == n) is covering
+        for a, b in ((us, vs), (vs, us), (us[::-1], vs[::-1])):
+            assert masks_from_pairs(n, a, b) == _reference_masks_from_pairs(n, a, b)
+
+
+def test_masks_from_pairs_memory_stays_near_the_masks():
+    """A sparse host where most vertices have an edge: the bool matrix is built in blocks,
+    so the peak stays near the masks themselves (443 MiB for 29 MiB of masks in one block)."""
+    n = 20_000
+    rng = np.random.default_rng(5)
+    pairs = rng.integers(0, n, (2 * n, 2))
+    us, vs = pairs[pairs[:, 0] != pairs[:, 1]][:n].T.copy()
+    tracemalloc.start()
+    try:
+        masks = masks_from_pairs(n, us, vs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = sys.getsizeof(masks) + sum(sys.getsizeof(m) for m in masks)
+    assert size > 20 << 20 and peak < 1.5 * size
+    want = _reference_masks_from_pairs(n, us, vs)
+    assert masks == want
 
 
 @pytest.mark.parametrize("cols", [1, 63, 64, 65, 128, 130])
