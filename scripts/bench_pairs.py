@@ -1,19 +1,24 @@
 #!/usr/bin/env python3
-"""Compare a git revision with the working tree on one benchmark workload.
+"""Compare a git revision with the working tree on benchmark workloads.
 
 Checks ``--rev`` out into a temporary git worktree, then runs
 
     python3 perfbench/run.py --workload W --seed S --seconds T
 
-there and in this checkout, alternately, for ``--pairs`` pairs; the parent
-side runs first in even pairs and second in odd ones.  Only the last line
-of each run's output (perfbench's JSON summary) is read.  For every
-end-to-end metric that ``BENCHMARK.json`` declares, it prints each side's
-median and quartiles, the change of the medians, and how many pairs the
-working tree won (ties count for neither side).  The worktree is removed
-on exit, also when a run fails.  Example, from the root of a checkout:
+there and in this checkout, alternately, for ``--pairs`` pairs of every
+workload named by a ``--workload`` option (it may be given more than once);
+each pair runs the workloads in the order given, and the parent side runs
+first in even pairs and second in odd ones, for every workload alike.  Only
+the last line of each run's output (perfbench's JSON summary) is read.  For
+each workload and every end-to-end metric that ``BENCHMARK.json`` declares,
+it prints each side's median and quartiles, the change of the medians, how
+many pairs the working tree won (ties count for neither side), and
+``WORSE`` when the working tree's median is worse than the parent's by more
+than the metric's bound.  The worktree is removed on exit, also when a run
+fails.  Example, from the root of a checkout:
 
-    python3 scripts/bench_pairs.py --rev HEAD --workload pipeline-dense --seed 1 --seconds 20 --pairs 10
+    python3 scripts/bench_pairs.py --rev HEAD --workload pipeline-dense --workload ties-sparse \
+        --seed 1 --seconds 20 --pairs 10
 """
 
 from __future__ import annotations
@@ -53,7 +58,9 @@ def quartiles(values: list[float]) -> tuple[float, float]:
 
 
 def report(metrics: list[dict], parent: list[dict[str, float]], change: list[dict[str, float]]) -> list[str]:
-    """One line per end-to-end metric: medians, quartiles, change of the medians and wins."""
+    """One line per end-to-end metric: medians, quartiles, change of the medians and wins,
+    then ``WORSE`` when the change's median is worse than the parent's by more than the
+    metric's relative ``bound`` (a metric without one is never marked)."""
     lines = [
         f"{'metric':22s} {'parent p50':>12s} {'[q1, q3]':>25s} {'change p50':>12s} {'[q1, q3]':>25s}"
         f" {'delta':>8s} {'wins':>6s}"
@@ -64,10 +71,13 @@ def report(metrics: list[dict], parent: list[dict[str, float]], change: list[dic
         wins = sum(1 for a, b in zip(old, new) if sign * (b - a) > 0)
         old_mid, new_mid = statistics.median(old), statistics.median(new)
         delta = f"{(new_mid - old_mid) / old_mid:+.1%}" if old_mid else "n/a"
+        bound = metric.get("bound")
+        worse = bound is not None and sign * (new_mid - old_mid) < -bound * abs(old_mid)
         (o1, o3), (n1, n3) = quartiles(old), quartiles(new)
         lines.append(
             f"{name:22s} {old_mid:12.6g} {f'[{o1:.6g}, {o3:.6g}]':>25s} {new_mid:12.6g}"
             f" {f'[{n1:.6g}, {n3:.6g}]':>25s} {delta:>8s} {f'{wins}/{len(old)}':>6s}"
+            + (f"  WORSE (bound {bound:.0%})" if worse else "")
         )
     return lines
 
@@ -75,7 +85,7 @@ def report(metrics: list[dict], parent: list[dict[str, float]], change: list[dic
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--rev", required=True, help="the parent revision, e.g. HEAD or a commit")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True, action="append", help="repeat for several workloads")
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--pairs", type=int, default=10)
@@ -84,30 +94,33 @@ def main() -> int:
         parser.error("--pairs must be at least 1")
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
 
-    parent: list[dict[str, float]] = []
-    change: list[dict[str, float]] = []
+    parent: dict[str, list[dict[str, float]]] = {w: [] for w in args.workload}
+    change: dict[str, list[dict[str, float]]] = {w: [] for w in args.workload}
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as scratch:
         tree = Path(scratch) / "parent"
         add = ["git", "worktree", "add", "--quiet", "--detach", str(tree), args.rev]
         subprocess.run(add, cwd=ROOT, check=True)
         try:
             for i in range(args.pairs):
-                sides = [(tree, parent), (ROOT, change)]
-                for checkout, runs in sides if i % 2 == 0 else sides[::-1]:
-                    runs.append(run_bench(checkout, args.workload, args.seed, args.seconds))
-                print(
-                    f"pair {i + 1}/{args.pairs}: op_s_p50 parent {parent[-1]['op_s_p50']:.6g}"
-                    f" change {change[-1]['op_s_p50']:.6g}", file=sys.stderr, flush=True,
-                )
+                for workload in parent:
+                    sides = [(tree, parent[workload]), (ROOT, change[workload])]
+                    for checkout, runs in sides if i % 2 == 0 else sides[::-1]:
+                        runs.append(run_bench(checkout, workload, args.seed, args.seconds))
+                    print(
+                        f"pair {i + 1}/{args.pairs} {workload}: op_s_p50"
+                        f" parent {parent[workload][-1]['op_s_p50']:.6g}"
+                        f" change {change[workload][-1]['op_s_p50']:.6g}", file=sys.stderr, flush=True,
+                    )
         finally:
             subprocess.run(["git", "worktree", "remove", "--force", str(tree)], cwd=ROOT, check=False)
             subprocess.run(["git", "worktree", "prune"], cwd=ROOT, check=False)
 
-    print(
-        f"workload={args.workload} seed={args.seed} seconds={args.seconds}"
-        f" pairs={args.pairs} rev={args.rev}"
-    )
-    print("\n".join(report(metrics, parent, change)))
+    for workload in parent:
+        print(
+            f"workload={workload} seed={args.seed} seconds={args.seconds}"
+            f" pairs={args.pairs} rev={args.rev}"
+        )
+        print("\n".join(report(metrics, parent[workload], change[workload])))
     return 0
 
 

@@ -5,13 +5,15 @@ a pure function of (graph, spec), so sweeps replay bit-for-bit.
 
 The two greedy strategies (majority-degree, copy-avoider) visit the edges in
 one seeded order and send each edge to the colour its rule prefers; every tie
-reads the next of one bulk draw of Philox coins. Majority-degree keeps one
-signed degree difference (red minus blue) per vertex and sends an edge red
-when its endpoints' differences sum above zero. The copy-avoider reads, on
-the masks of the edges already coloured, the copies an edge closes in each
-colour: for complete patterns the ``K_(k-2)`` in the common neighbourhood,
-counted on masks (one popcount for triangles); for other patterns the pinned
-matcher's embeddings, a fixed multiple of the copies, under a work budget.
+reads the next of one bulk draw of Philox coins, ``sampling.draws_below`` at
+one half (which also picks the uniform-random adversary's red edges).
+Majority-degree keeps one signed degree difference (red minus blue) per
+vertex and sends an edge red when its endpoints' differences sum above zero.
+The copy-avoider reads, on the masks of the edges already coloured, the
+copies an edge closes in each colour: for complete patterns the ``K_(k-2)``
+in the common neighbourhood, counted on masks (one popcount for triangles);
+for other patterns the pinned matcher's embeddings, a fixed multiple of the
+copies, under a work budget.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 from .budget import require_budget
 from .embeddings import _expansion_order, iter_embeddings
 from .graphs import ColouredGraph, Graph, Masks, _cliques, mask_of, masks_from_pairs, pattern_by_name
-from .sampling import derive_seed, philox_generator
+from .sampling import derive_seed, draws_below, philox_generator
 
 ADVERSARY_NAMES = (
     "uniform-random",
@@ -49,18 +51,18 @@ class AdversarySpec:
 
 def _visit_order(G: Graph, seed: int, label: str) -> tuple[np.ndarray, np.ndarray, Iterator[bool]]:
     """The greedy strategies' draws: the host edges' endpoints ``(us, vs)`` in the
-    seeded visiting order, and the tie coins, one bulk ``random(m)`` draw under
-    ``label`` read as heads (red) below one half."""
+    seeded visiting order, and the tie coins, ``draws_below`` at one half on ``m`` words
+    under ``label``, heads (red) when the word is below it."""
     us, vs = G.edge_pairs
     perm = philox_generator(derive_seed("adversary-order", seed)).permutation(len(us))
-    coins = philox_generator(derive_seed(label, seed)).random(len(us))
-    return us[perm], vs[perm], iter((coins < 0.5).tolist())
+    coins = draws_below(philox_generator(derive_seed(label, seed)).bit_generator, len(us), 0.5)
+    return us[perm], vs[perm], iter(coins.tolist())
 
 
 def _uniform_random(G: Graph, spec: AdversarySpec) -> Masks:
     us, vs = G.edge_pairs
-    draws = philox_generator(derive_seed("adversary-uniform", spec.seed)).random(max(len(us), 1))
-    red = np.flatnonzero(draws[: len(us)] < 0.5)  # an index, not a bool mask: much faster to gather
+    bits = philox_generator(derive_seed("adversary-uniform", spec.seed)).bit_generator
+    red = np.flatnonzero(draws_below(bits, len(us), 0.5))  # an index, not a bool mask: much faster to gather
     return masks_from_pairs(G.n, us[red], vs[red])
 
 

@@ -87,7 +87,7 @@ def cmd_sample(args) -> int:
 def cmd_colour(args) -> int:
     host = _load_host(args.graph)
     params: dict[str, object] = {}
-    if args.pattern:
+    if args.pattern is not None:
         params["pattern"] = _load_pattern(args.pattern)
     if args.part is not None:
         params["part"] = _parse_vertices(args.part)
@@ -162,7 +162,7 @@ def cmd_sweep(args) -> int:
         epsilon=args.epsilon,
         trials=args.trials,
         seed_base=args.seed,
-        adversaries=tuple(args.adversaries.split(",")) if args.adversaries else ADVERSARY_NAMES,
+        adversaries=tuple(args.adversaries.split(",")) if args.adversaries is not None else ADVERSARY_NAMES,
     )
     result = run_sweep(plan, workers=args.workers)
     if args.format == "json":

@@ -13,9 +13,10 @@ parser already hold their edges as lexicographic arrays, so they build the
 graph with ``Graph.from_pairs``, which keeps those arrays as ``edge_pairs``;
 the adversaries build masks through ``Graph.from_adjacency`` and
 ``ColouredGraph.from_masks``.  Masks are built from pairs by setting bits in
-a transient bool matrix, one ``64*ceil(n/64)``-cell row per vertex with an
-edge, built and packed by ``_packed_rows`` (which the planted instances
-share) in blocks of at most ``_MASK_CELLS`` cells.  Both classes are
+a transient bool matrix of ``64*ceil(n/64)``-cell rows, packed by
+``_packed_rows`` (which the planted instances share) in blocks of at most
+``_MASK_CELLS`` cells: one row per vertex when all ``n`` rows fit in one
+block (any ``n <= 2048``), else one row per vertex with an edge.  Both classes are
 immutable.  ``_cliques``, the one ordered clique count, serves the clique
 oracle and the copy-avoider.
 """
@@ -108,7 +109,9 @@ _MASK_CELLS = 1 << 22  # bool cells per block of the matrix masks_from_pairs pac
 def _packed_rows(bits: np.ndarray) -> list[int]:
     """Each row of a bool matrix as a mask, column ``j`` at bit ``j``: the rows padded to
     whole 64-bit words, at least one (unless already C-ordered and that wide), and packed
-    in one call, and rows of one word converted in one ``tolist``."""
+    in one call.  Rows of one word are converted in one ``tolist``, wider rows from one
+    ``tolist`` of fixed-width byte strings, whose dropped trailing NULs are the mask's
+    high zero bytes."""
     rows, cols = bits.shape
     words = max(-(-cols // 64), 1)
     if cols != 64 * words or not bits.flags.c_contiguous:
@@ -118,27 +121,27 @@ def _packed_rows(bits: np.ndarray) -> list[int]:
     packed = np.packbits(bits, axis=1, bitorder="little")
     if words == 1:
         return packed.view("<u8").ravel().tolist()
-    raw, width = packed.tobytes(), 8 * words
-    return [int.from_bytes(raw[i:i + width], "little") for i in range(0, len(raw), width)]
+    return [int.from_bytes(row, "little") for row in packed.view(f"S{8 * words}").ravel().tolist()]
 
 
 def masks_from_pairs(n: int, us: np.ndarray, vs: np.ndarray) -> Masks:
     """Neighbour masks of the edges ``(us[i], vs[i])``, set in a bool matrix and packed by
-    ``_packed_rows``.  The matrix has a row of ``64*ceil(n/64)`` cells for each vertex
-    with an edge, indexed by vertex when every vertex has one.  It is built in blocks of
-    rows of at most ``_MASK_CELLS`` cells, one block whenever it fits, so its transient
-    memory stays bounded; the masks themselves take up to ``n/8`` bytes each."""
-    present = np.zeros(n, bool)
-    present[us] = True
-    present[vs] = True
-    if present.all():
-        rows, heads, tails = None, us, vs
-    else:
-        rows, at = np.flatnonzero(present), np.cumsum(present) - 1
-        heads, tails = at[us], at[vs]
-    count = n if rows is None else len(rows)
+    ``_packed_rows``.  The matrix has rows of ``64*ceil(n/64)`` cells, built in blocks of
+    at most ``_MASK_CELLS`` cells so its transient memory stays bounded; the masks
+    themselves take up to ``n/8`` bytes each.  When all ``n`` rows fit in one block, the
+    rows are indexed by vertex, an isolated vertex's row left zero; otherwise only the
+    vertices with an edge get a row, found by marking the endpoints."""
     width = 64 * ((n + 63) >> 6)
     step = max(_MASK_CELLS // max(width, 64), 1)  # rows per block
+    rows, heads, tails = None, us, vs
+    if n > step:
+        present = np.zeros(n, bool)
+        present[us] = True
+        present[vs] = True
+        if not present.all():
+            rows, at = np.flatnonzero(present), np.cumsum(present) - 1
+            heads, tails = at[us], at[vs]
+    count = n if rows is None else len(rows)
     if count > step:  # several blocks: sorted, each block's bits are one run
         bits = np.sort(np.concatenate((heads * width + vs, tails * width + us)))
         cuts = np.searchsorted(bits, np.arange(0, count + step, step) * width).tolist()

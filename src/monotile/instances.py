@@ -3,7 +3,8 @@
 These feed the process and extraction tests: hosts built so that the
 cluster machinery provably has material to work with (or provably has
 none, for the failure paths).  The red cross edges are drawn as one bool
-block, whose rows (for X) and columns (for Y) the row packer of
+block of ``sampling.draws_below`` coins, one raw Philox word per cross pair,
+whose rows (for X) and columns (for Y) the row packer of
 :mod:`monotile.graphs` turns into masks.
 """
 
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from .embeddings import EmbeddedCopy
 from .graphs import Colour, ColouredGraph, Graph, _packed_rows
 from .patterns import PatternStats
-from .sampling import derive_seed, philox_generator
+from .sampling import derive_seed, draws_below, philox_generator
 from .tilings import Tiling
 
 
@@ -44,17 +45,20 @@ def planted_process_instance(
 
     Cross edges (when present) are red with the given probability,
     independently per edge.  Fraction 1.0 drives the process through red
-    steps, 0.0 through blue steps, anything between mixes the two.
+    steps, 0.0 through blue steps, anything between mixes the two; a
+    fraction outside [0, 1], or NaN, is a ``ValueError``.
     """
     k = H.k
     if s % k or s < 2 * k:
         raise ValueError("side size must be a multiple of the pattern order, at least twice it")
+    if not 0.0 <= cross_red_fraction <= 1.0:
+        raise ValueError(f"cross red fraction {cross_red_fraction} outside [0, 1]")
     n = 2 * s
     x_mask, y_mask = (1 << s) - 1, ((1 << s) - 1) << s
     y_red = [y_mask ^ (1 << v) for v in range(s, n)]
     if with_cross:
-        draws = philox_generator(derive_seed("planted-cross", seed)).random(s * s)
-        hits = (draws < cross_red_fraction).reshape(s, s)  # hits[x, y]: edge (x, s + y) is red
+        bits = philox_generator(derive_seed("planted-cross", seed)).bit_generator
+        hits = draws_below(bits, s * s, cross_red_fraction).reshape(s, s)  # hits[x, y]: edge (x, s + y) is red
         red = tuple([m << s for m in _packed_rows(hits)] + [m | b for m, b in zip(_packed_rows(hits.T), y_red)])
         host = Graph.complete(n)
     else:

@@ -1,15 +1,20 @@
 """Random host graphs and the edge-probability regime derived from a pattern.
 
 Sampling uses the Philox counter-based bit generator (``numpy.random.Philox``,
-4x64 with 10 rounds) keyed directly by the seed, with one uniform draw per
+4x64 with 10 rounds) keyed directly by the seed, with one 64-bit word per
 vertex pair in lexicographic order.  The key, ``seed mod 2**64`` in the low
 word and 0 in the high one, reaches Philox through a key-only seed sequence,
 so making a generator draws no OS entropy; the stream is the one
 ``Philox(key=seed % 2**64)`` gives.  The stream is specified exactly so the
-same seed reproduces the same graph edge-for-edge anywhere.  ``sample_gnp``
-reads it in blocks of whole upper-triangle rows, about ``2**16`` draws each,
-and keeps only the hits, already in lexicographic order: its buffers are
-O(m + 2**16) for m edges, plus the transient bit matrix of the mask build.
+same seed reproduces the same graph edge-for-edge anywhere.  Every coin the
+package flips with probability ``p`` goes through ``draws_below``: it reads
+one raw 64-bit word per coin and keeps the coin when the word is below
+``ceil(p * 2**53) << 11``, which is exactly ``Generator.random() < p`` on
+the same stream without converting the words to floats.  ``sample_gnp``
+reads the words in blocks of whole upper-triangle rows, about ``2**16``
+draws each, and keeps only the hits, already in lexicographic order: its
+buffers are O(m + 2**16) for m edges, plus the transient bit matrix of the
+mask build.
 """
 
 from __future__ import annotations
@@ -49,6 +54,21 @@ def philox_generator(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(_PhiloxKey(seed & (2**64 - 1))))
 
 
+def draws_below(bits: np.random.BitGenerator, count: int, p: float) -> np.ndarray:
+    """``Generator.random(count) < p`` on the stream of ``bits``, read as raw words.
+
+    ``random()`` is ``(word >> 11) * 2**-53``, so it is below ``p`` exactly when
+    ``word >> 11 < ceil(p * 2**53)``, that is when ``word < ceil(p * 2**53) << 11``
+    (below ``2**64`` for ``p < 1``).  The ``count`` words are read whatever ``p`` is.
+    """
+    words = bits.random_raw(count)
+    if not p > 0.0:  # NaN included, as random() < NaN is never true
+        return np.zeros(count, bool)
+    if p >= 1.0:
+        return np.ones(count, bool)
+    return words < np.uint64(math.ceil(p * 2**53) << 11)
+
+
 def derive_seed(*parts) -> int:
     """Stable 64-bit seed derived from a tuple of labels and numbers."""
     text = "\x1f".join(repr(p) for p in parts)
@@ -69,10 +89,10 @@ def sample_gnp(n: int, p: float, seed: int) -> Graph:
     # counts the draws before it.  Each block is the longest run of whole rows that
     # fits in _BLOCK draws (at least one row), so the stream is read in pair order.
     offsets = np.concatenate(([0], np.cumsum(np.arange(n - 1, 0, -1))))
-    gen, hits, u = philox_generator(seed), [], 0
+    bits, hits, u = philox_generator(seed).bit_generator, [], 0
     while u < n - 1:
         w = max(u + 1, int(np.searchsorted(offsets, offsets[u] + _BLOCK, side="right")) - 1)
-        hits.append(offsets[u] + np.flatnonzero(gen.random(offsets[w] - offsets[u]) < p))
+        hits.append(offsets[u] + np.flatnonzero(draws_below(bits, offsets[w] - offsets[u], p)))
         u = w
     vs = np.concatenate(hits)  # pair positions in the stream, turned into columns in place
     us = np.repeat(np.arange(n), np.diff(np.searchsorted(vs, offsets), append=len(vs)))

@@ -50,3 +50,49 @@ def test_the_worktree_is_removed_when_a_run_fails(bench_pairs, tmp_path, monkeyp
         bench_pairs.main()
     assert len(seen) == 1 and seen[0] != tmp_path and not seen[0].exists()
     assert len(git("worktree", "list").splitlines()) == 1
+
+
+def test_report_marks_a_median_worse_than_its_bound(bench_pairs):
+    metrics = [
+        {"name": "op_s_p50", "better": "lower", "bound": 0.25},
+        {"name": "ops_per_s", "better": "higher", "bound": 0.25},
+        {"name": "ok_frac", "better": "higher", "bound": 0.02},
+        {"name": "peak_rss_mb", "better": "lower", "bound": 0.1},
+    ]
+    parent = [{"op_s_p50": 1.0, "ops_per_s": 10.0, "ok_frac": 1.0, "peak_rss_mb": 40.0}] * 3
+    change = [{"op_s_p50": 1.3, "ops_per_s": 7.0, "ok_frac": 0.99, "peak_rss_mb": 30.0}] * 3
+    _, times, rate, oks, rss = bench_pairs.report(metrics, parent, change)
+    assert times.endswith("WORSE (bound 25%)") and rate.endswith("WORSE (bound 25%)")
+    assert "WORSE" not in oks and "WORSE" not in rss  # within the bound, or better
+    assert oks.split()[-2:] == ["-1.0%", "0/3"]
+
+
+def test_every_workload_runs_in_the_same_alternating_order(bench_pairs, tmp_path, monkeypatch, capsys):
+    def git(*argv):
+        return subprocess.run(["git", *argv], cwd=tmp_path, check=True, capture_output=True, text=True).stdout
+
+    git("init", "-q")
+    metrics = [{"name": "op_s_p50", "better": "lower", "bound": 0.25}]
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": metrics}))
+    git("add", "BENCHMARK.json")
+    git("-c", "user.name=t", "-c", "user.email=t@t", "commit", "-q", "-m", "benchmark")
+    calls = []
+
+    def fake_run(checkout, workload, seed, seconds):
+        side = "change" if Path(checkout) == tmp_path else "parent"
+        calls.append((side, workload))
+        return {"op_s_p50": {"a": 1.0, "b": 2.0}[workload] * (1.5 if side == "change" and workload == "b" else 1.0)}
+
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_pairs, "run_bench", fake_run)
+    argv = ["bench_pairs.py", "--rev", "HEAD", "--workload", "a", "--workload", "b", "--seed", "1", "--pairs", "3"]
+    monkeypatch.setattr(sys, "argv", argv)
+    assert bench_pairs.main() == 0
+    order = [("parent", "a"), ("change", "a"), ("parent", "b"), ("change", "b")]
+    swapped = [("change", "a"), ("parent", "a"), ("change", "b"), ("parent", "b")]
+    assert calls == order + swapped + order
+    out = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in out if line.startswith("workload=")] == ["workload=a", "workload=b"]
+    table_a, table_b = out[2], out[5]
+    assert table_a.split()[0] == "op_s_p50" and "WORSE" not in table_a
+    assert table_b.split()[0] == "op_s_p50" and table_b.endswith("WORSE (bound 25%)")

@@ -153,6 +153,23 @@ def test_sweep_rejects_a_repeated_host_size(capsys):
     assert captured.err == "error: n_list repeats 30\n"
 
 
+@pytest.mark.parametrize("value", ["", ","])
+def test_an_empty_pattern_or_adversary_list_is_a_usage_error(capsys, value):
+    """``--pattern ""`` names no pattern and ``--adversaries ""`` no adversary, as ``","``
+    does; neither means the default."""
+    code = main(["colour", "--graph", "k6", "--adversary", "copy-avoider-greedy", "--pattern", value])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == f"error: [Errno 2] No such file or directory: {value!r}\n"
+    code = main([
+        "sweep", "--pattern", "k3", "--n-list", "12", "--c-list", "1", "--epsilon", "0.2",
+        "--trials", "1", "--adversaries", value,
+    ])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "error: unknown adversary ''\n"
+
+
 def test_missing_file_is_usage_error(capsys):
     code, _ = run(
         capsys, "good-count", "--graph", "/nonexistent", "--pattern", "k3",

@@ -518,17 +518,24 @@ def test_masks_from_pairs_matches_reference(case, cells):
 
 @pytest.mark.parametrize("n", [63, 64, 65, 128])
 def test_masks_from_pairs_with_and_without_isolated_vertices(n):
-    """Hosts where every vertex has an edge, whose rows are indexed by vertex, and hosts
-    with isolated vertices, whose rows are only those of the vertices with an edge."""
+    """Hosts where every vertex has an edge and hosts with isolated vertices.  With the
+    default block size all ``n`` rows fit in one block, indexed by vertex, an isolated
+    vertex's row left zero.  With 256 cells (two rows of 128 or four of 64 per block) the
+    matrix takes several blocks: rows indexed by vertex when every vertex has an edge,
+    else only the rows of the vertices with an edge."""
     cycle = [(v, (v + 1) % n) for v in range(n)]
     matching = [(v, v + 1) for v in range(0, n - 1, 2)] + ([(n - 2, n - 1)] if n % 2 else [])
     path = [(v, v + 1) for v in range(n // 2)]
     spaced = [(v, v + 3) for v in range(0, n - 3, 6)]
-    for edges, covering in ((cycle, True), (matching, True), (path, False), (spaced, False)):
-        us, vs = (np.array(side, np.intp) for side in zip(*edges))
-        assert (len(np.union1d(us, vs)) == n) is covering
-        for a, b in ((us, vs), (vs, us), (us[::-1], vs[::-1])):
-            assert masks_from_pairs(n, a, b) == _reference_masks_from_pairs(n, a, b)
+    for cells in (None, 256):
+        with pytest.MonkeyPatch.context() as patch:
+            if cells is not None:
+                patch.setattr(graphs_module, "_MASK_CELLS", cells)
+            for edges, covering in ((cycle, True), (matching, True), (path, False), (spaced, False)):
+                us, vs = (np.array(side, np.intp) for side in zip(*edges))
+                assert (len(np.union1d(us, vs)) == n) is covering
+                for a, b in ((us, vs), (vs, us), (us[::-1], vs[::-1])):
+                    assert masks_from_pairs(n, a, b) == _reference_masks_from_pairs(n, a, b)
 
 
 def test_masks_from_pairs_memory_stays_near_the_masks():
@@ -550,9 +557,13 @@ def test_masks_from_pairs_memory_stays_near_the_masks():
     assert masks == want
 
 
-@pytest.mark.parametrize("cols", [1, 63, 64, 65, 128, 130])
+@pytest.mark.parametrize("cols", [1, 63, 64, 65, 128, 130, 2049])
 def test_packed_rows_match_the_bit_sums_in_either_order(cols):
+    """Random rows, plus all-zero rows and rows set only in their first word, whose
+    packed bytes end in NULs."""
     bits = np.random.default_rng(cols).random((cols, cols)) < 0.5
+    bits[1::3] = False
+    bits[2::3, 64:] = False
     for matrix in (bits, bits.T):  # the transpose is Fortran-ordered
         want = [sum(1 << j for j in np.flatnonzero(row).tolist()) for row in matrix]
         assert graphs_module._packed_rows(matrix) == want

@@ -68,3 +68,12 @@ def test_planted_host_matches_pairwise_construction_on_p4(p4, q, seed, fraction)
 @pytest.mark.parametrize("s", [66, 129])
 def test_planted_host_matches_pairwise_construction_on_wide_sides(k3, s):
     _check_against_reference(k3, s, 9, 0.45, True)
+
+
+@pytest.mark.parametrize("fraction", [float("nan"), -0.1, 1.5, float("inf"), -float("inf")])
+@pytest.mark.parametrize("with_cross", [True, False])
+def test_a_cross_fraction_outside_the_unit_interval_is_refused(k3, fraction, with_cross):
+    """A fraction is a probability, checked as ``sample_gnp`` checks one: NaN would draw
+    no red cross edge and 1.5 all of them."""
+    with pytest.raises(ValueError, match="cross red fraction .* outside \\[0, 1\\]"):
+        planted_process_instance(k3, 6, seed=1, cross_red_fraction=fraction, with_cross=with_cross)

@@ -3,10 +3,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from monotile.graphs import Graph, masks_from_pairs
 from monotile.sampling import (
     derive_seed,
+    draws_below,
     philox_generator,
     sample_gnp,
     threshold_probability,
@@ -42,6 +45,45 @@ def test_key_seed_sequence_answers_only_the_philox_key_request():
     for n_words, dtype in ((4, np.uint32), (2, np.uint32), (1, np.uint64), (3, np.uint64)):
         with pytest.raises(ValueError, match="two uint64 words"):
             seed_seq.generate_state(n_words, dtype)
+
+
+def _check_draws_below(seed, count, p):
+    """``draws_below`` against ``random(count) < p`` on a second generator with the same
+    seed, and both streams left at the same place."""
+    gen, ref = philox_generator(seed), philox_generator(seed)
+    got, want = draws_below(gen.bit_generator, count, p), ref.random(count) < p
+    assert got.dtype == bool and got.shape == (count,)
+    assert np.array_equal(got, want)
+    assert gen.bit_generator.random_raw(3).tolist() == ref.bit_generator.random_raw(3).tolist()
+
+
+@pytest.mark.parametrize("count", [0, 1, 7, 2**16 + 3])
+@pytest.mark.parametrize("p", [0.0, 5e-324, 2.0**-60, 1e-9, 0.02, 0.5, float(np.nextafter(1.0, 0.0)), 1.0])
+def test_draws_below_is_random_below_p(count, p):
+    for seed in (0, 11, 2**64 - 1):
+        _check_draws_below(seed, count, p)
+
+
+@given(st.floats(0.0, 1.0), st.integers(0, 2**64 - 1))
+def test_draws_below_is_random_below_any_probability(p, seed):
+    _check_draws_below(seed, 300, p)
+
+
+@pytest.mark.parametrize("seed", [0, 3, 2**63 + 5])
+def test_draws_below_excludes_a_draw_equal_to_p(seed):
+    """``p`` equal to one of the stream's own draws: strict ``<`` leaves that draw out,
+    and the next float up takes it in.  The draws include the first word whose 11 low
+    bits are zero, the one word that equals its own threshold ``ceil(p * 2**53) << 11``."""
+    count = 2**16
+    draws = philox_generator(seed).random(count)
+    words = philox_generator(seed).bit_generator.random_raw(count)
+    exact = int(np.flatnonzero(words & np.uint64(2047) == 0)[0])
+    for i in (0, 17, exact, count - 1):
+        p = float(draws[i])
+        got = draws_below(philox_generator(seed).bit_generator, count, p)
+        assert not got[i] and np.array_equal(got, draws < p)
+        got = draws_below(philox_generator(seed).bit_generator, count, float(np.nextafter(p, 1.0)))
+        assert got[i] and np.array_equal(got, draws <= p)
 
 
 def _pair_list_gnp(n, p, seed):
