@@ -8,14 +8,17 @@ Checks ``--rev`` out into a temporary git worktree, then runs
 there and in this checkout, alternately, for ``--pairs`` pairs of every
 workload named by a ``--workload`` option (it may be given more than once);
 each pair runs the workloads in the order given, and the parent side runs
-first in even pairs and second in odd ones, for every workload alike.  Only
-the last line of each run's output (perfbench's JSON summary) is read.  For
-each workload and every end-to-end metric that ``BENCHMARK.json`` declares,
-it prints each side's median and quartiles, the change of the medians, how
-many pairs the working tree won (ties count for neither side), and
-``WORSE`` when the working tree's median is worse than the parent's by more
-than the metric's bound.  The worktree is removed on exit, also when a run
-fails.  Example, from the root of a checkout:
+first in even pairs and second in odd ones, for every workload alike.  Of
+each run it reads the last line of its output (perfbench's JSON summary)
+and the per-op output digests of the summary file it leaves in
+``perfbench/_out/``.  For each workload and every end-to-end metric that
+``BENCHMARK.json`` declares, it prints each side's median and quartiles, the
+change of the medians, how many pairs the working tree won (ties count for
+neither side), and ``WORSE`` when the working tree's median is worse than
+the parent's by more than the metric's bound.  Then it prints whether the
+two runs of every pair agree on the outputs of the ops both completed.  The
+worktree is removed on exit, also when a run fails.  Example, from the root
+of a checkout:
 
     python3 scripts/bench_pairs.py --rev HEAD --workload pipeline-dense --workload ties-sparse \
         --seed 1 --seconds 20 --pairs 10
@@ -33,9 +36,13 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
+# One run: its end-to-end metric values and its per-op output digests.
+Run = tuple[dict[str, float], list[str]]
 
-def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict[str, float]:
-    """One benchmark run in ``checkout``: the metric values of its last output line."""
+
+def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> Run:
+    """One benchmark run in ``checkout``: the metric values of its last output line
+    and the per-op output digests of its summary file."""
     command = [
         sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
         "--seconds", str(seconds),
@@ -47,7 +54,9 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict[
     summary = json.loads(lines[-1])
     if summary["failed"]:
         print(f"  {checkout}: {summary['failed']} of {summary['attempted']} ops failed", file=sys.stderr)
-    return {name: metric["value"] for name, metric in summary["metrics"].items()}
+    saved = checkout / "perfbench" / "_out" / f"summary-{workload}-seed{seed}-trace0.json"
+    digests = json.loads(saved.read_text(encoding="utf-8"))["op_digests"]
+    return {name: metric["value"] for name, metric in summary["metrics"].items()}, digests
 
 
 def quartiles(values: list[float]) -> tuple[float, float]:
@@ -82,6 +91,17 @@ def report(metrics: list[dict], parent: list[dict[str, float]], change: list[dic
     return lines
 
 
+def digest_agreement(pairs: list[tuple[list[str], list[str]]]) -> str:
+    """Whether each pair's two runs gave the same per-op digests on the ops both completed:
+    how many ops were compared, and the first pair and op (counted from 1 and 0) that differ."""
+    common = [min(len(old), len(new)) for old, new in pairs]
+    differ = [(i, j) for i, (old, new) in enumerate(pairs) for j in range(common[i]) if old[j] != new[j]]
+    if not differ:
+        return f"op_digests agree on all {sum(common)} common ops of {len(pairs)} pairs"
+    i, j = differ[0]
+    return f"op_digests DIFFER on {len(differ)} of {sum(common)} common ops; first at pair {i + 1}, op {j}"
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--rev", required=True, help="the parent revision, e.g. HEAD or a commit")
@@ -94,8 +114,8 @@ def main() -> int:
         parser.error("--pairs must be at least 1")
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
 
-    parent: dict[str, list[dict[str, float]]] = {w: [] for w in args.workload}
-    change: dict[str, list[dict[str, float]]] = {w: [] for w in args.workload}
+    parent: dict[str, list[Run]] = {w: [] for w in args.workload}
+    change: dict[str, list[Run]] = {w: [] for w in args.workload}
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as scratch:
         tree = Path(scratch) / "parent"
         add = ["git", "worktree", "add", "--quiet", "--detach", str(tree), args.rev]
@@ -108,8 +128,8 @@ def main() -> int:
                         runs.append(run_bench(checkout, workload, args.seed, args.seconds))
                     print(
                         f"pair {i + 1}/{args.pairs} {workload}: op_s_p50"
-                        f" parent {parent[workload][-1]['op_s_p50']:.6g}"
-                        f" change {change[workload][-1]['op_s_p50']:.6g}", file=sys.stderr, flush=True,
+                        f" parent {parent[workload][-1][0]['op_s_p50']:.6g}"
+                        f" change {change[workload][-1][0]['op_s_p50']:.6g}", file=sys.stderr, flush=True,
                     )
         finally:
             subprocess.run(["git", "worktree", "remove", "--force", str(tree)], cwd=ROOT, check=False)
@@ -120,7 +140,9 @@ def main() -> int:
             f"workload={workload} seed={args.seed} seconds={args.seconds}"
             f" pairs={args.pairs} rev={args.rev}"
         )
-        print("\n".join(report(metrics, parent[workload], change[workload])))
+        old, new = parent[workload], change[workload]
+        print("\n".join(report(metrics, [m for m, _ in old], [m for m, _ in new])))
+        print(digest_agreement([(a, b) for (_, a), (_, b) in zip(old, new)]))
     return 0
 
 

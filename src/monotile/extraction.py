@@ -8,7 +8,10 @@ disjoint copies of one colour in scan order.  ``extract_tiling`` builds the
 ties plus a greedy packing of the rest, per colour, and a greedy packing of
 the whole host, per colour; it validates and returns the first largest.
 Each colour's :func:`~monotile.embeddings.copy_leads` mask is found once and
-bounds where every scan of that colour may start.
+bounds where every scan of that colour may start.  A copy missing from one
+scan stays missing as the free set shrinks, so a scan resumes at a lead
+cursor: the lead vertex of the last copy it took, or, for the blue side of
+the tie scan, of the first blue copy left.
 
 Falling short of the density target is reported, never raised: the report
 carries achieved versus target sizes.
@@ -80,34 +83,6 @@ def extraction_target(n: int, H: PatternStats, epsilon: float) -> int:
     return max(0, math.floor(bound))
 
 
-def _find_tie(
-    G: ColouredGraph, H: PatternStats, free_mask: int, budget: list[int], leads: dict[Colour, int]
-) -> tuple[EmbeddedCopy, EmbeddedCopy] | None:
-    """A red copy and a blue copy sharing >= alpha vertices, inside the free set.
-
-    Their union spans at most ``2k - alpha`` vertices, so the pair is a
-    one-copy-per-colour cluster at slack 0.  Red copies are scanned from the
-    red lead mask ``leads[RED]`` (see :func:`iter_copies`).  The first blue
-    copy's lead only moves up as the free set shrinks, so the blue
-    pre-check cuts ``leads[BLUE]`` there in place; no blue copy, side-good
-    or not, leads below it.
-    """
-    blue_first = first_copy(G.blue_adjacency, H.pattern, free_mask, leads=leads[Colour.BLUE])
-    if blue_first is None:
-        return None
-    leads[Colour.BLUE] &= ~((1 << blue_first[lead_vertex(H.pattern)]) - 1)
-    for red_map in iter_copies(G.red_adjacency, H.pattern, free_mask, leads[Colour.RED]):
-        if budget[0] <= 0:
-            return None
-        budget[0] -= 1
-        blue = find_side_good_copy(
-            G, H, Colour.BLUE, free_mask, mask_of(red_map), H.alpha, leads[Colour.BLUE]
-        )
-        if blue is not None:
-            return EmbeddedCopy(red_map, Colour.RED), blue
-    return None
-
-
 def maximal_cluster_family(
     G: ColouredGraph,
     H: PatternStats,
@@ -115,27 +90,39 @@ def maximal_cluster_family(
 ) -> ClusterFamily:
     """Vertex-disjoint tie clusters at slack 0, found in scan order.
 
-    The scan stops after ``DEFAULT_BUILDER_BUDGET`` steps, marking the family
-    ``truncated``.  ``leads`` maps each colour to a lead mask promise (see
-    :func:`~monotile.embeddings.first_copy`); every vertex by default.
+    Each pass sets aside the first red copy, in scan order, with a side-good
+    blue partner (:func:`~monotile.richness.find_side_good_copy`) and that
+    partner.  A pass costs one step and each red copy it tries one more; the
+    scan stops after ``DEFAULT_BUILDER_BUDGET`` steps, and ``truncated``
+    means the budget ran out before the scan finished.  The red cursor is the
+    lead vertex of the last tie's red copy, the blue one that of the first
+    blue copy left.  ``leads`` maps each colour to a lead mask promise (see
+    :func:`~monotile.embeddings.first_copy`), every vertex by default; the
+    cursors cut local copies, never the caller's masks.
     """
     if H.ell == 0:
         raise ValueError("monochromatic copy search needs a pattern with at least one edge")
     certs: list[ClusterCertificate] = []
     free_mask = (1 << G.n) - 1
-    budget = [DEFAULT_BUILDER_BUDGET]
-
-    # A red copy with no blue partner keeps none as the free set shrinks, so
-    # each scan resumes at the lead vertex of the last tie's red copy.
-    # The cuts stay in this copy: the caller's masks also serve later scans.
     lead = lead_vertex(H.pattern)
-    leads = {c: -1 for c in Colour} if leads is None else dict(leads)
-    while budget[0] > 0:
-        budget[0] -= 1
-        tie = _find_tie(G, H, free_mask, budget, leads)
-        if tie is None:
-            break
-        red, blue = tie
+    red_leads, blue_leads = (-1, -1) if leads is None else (leads[Colour.RED], leads[Colour.BLUE])
+    steps = DEFAULT_BUILDER_BUDGET
+    while steps > 0:
+        steps -= 1
+        blue_first = first_copy(G.blue_adjacency, H.pattern, free_mask, leads=blue_leads)
+        if blue_first is None:
+            return ClusterFamily(tuple(certs), truncated=False)
+        blue_leads &= ~((1 << blue_first[lead]) - 1)
+        for red_map in iter_copies(G.red_adjacency, H.pattern, free_mask, red_leads):
+            if steps <= 0:
+                return ClusterFamily(tuple(certs), truncated=True)
+            steps -= 1
+            blue = find_side_good_copy(G, H, Colour.BLUE, free_mask, mask_of(red_map), H.alpha, blue_leads)
+            if blue is not None:
+                break
+        else:
+            return ClusterFamily(tuple(certs), truncated=False)
+        red = EmbeddedCopy(red_map, Colour.RED)
         certs.append(
             ClusterCertificate(
                 vertices=red.vertices | blue.vertices,
@@ -145,9 +132,8 @@ def maximal_cluster_family(
             )
         )
         free_mask &= ~(red.vertex_mask | blue.vertex_mask)
-        leads[Colour.RED] &= ~((1 << red.vertex_map[lead]) - 1)
-
-    return ClusterFamily(tuple(certs), truncated=budget[0] <= 0)
+        red_leads &= ~((1 << red_map[lead]) - 1)
+    return ClusterFamily(tuple(certs), truncated=True)
 
 
 def greedy_packing(

@@ -106,5 +106,7 @@ def threshold_probability(n: int, C: float, pattern: PatternStats) -> float:
         raise ValueError(f"need at least one vertex, not n = {n}")
     if not math.isfinite(C):
         raise ValueError(f"C must be finite, not {C}")
+    if C < 0:
+        raise ValueError(f"C must be non-negative, not {C}")
     exponent = Fraction(1) / pattern.m2_or_one
     return min(1.0, C * float(n) ** (-float(exponent)))

@@ -51,6 +51,8 @@ class SweepPlan:
         for C in self.C_list:
             if not math.isfinite(C):
                 raise ValueError(f"every C must be finite, not {C}")
+            if C < 0:
+                raise ValueError(f"every C must be non-negative, not {C}")
         # A repeated entry would rerun its cells with the same seeds and count
         # the copies as independent trials.
         for label, values in (("n_list", self.n_list), ("C_list", self.C_list), ("adversaries", self.adversaries)):

@@ -81,7 +81,9 @@ def test_every_workload_runs_in_the_same_alternating_order(bench_pairs, tmp_path
     def fake_run(checkout, workload, seed, seconds):
         side = "change" if Path(checkout) == tmp_path else "parent"
         calls.append((side, workload))
-        return {"op_s_p50": {"a": 1.0, "b": 2.0}[workload] * (1.5 if side == "change" and workload == "b" else 1.0)}
+        slower = 1.5 if side == "change" and workload == "b" else 1.0
+        digests = ["x", "y", "z"] if side == "change" and workload == "b" and len(calls) > 8 else ["x", "y"]
+        return {"op_s_p50": {"a": 1.0, "b": 2.0}[workload] * slower}, digests
 
     monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
     monkeypatch.setattr(bench_pairs, "run_bench", fake_run)
@@ -93,6 +95,39 @@ def test_every_workload_runs_in_the_same_alternating_order(bench_pairs, tmp_path
     assert calls == order + swapped + order
     out = capsys.readouterr().out.splitlines()
     assert [line.split()[0] for line in out if line.startswith("workload=")] == ["workload=a", "workload=b"]
-    table_a, table_b = out[2], out[5]
+    table_a, table_b = out[2], out[6]
     assert table_a.split()[0] == "op_s_p50" and "WORSE" not in table_a
     assert table_b.split()[0] == "op_s_p50" and table_b.endswith("WORSE (bound 25%)")
+    # The third pair's change side of b completed one op more: only common ops are compared.
+    assert out[3] == out[7] == "op_digests agree on all 6 common ops of 3 pairs"
+
+
+_FAKE_RUN = """\
+import json, pathlib, sys
+workload, seed = sys.argv[sys.argv.index("--workload") + 1], sys.argv[sys.argv.index("--seed") + 1]
+out = pathlib.Path(__file__).resolve().parent / "_out"
+out.mkdir(exist_ok=True)
+summary = {"op_digests": ["d0", "d1", workload], "metrics": {"op_s_p50": {"value": 0.5, "unit": "s/op"}}}
+(out / f"summary-{workload}-seed{seed}-trace0.json").write_text(json.dumps(summary))
+(out / f"summary-{workload}-seed{seed}-trace1.json").write_text(json.dumps({"op_digests": ["traced"]}))
+print("a human-readable line")
+print(json.dumps({"failed": 0, "attempted": 3, "metrics": summary["metrics"]}))
+"""
+
+
+def test_a_run_reads_the_digests_of_its_own_plain_summary(bench_pairs, tmp_path):
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(_FAKE_RUN)
+    metrics, digests = bench_pairs.run_bench(tmp_path, "w", 7, 0.1)
+    assert metrics == {"op_s_p50": 0.5}
+    assert digests == ["d0", "d1", "w"]
+
+
+def test_digest_agreement_names_the_first_pair_and_op_that_differ(bench_pairs):
+    same = (["a", "b", "c"], ["a", "b"])
+    assert bench_pairs.digest_agreement([same, same]) == "op_digests agree on all 4 common ops of 2 pairs"
+    differ = [same, (["a", "b", "c"], ["a", "x", "y"]), (["q"], ["r"])]
+    assert bench_pairs.digest_agreement(differ) == (
+        "op_digests DIFFER on 3 of 6 common ops; first at pair 2, op 1"
+    )
+    assert bench_pairs.digest_agreement([([], ["a"])]) == "op_digests agree on all 0 common ops of 1 pairs"

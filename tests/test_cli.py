@@ -229,6 +229,22 @@ def test_a_non_finite_threshold_constant_is_a_usage_error(capsys, argv):
     assert captured.out == "" and captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["sample", "--n", "20", "--C", "-1"], "C must be non-negative, not -1.0"),
+        (
+            ["sweep", "--pattern", "k3", "--n-list", "20", "--c-list", "-1", "--epsilon", "0.15",
+             "--trials", "2", "--adversaries", "uniform-random"],
+            "every C must be non-negative, not -1.0",
+        ),
+    ],
+)
+def test_a_negative_threshold_constant_is_a_usage_error(capsys, argv, message):
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("n", ["0", "-4"])
 def test_aux_check_needs_a_vertex(capsys, n):
     assert main(["aux-check", "--n", n, "--pattern", "k3"]) == 1

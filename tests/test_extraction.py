@@ -130,11 +130,13 @@ def test_family_rejects_an_edgeless_pattern():
 
 
 def test_family_budget_truncation(k3, monkeypatch):
+    # Each bow tie costs a pass and its red triangle; the fifth pass finds no
+    # blue copy left, so budget 8 stops the scan short of it and 9 finishes it.
     cg = bowtie_union(4)
-    monkeypatch.setattr(extraction, "DEFAULT_BUILDER_BUDGET", 2)
-    fam = maximal_cluster_family(cg, k3)
-    assert fam.truncated
-    assert len(fam.certificates) < 4
+    for budget in (*range(1, 13), 100_000):
+        monkeypatch.setattr(extraction, "DEFAULT_BUILDER_BUDGET", budget)
+        fam = maximal_cluster_family(cg, k3)
+        assert (len(fam.certificates), fam.truncated) == (min(budget // 2, 4), budget < 9), budget
 
 
 def _reference_ties(G: ColouredGraph, H: PatternStats) -> list[tuple[EmbeddedCopy, EmbeddedCopy]]:
@@ -201,6 +203,34 @@ def test_ties_under_copy_leads_match_restarted_scan(cg, name):
     fam = maximal_cluster_family(cg, H, leads=leads)
     ties = [(c.red_tiling.copies[0], c.blue_tiling.copies[0]) for c in fam.certificates]
     assert ties == _reference_ties(cg, H)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_dense_coloured_graphs(), st.sampled_from(["k3", "c4", "p4"]))
+@example(_ADJACENT_LEADS, "k3")
+def test_every_budget_keeps_a_prefix_of_the_ties(cg, name):
+    """The step rule: a pass costs one step and each red copy it tries one more.
+
+    The whole scan takes one pass per tie plus a last pass that finds none,
+    so it finishes, untruncated, exactly from that many steps on.
+    """
+    H = PatternStats.from_graph(pattern_by_name(name))
+    tried = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(extraction, "find_side_good_copy", lambda *args: tried.append(args) or find_side_good_copy(*args))
+        full = maximal_cluster_family(cg, H)
+    assert [(c.red_tiling.copies[0], c.blue_tiling.copies[0]) for c in full.certificates] == _reference_ties(cg, H)
+    assert not full.truncated
+    steps = len(full.certificates) + 1 + len(tried)
+    counts = []
+    with pytest.MonkeyPatch.context() as mp:
+        for budget in range(1, 41):
+            mp.setattr(extraction, "DEFAULT_BUILDER_BUDGET", budget)
+            fam = maximal_cluster_family(cg, H)
+            assert fam.certificates == full.certificates[: len(fam.certificates)]
+            assert fam.truncated == (budget < steps), (budget, steps)
+            counts.append(len(fam.certificates))
+    assert counts == sorted(counts)
 
 
 def test_disjoint_colour_blocks_still_give_greedy_tiling(k3):

@@ -188,6 +188,12 @@ def test_threshold_probability_needs_a_finite_constant(k3, C):
         threshold_probability(4, C, k3)
 
 
+def test_threshold_probability_needs_a_non_negative_constant(k3):
+    with pytest.raises(ValueError, match="^C must be non-negative, not -1.0$"):
+        threshold_probability(4, -1.0, k3)
+    assert threshold_probability(4, 0.0, k3) == 0.0
+
+
 def test_derive_seed_stable():
     assert derive_seed("a", 1) == derive_seed("a", 1)
     assert derive_seed("a", 1) != derive_seed("a", 2)

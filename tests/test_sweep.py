@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import monotile
+from monotile.extraction import extract_tiling
 from monotile.graphs import Graph, parse_graph_text, pattern_by_name, write_graph_text
 from monotile.patterns import PatternStats
 from monotile.sweep import SweepPlan, SweepResult, run_sweep, trial_seed, wilson_interval
@@ -110,22 +111,22 @@ _PINNED_CSV = """\
 # monotile-sweep-csv v2
 # plan {"epsilon": 0.1, "pattern": "k3", "seed_base": 7, "trials": 1}
 n,C,adversary,trial,seed,p,achieved,target,success,error
-15,-1.0,uniform-random,0,3180101358029593544,nan,0,1,0,ValueError: edge probability -0.25819888974716115 outside [0; 1]
+15,0.0,uniform-random,0,8953103799566290965,nan,0,1,0,RuntimeError: synthetic failure; on an empty host
 15,5.0,uniform-random,0,5703396763123485103,1.0,5,1,1,
-# cell {"C": -1, "adversary": "uniform-random", "frequency": 0.0, "n": 15, "successes": 0, "trials": 1, "wilson95": [0.0, 0.7934567085261071]}
+# cell {"C": 0, "adversary": "uniform-random", "frequency": 0.0, "n": 15, "successes": 0, "trials": 1, "wilson95": [0.0, 0.7934567085261071]}
 # cell {"C": 5, "adversary": "uniform-random", "frequency": 1.0, "n": 15, "successes": 1, "trials": 1, "wilson95": [0.20654329147389294, 1.0]}
 """
 
 _PINNED_JSON_ROWS = """\
   "rows": [
     {
-      "C": -1,
+      "C": 0,
       "achieved": 0,
       "adversary": "uniform-random",
-      "error": "ValueError: edge probability -0.25819888974716115 outside [0; 1]",
+      "error": "RuntimeError: synthetic failure; on an empty host",
       "n": 15,
       "p": NaN,
-      "seed": 3180101358029593544,
+      "seed": 8953103799566290965,
       "success": false,
       "target": 1,
       "trial": 0
@@ -146,15 +147,24 @@ _PINNED_JSON_ROWS = """\
 """
 
 
-def test_small_plan_bytes_are_pinned():
+def test_small_plan_bytes_are_pinned(monkeypatch):
     # Int C values print as 5.0 in CSV cells and as 5 in JSON; a failed trial
-    # keeps p = nan, achieved = 0 and the extraction target.
-    plan = _small_plan(n_list=(15,), C_list=(5, -1), epsilon=0.1, trials=1, adversaries=("uniform-random",))
+    # keeps p = nan, achieved = 0 and the extraction target, its error's
+    # commas turned into semicolons.  C = 0 samples an empty host, refused here.
+    import monotile.sweep as sweep_mod
+
+    def refuse_empty_hosts(cg, stats, epsilon, seed):
+        if cg.graph.num_edges == 0:
+            raise RuntimeError("synthetic failure, on an empty host")
+        return extract_tiling(cg, stats, epsilon, seed=seed)
+
+    monkeypatch.setattr(sweep_mod, "extract_tiling", refuse_empty_hosts)
+    plan = _small_plan(n_list=(15,), C_list=(5, 0), epsilon=0.1, trials=1, adversaries=("uniform-random",))
     result = run_sweep(plan)
     assert result.to_csv() == _PINNED_CSV
     text = result.to_json()
     assert _PINNED_JSON_ROWS in text
-    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "2c602faff167a217"
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "8b0b238c91df7178"
     timed = result.to_csv(include_timings=True).splitlines()
     assert timed[2] == "n,C,adversary,trial,seed,p,achieved,target,success,error,wall_ms"
     assert [line.rsplit(",", 1)[0] for line in timed[3:5]] == _PINNED_CSV.splitlines()[3:5]
@@ -187,6 +197,10 @@ def test_plan_validation():
     for C in (float("nan"), float("inf"), -float("inf")):
         with pytest.raises(ValueError, match=f"^every C must be finite, not {C}$"):
             _small_plan(C_list=(50.0, C))
+    for C in (-1.0, -1e-300):
+        with pytest.raises(ValueError, match=f"^every C must be non-negative, not {C}$"):
+            _small_plan(C_list=(50.0, C))
+    assert _small_plan(C_list=(0.0, 50.0)).C_list == (0.0, 50.0)
 
 
 def test_trial_failures_become_rows(monkeypatch):
