@@ -14,8 +14,10 @@ and the per-op output digests of the summary file it leaves in
 ``perfbench/_out/``.  For each workload and every end-to-end metric that
 ``BENCHMARK.json`` declares, it prints each side's median and quartiles, the
 change of the medians, how many pairs the working tree won (ties count for
-neither side), and ``WORSE`` when the working tree's median is worse than
-the parent's by more than the metric's bound.  Then it prints whether the
+neither side), ``WORSE`` when the working tree's median is worse than the
+parent's by more than the metric's bound, and ``GAIN`` when the working tree
+won at least 9 in 10 pairs and its median is better than the parent's by
+more than the parent's interquartile range.  Then it prints whether the
 two runs of every pair agree on the outputs of the ops both completed.  The
 worktree is removed on exit, also when a run fails.  Example, from the root
 of a checkout:
@@ -69,7 +71,9 @@ def quartiles(values: list[float]) -> tuple[float, float]:
 def report(metrics: list[dict], parent: list[dict[str, float]], change: list[dict[str, float]]) -> list[str]:
     """One line per end-to-end metric: medians, quartiles, change of the medians and wins,
     then ``WORSE`` when the change's median is worse than the parent's by more than the
-    metric's relative ``bound`` (a metric without one is never marked)."""
+    metric's relative ``bound`` (a metric without one is never marked), or ``GAIN`` when
+    the change won at least 9 in 10 pairs and its median is better than the parent's by
+    more than the parent's interquartile range."""
     lines = [
         f"{'metric':22s} {'parent p50':>12s} {'[q1, q3]':>25s} {'change p50':>12s} {'[q1, q3]':>25s}"
         f" {'delta':>8s} {'wins':>6s}"
@@ -83,10 +87,11 @@ def report(metrics: list[dict], parent: list[dict[str, float]], change: list[dic
         bound = metric.get("bound")
         worse = bound is not None and sign * (new_mid - old_mid) < -bound * abs(old_mid)
         (o1, o3), (n1, n3) = quartiles(old), quartiles(new)
+        gain = 10 * wins >= 9 * len(old) and sign * (new_mid - old_mid) > o3 - o1
         lines.append(
             f"{name:22s} {old_mid:12.6g} {f'[{o1:.6g}, {o3:.6g}]':>25s} {new_mid:12.6g}"
             f" {f'[{n1:.6g}, {n3:.6g}]':>25s} {delta:>8s} {f'{wins}/{len(old)}':>6s}"
-            + (f"  WORSE (bound {bound:.0%})" if worse else "")
+            + (f"  WORSE (bound {bound:.0%})" if worse else "") + ("  GAIN" if gain else "")
         )
     return lines
 

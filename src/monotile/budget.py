@@ -24,8 +24,14 @@ def _three_figures(x: float) -> str:
 
 
 def work_limit(budget: float | None) -> float:
-    """The limit a budget argument sets: ``None`` means the default budget."""
-    return DEFAULT_WORK_BUDGET if budget is None else budget
+    """The limit a budget argument sets: ``None`` means the default budget,
+    ``inf`` no limit and a negative budget refuses all work.  A NaN budget is
+    a ``ValueError``: no estimate exceeds it, so it would guard nothing."""
+    if budget is None:
+        return DEFAULT_WORK_BUDGET
+    if budget != budget:
+        raise ValueError(f"budget must be a number, not {budget!r}")
+    return budget
 
 
 def require_budget(estimate: float, budget: float | None, what: str = "work") -> None:

@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Callable
 
 from . import oracles
-from .budget import BudgetExceededError
+from .budget import BudgetExceededError, work_limit
 from .graphs import ColouredGraph, Graph, _as_colouring, parse_graph_text, write_graph_text
 from .patterns import PatternStats, independence_number, m2_density
 
@@ -129,7 +129,9 @@ class VerifyReport:
 
 
 def verify_fixtures(directory: Path | str, budget: float | None = None) -> VerifyReport:
-    """Recompute every cached value and diff; empty dirs pass with a warning."""
+    """Recompute every cached value and diff; empty dirs pass with a warning.
+    A NaN budget is a ``ValueError`` before any file is read."""
+    work_limit(budget)
     directory = Path(directory)
     files = sorted(directory.glob("*" + FIXTURE_SUFFIX)) if directory.exists() else []
     if not files:

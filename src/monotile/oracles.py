@@ -26,11 +26,12 @@ extension ``graphs._cliques``, which the copy-avoider also runs; no check
 compares the two.
 
 Exhaustive colouring sweeps over complete hosts dedup colourings up to
-relabelling through the graph atlas (all isomorphism classes up to seven
-vertices, in the order and labelling of ``networkx.graph_atlas_g()``).  The
-atlas is the checked-in table ``atlas.txt`` next to this module, read once per
-process: one line per graph, its order and its pair mask in hex, written by
-``scripts/build_atlas_table.py``.  General hosts enumerate raw with a
+relabelling and colour swap through the graph atlas (all isomorphism
+classes up to seven vertices, in the order and labelling of
+``networkx.graph_atlas_g()``), keeping the red graphs with at most half of
+the host's edges.  The atlas is the checked-in table ``atlas.txt`` next to
+this module, read once per process: one line per graph, its order and its
+pair mask in hex, written by ``scripts/build_atlas_table.py``.  General hosts enumerate raw with a
 colour-swap cut.
 """
 
@@ -308,16 +309,20 @@ def atlas_graphs(n: int) -> list[Graph]:
 def iter_colourings(G: Graph):
     """Yield 2-colourings of the host's edges, up to colour swap.
 
-    Complete hosts on up to 7 vertices yield one representative per
-    isomorphism class of the red graph, and other hosts fix the first edge
-    red to cut the global colour swap; both reductions preserve
-    colour-swap- and relabelling-invariant predicates (tiling numbers,
-    richness).  It charges no budget: callers stop it or price its
-    ``2**(m-1)`` colourings first.
+    Complete hosts on up to 7 vertices are enumerated up to relabelling and
+    swap: they yield the atlas red graphs with at most half of the host's
+    edges (K7: 522 of the atlas's 1,044 graphs), so every class
+    {R, complement of R} keeps one member, and both when R holds exactly
+    half.  The red colour is never the denser one there.  Other hosts fix the first
+    edge red.  Both reductions preserve colour-swap- and
+    relabelling-invariant predicates (tiling numbers, richness).  It
+    charges no budget: callers stop it or price its ``2**(m-1)`` colourings
+    first.
     """
     if _atlas_host(G):
         for red_graph in atlas_graphs(G.n):
-            yield ColouredGraph.from_masks(G, red_graph.adjacency)
+            if 2 * red_graph.num_edges <= G.num_edges:
+                yield ColouredGraph.from_masks(G, red_graph.adjacency)
         return
     us, vs = (a.tolist() for a in G.edge_pairs)
     if not us:
@@ -409,9 +414,10 @@ def exact_rt(H: PatternStats, G: Graph, budget: float | None = None) -> RtResult
         spent += per_colouring
         checked += 1
         # A colour whose search reaches best_upper cannot lower it: stop there.
-        red = max_disjoint_copies(copies(coloured.red_adjacency), H.k, best_upper)
-        if red < best_upper:
-            blue = max_disjoint_copies(copies(coloured.blue_adjacency), H.k, best_upper)
+        # Blue goes first: on atlas hosts it is never the sparser colour.
+        blue = max_disjoint_copies(copies(coloured.blue_adjacency), H.k, best_upper)
+        if blue < best_upper:
+            red = max_disjoint_copies(copies(coloured.red_adjacency), H.k, best_upper)
             best_upper = max(red, blue)
         if best_upper == 0:
             break  # nothing can go lower
@@ -457,16 +463,18 @@ def richness_decide(
 
     Atlas hosts always enumerate.  Other hosts enumerate when the exact
     estimate ``2**(e-1) * pairs * n**k`` is within the budget (``None`` is
-    the default budget) and raise ``BudgetExceededError`` otherwise.
+    the default budget) and raise ``BudgetExceededError`` otherwise.  A NaN
+    budget is a ``ValueError`` on every host.
     """
-    if not isinstance(s, int) or s < 1:
+    if isinstance(s, bool) or not isinstance(s, int) or s < 1:
         raise ValueError(f"s must be a positive int, not {s!r}")
+    limit = work_limit(budget)
     n = G_template.n
     pair_count = comb(n, s) * comb(n - s, s) if 2 * s <= n else 0  # iter_disjoint_pairs' length
     if not pair_count:
         return RichnessVerdict(rich=True, mode="vacuous", trials=0)
     if not _atlas_host(G_template):  # exact: past 1,024 edges it overflows a float
-        require_budget(2 ** max(G_template.num_edges - 1, 0) * pair_count * n**H.k, budget, "richness enumeration")
+        require_budget(2 ** max(G_template.num_edges - 1, 0) * pair_count * n**H.k, limit, "richness enumeration")
     trials = 0
     for coloured in iter_colourings(G_template):
         for xs, ys in iter_disjoint_pairs(n, s):
@@ -521,11 +529,11 @@ def clique_supersat_count(
     ``e(G) >= (1 - 1/t) * n^2 / 2`` and ``t >= R >= 3``; outside that regime
     the count is still returned with the hypothesis flagged unmet.
     """
-    if not isinstance(R, int):
+    if isinstance(R, bool) or not isinstance(R, int):
         raise ValueError(f"R must be an int, not {R!r}")
     if R < 3:
         raise ValueError("clique order below 3 is outside the supersaturation regime")
-    if t is not None and (not isinstance(t, int) or t < 1):
+    if t is not None and (isinstance(t, bool) or not isinstance(t, int) or t < 1):
         raise ValueError(f"t must be a positive int, not {t!r}")
     count = count_cliques(G, R, budget)
     n = G.n

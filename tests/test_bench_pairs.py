@@ -67,6 +67,24 @@ def test_report_marks_a_median_worse_than_its_bound(bench_pairs):
     assert oks.split()[-2:] == ["-1.0%", "0/3"]
 
 
+def test_report_marks_a_gain_won_in_9_of_10_pairs_beyond_the_parents_iqr(bench_pairs):
+    metrics = [{"name": "op_s_p50", "better": "lower", "bound": 0.25}, {"name": "ops_per_s", "better": "higher"}]
+    parent = [{"op_s_p50": t, "ops_per_s": 1 / t} for t in (1.00, 1.02, 0.98, 1.01, 0.99) * 2]
+
+    def marks(times, parent=parent):
+        change = [{"op_s_p50": t, "ops_per_s": 1 / t} for t in times]
+        return [line.endswith("GAIN") for line in bench_pairs.report(metrics, parent, change)[1:]]
+
+    # The parent's quartiles are [0.99, 1.01]: an IQR of 0.02, so the median must fall below 0.98.
+    assert marks([0.95] * 9 + [1.05]) == [True, True]  # 9 of 10 pairs won
+    assert marks([0.95] * 8 + [1.05] * 2) == [False, False]  # 8 of 10
+    assert marks([p["op_s_p50"] - 0.005 for p in parent]) == [False, False]  # all won, within the IQR
+    assert marks([0.97] * 10) == [True, True]  # all won, the median 0.03 below
+    assert marks([1.05] * 10) == [False, False]  # worse in every pair: never a gain
+    assert marks([0.95] * 3, parent[:3]) == [True, True]  # 3 of 3 pairs
+    assert marks([0.95, 0.95, 1.05], parent[:3]) == [False, False]  # 2 of 3 is under 9 in 10
+
+
 def test_every_workload_runs_in_the_same_alternating_order(bench_pairs, tmp_path, monkeypatch, capsys):
     def git(*argv):
         return subprocess.run(["git", *argv], cwd=tmp_path, check=True, capture_output=True, text=True).stdout

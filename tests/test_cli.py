@@ -101,7 +101,7 @@ def test_rt_exact_subcommand(capsys):
     code, out = run(capsys, "rt-exact", "--pattern", "k3", "--host", "k6")
     assert code == 0
     assert out == (
-        '{\n  "colourings_checked": 156,\n  "exact": true,\n  "lower": 1,\n'
+        '{\n  "colourings_checked": 78,\n  "exact": true,\n  "lower": 1,\n'
         '  "mode": "atlas",\n  "upper": 1,\n  "value": 1\n}\n'
     )
 
@@ -193,6 +193,17 @@ def test_rt_exact_brackets_on_a_host_past_the_float_range(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["exact"] is False and payload["colourings_checked"] == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("rt-exact", "--pattern", "k3", "--host", "k5"),
+    ("aux-check", "--n", "12", "--pattern", "k4"),
+    ("verify-fixtures", "--dir", "."),
+])
+def test_a_nan_budget_is_a_usage_error(capsys, argv):
+    assert main([*argv, "--budget", "nan"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: budget must be a number, not nan\n"
 
 
 def test_budget_refusal_from_aux(capsys):

@@ -118,6 +118,9 @@ def _malformed(operation, params):
     (_malformed("clique_supersat", {"R": "3"}), "malformed: cannot recompute: R must be an int, not '3'"),
     (_malformed("richness_rich", {"s": 2.9}), "malformed: cannot recompute: s must be a positive int, not 2.9"),
     (_malformed("richness_rich", {"s": "2"}), "malformed: cannot recompute: s must be a positive int, not '2'"),
+    (_malformed("richness_rich", {"s": True}), "malformed: cannot recompute: s must be a positive int, not True"),
+    (_malformed("clique_supersat", {"R": True}), "malformed: cannot recompute: R must be an int, not True"),
+    (_malformed("clique_supersat", {"R": 3, "t": True}), "malformed: cannot recompute: t must be a positive int"),
     (_malformed("good_copy_count", {"A": 5}), "malformed: cannot recompute: 'int' object is not iterable"),
     (_malformed("good_copy_count", {"A": [[0]]}), "malformed: cannot recompute: unhashable type: 'list'"),
     (_malformed("good_copy_count", []), "malformed: cannot recompute: list indices must be integers"),

@@ -391,7 +391,7 @@ def test_rt_stop_matches_full_packings(H):
         assert res.mode == ("atlas" if oracles.is_complete_host(G) else "raw")
         assert (res.upper, res.colourings_checked, res.exact) == _reference_exact_rt(H, G)
         assert res.lower == res.upper
-    for budget in (250.0, 5000.0, 30000.0):
+    for budget in (250.0, 5000.0, 25000.0):  # k2: 25000 / 7^2 admits 510 of K7's 522 colourings
         res = exact_rt(H, Graph.complete(7), budget=budget)
         assert (res.upper, res.colourings_checked, res.exact) == _reference_exact_rt(H, Graph.complete(7), budget)
         assert not res.exact and res.lower == 0
@@ -400,6 +400,46 @@ def test_rt_stop_matches_full_packings(H):
 def test_iter_colourings_raw_counts():
     path = Graph.path(3)
     assert sum(1 for _ in iter_colourings(path)) == 2  # swap cut
+
+
+def test_atlas_colourings_are_the_red_graphs_with_at_most_half_the_edges():
+    for n in range(8):
+        kept = [cg.red_adjacency for cg in iter_colourings(Graph.complete(n))]
+        half = [g.adjacency for g in atlas_graphs(n) if 2 * g.num_edges <= math.comb(n, 2)]
+        assert kept == half
+    assert len(half) == 522
+
+
+# Reference for the swap cut: every atlas red graph on K3..K7, none cut, with
+# both colours' full packings and pair checks.
+
+def _uncut_colourings(n: int) -> Iterator[ColouredGraph]:
+    host = Graph.complete(n)
+    for red_graph in atlas_graphs(n):
+        yield ColouredGraph.from_masks(host, red_graph.adjacency)
+
+
+@pytest.mark.parametrize("H", RT_STATS, ids=("k2", "k3", "p3", "p4"))
+@pytest.mark.parametrize("n", range(3, 8))
+def test_exact_rt_on_half_the_atlas_matches_every_colouring(H, n):
+    value = min(max(max_mono_tiling_size(cg, H, c) for c in Colour) for cg in _uncut_colourings(n))
+    res = exact_rt(H, Graph.complete(n))
+    assert (res.lower, res.upper, res.exact) == (value, value, True)
+
+
+@pytest.mark.parametrize("n", range(4, 7))
+def test_richness_on_half_the_atlas_matches_every_colouring(k3, n):
+    for s in range(1, n // 2 + 1):
+        rich = all(
+            good_copy_witness_count(cg, k3, xs, ys) > 0
+            for cg in _uncut_colourings(n) for xs, ys in iter_disjoint_pairs(n, s)
+        )
+        verdict = richness_decide(Graph.complete(n), k3, s)
+        assert verdict.rich is rich, (n, s)
+        if not rich:
+            found = verdict.counterexample
+            cg = ColouredGraph(Graph.complete(n), found.colouring)
+            assert good_copy_witness_count(cg, k3, found.X, found.Y) == 0
 
 
 def test_rt_fixtures(k2, k3):
@@ -423,6 +463,21 @@ def test_colouring_counts_past_the_float_range(k3):
         with pytest.raises(BudgetExceededError, match=r"^richness enumeration estimate 3\.71e\+319 exceeds"):
             richness_decide(host, k3, 1, budget=budget)
     assert str(BudgetExceededError(2**1100, 5e7)) == "work estimate 1.36e+331 exceeds budget 5e+07"
+
+
+def test_a_nan_budget_is_a_value_error(k3):
+    nan = float("nan")
+    with pytest.raises(ValueError, match="budget must be a number, not nan"):
+        exact_rt(k3, Graph.complete(5), budget=nan)
+    with pytest.raises(ValueError, match="budget must be a number, not nan"):
+        count_cliques(Graph.complete(5), 3, budget=nan)
+    with pytest.raises(ValueError, match="budget must be a number, not nan"):
+        richness_decide(Graph.cycle(5), k3, 1, budget=nan)
+    with pytest.raises(ValueError, match="budget must be a number, not nan"):
+        richness_decide(Graph.complete(5), k3, 1, budget=nan)  # an atlas host, which no budget limits
+    assert exact_rt(k3, Graph.complete(6), budget=float("inf")).exact  # inf is no limit
+    with pytest.raises(BudgetExceededError):
+        count_cliques(Graph.complete(5), 3, budget=-1.0)  # a negative budget refuses
 
 
 def test_rt_bracket_on_budget_exhaustion(k3):
@@ -461,7 +516,7 @@ def test_richness_k4_not_rich(k3):
 def test_richness_k6_rich(k3):
     verdict = richness_decide(Graph.complete(6), k3, 3)
     assert verdict.rich is True and verdict.mode == "exhaustive"
-    assert verdict.trials == len(atlas_graphs(6)) * math.comb(6, 3)  # every colouring, every pair
+    assert verdict.trials == len(atlas_graphs(6)) // 2 * math.comb(6, 3)  # every colouring up to swap, every pair
 
 
 def test_richness_empty_graph_not_rich(k3):
@@ -546,7 +601,7 @@ def test_supersat_k9_minus_matching():
     assert report.hypothesis_met and report.meets_bound
 
 
-@pytest.mark.parametrize("t", [0, -1, "3", 2.5])
+@pytest.mark.parametrize("t", [0, -1, "3", 2.5, True])
 def test_supersat_rejects_a_t_that_is_not_a_positive_int(t):
     # t = 0 used to raise ZeroDivisionError and a str or float TypeError
     with pytest.raises(ValueError, match="t must be a positive int"):
