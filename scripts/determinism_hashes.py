@@ -77,7 +77,8 @@ PROCESSES = (
 TEXT_N = (60, 700, 1200)
 TEXT_C = (0.5, 5.0)
 # Texts the parser must read the same way on every checkout: CRLF, tabs, blank lines,
-# leading \f and \v, zero-padded and overlong tokens, then one text per way to fail.
+# leading \f and \v, zero-padded and overlong tokens, then one text per way to fail,
+# then gaps of more than one byte between tokens, within a line and across lines.
 LOOSE_TEXTS = (
     "3 2\r\n0 1\r\n1 2\r\n", "3 2\n0\t1\n\t1 \t 2\t\n", "\n\n 3 2 \n\n0 1 b\n \t\n1 2 r\n",
     "3 2\n\x0c0 1 r\n\x0b 1 2 b\r", "3 1\n\x0b0 1", "003 0001\n0000000000000000000000001 02",
@@ -85,6 +86,8 @@ LOOSE_TEXTS = (
     "3 1\n0 1r", "3 1\n0 1 rb", "3 1\n0 \u0663", "1 0\n\r\n00000000000000000000022 1 b\n\x0c",
     "", "3", "3 1 1\n0 1", "3 2\n0 1", "3 2\n0 1\n1 2 b", "3 1\n0 1 x", "3 1\n1 1", "3 1\n0 3",
     "3 1\n99999999999999999999 99999999999999999998", "3 2\n0 1\n1 0", "3 2\n0 1 r\n1 0 b",
+    "3 2\n0 1\n  1 2", "3 2\n0 1\n\n1 2", "3 1\n0\t\t1", "3 2\n0 1 r\n 1 2 b", "3 2\n0 1 1 2",
+    "3 2\n0\n1 1 2",
 )
 
 

@@ -362,12 +362,19 @@ def colour_all(graph: Graph, colour: Colour) -> ColouredGraph:
 # or b.  Digit tokens may be zero-padded; one past the int64 range reads as
 # the int64 maximum.  An n for which 2*n*n passes the int64 range is
 # rejected before anything is allocated.
+#
+# The tokenizer checks the lines from the byte before each token: a token
+# opens a line when that byte is a newline, and every second (plain) or third
+# (coloured) token must open one, no other.  A block's newlines are found only
+# when a gap between two tokens is longer than one byte, or to place its "\r",
+# "\f" and "\v" bytes.
 # ---------------------------------------------------------------------------
 
 _TEXT_GRAMMAR = "graph text is not a line 'n m' then lines all 'u v' or all 'u v c'"
 _INT64_MAX = (1 << 63) - 1
 _BLOCK = 1 << 16  # body bytes per tokenizer pass (cut after a newline) and per writer block
 _HEADER = re.compile(rb"(\d+)[ \t]+(\d+)[ \t]*\r?")
+_LEADING_SPACE = re.compile(rb"[ \t\n\r\x0b\x0c]*")  # what bytes.lstrip() drops, found without a copy
 
 
 def _byte_classes() -> bytes:
@@ -381,21 +388,18 @@ def _byte_classes() -> bytes:
 
 
 _CLASSES = _byte_classes()
-# A digit token adds byte * _PLACE[j][span] for the byte j places left of its
-# last, where span is the token length - 1; past the token the factor is 0.
-# _OFFSET[span] takes the "0" bytes back out.  Both cover 18 digits in int64.
-_PLACE = np.array([[10**j if j <= s else 0 for s in range(18)] for j in range(18)], np.int64)
-_OFFSET = np.array([ord("0") * (10 ** (s + 1) - 1) // 9 for s in range(18)], np.int64)
 
 
 def _block_keys(
     data: bytes, classes: bytes, start: int, stop: int, width: int, n: int
 ) -> tuple[np.ndarray, bool, bool]:
-    """The edge lines of ``data[start:stop]``, whole lines that open and close with a
+    r"""The edge lines of ``data[start:stop]``, whole lines that open and close with a
     newline, as int64 codes ``u*n + v`` of their sorted pairs (in width 3, doubled
     plus 1 for r), and whether a line is a self-loop and whether one leaves
     ``range(n)``; the codes of such a block mean nothing.  ``classes`` is ``data``
-    through ``_CLASSES``.  Raises the grammar ValueError."""
+    through ``_CLASSES``.  The lines are checked from the class of the byte before
+    each token; the block's newlines are found only for a gap between tokens longer
+    than one byte, or to place "\r", "\f" and "\v".  Raises the grammar ValueError."""
     c = np.frombuffer(classes, np.uint8, stop - start, start)
     d = np.frombuffer(data, np.uint8, stop - start, start)
     token = c >= ord("0")
@@ -407,29 +411,37 @@ def _block_keys(
             raise ValueError(_TEXT_GRAMMAR)
     edges = (token[1:] != token[:-1]).nonzero()[0]
     first, last = edges[0::2] + 1, edges[1::2]
-    # The tokens before each newline step by 0 (a blank line) or by width.
-    newlines = (c == ord("\n")).nonzero()[0]
-    before = np.searchsorted(first, newlines)
-    steps = before[1:] - before[:-1]
-    if np.count_nonzero(steps) * width != len(first) or steps.max(initial=0) > width:
+    # A token opens a line when a newline lies in the gap before it; the block's first
+    # token follows its opening newline.  Lines of width tokens each: every width-th
+    # token opens one, and no other does.
+    opens = c[edges[0::2]] == ord("\n")  # the byte before each token
+    opens[:1] = True
+    long = (first[1:] - last[:-1] > 2).nonzero()[0] + 1
+    odd_bytes = classes.find(b"\f", start, stop) >= 0 or classes.find(b"\r", start, stop) >= 0
+    if len(long) or odd_bytes:
+        newlines = (c == ord("\n")).nonzero()[0]
+        opens[long] = newlines[np.searchsorted(newlines, first[long]) - 1] > last[long - 1]
+    if len(first) % width or not opens[::width].all() or np.count_nonzero(opens) * width != len(first):
         raise ValueError(_TEXT_GRAMMAR)
-    if classes.find(b"\f", start, stop) >= 0 or classes.find(b"\r", start, stop) >= 0:
+    if odd_bytes:
         # "\r", "\f" and "\v" stand only before a line's first token, or "\r" just before its newline
         odd = ((c == ord("\f")) | (c == ord("\r"))).nonzero()[0]
-        after_token = np.searchsorted(first, odd) > before[np.searchsorted(newlines, odd) - 1]
+        line_start = newlines[np.searchsorted(newlines, odd) - 1]
+        after_token = np.searchsorted(first, odd) > np.searchsorted(first, line_start)
         line_end = (c[odd] == ord("\r")) & (c[odd + 1] == ord("\n"))
         if (after_token & ~line_end).any():
             raise ValueError(_TEXT_GRAMMAR)
     span = last - first
     if width == 3:  # each third token is one r or b, and those are all of them
         third = first[2::3]
-        if span[2::3].any() or (c[third] != ord("r")).any() or np.count_nonzero(c == ord("r")) != len(third):
+        if span[2::3].any() or (c[third] != ord("r")).any() or classes.count(b"r", start, stop) != len(third):
             raise ValueError(_TEXT_GRAMMAR)
+    # A digit is its byte less "0", times its place value; the byte j places left of
+    # a token's last is one of its digits only when j <= span.  18 digits fit int64.
     top = int(span.max(initial=0))
-    capped = np.minimum(span, 17) if top > 17 else span
-    values = d[last] - _OFFSET[capped]
+    values = d[last] - np.int64(ord("0"))
     for j in range(1, min(top, 17) + 1):
-        values += d[last - j] * _PLACE[j][capped]
+        values += ((d[last - j] - ord("0")) * (span >= j)) * np.int64(10**j)
     if top > 17:  # past 18 digits: through int, saturating at the int64 maximum
         for i in np.flatnonzero(span > 17).tolist():
             digits = data[start + first[i]:start + last[i] + 1].lstrip(b"0")
@@ -452,7 +464,7 @@ def _text_keys(text: str) -> tuple[int, int, int, np.ndarray, str | None]:
     except UnicodeEncodeError:
         raise ValueError(_TEXT_GRAMMAR) from None
     classes = data.translate(_CLASSES)
-    start = len(data) - len(data.lstrip())
+    start = _LEADING_SPACE.match(data).end()
     at = data.find(b"\n", start)  # the header's newline, which opens the body
     header = _HEADER.fullmatch(data, start, at) if at >= 0 else None
     if header is None or b"\0" in classes:
@@ -535,7 +547,8 @@ def parse_graph_text(text: str) -> Graph | ColouredGraph:
     """The graph or coloured graph of a text in the format above.
 
     One ``bytes.translate`` classes every byte; the body is then tokenized in
-    numpy passes over blocks of about ``_BLOCK`` bytes of whole lines.  Raises
+    numpy passes over blocks of about ``_BLOCK`` bytes of whole lines, each token
+    placed in its line by the byte before it (``_block_keys``).  Raises
     ``ValueError`` on a text outside the grammar, a huge ``n``, a header count
     that does not match, a self-loop, an endpoint outside ``range(n)`` or a
     duplicate edge, checked in that order."""
@@ -544,7 +557,7 @@ def parse_graph_text(text: str) -> Graph | ColouredGraph:
         raise ValueError(f"header promises {m} edges, found {len(keys)} lines")
     if fault:
         raise ValueError(fault)
-    keys.sort()
+    keys.sort(kind="stable")  # text order is string order: timsort finds its runs
     pairs = keys >> (width - 2)
     if (pairs[1:] == pairs[:-1]).any():
         raise ValueError("duplicate edge in graph text")

@@ -200,6 +200,10 @@ def _run_trial(args: tuple) -> TrialRow:
 
 
 def run_sweep(plan: SweepPlan, workers: int = 1) -> SweepResult:
+    """Every trial of ``plan``, serially or in a pool of at most ``workers`` processes
+    (never more than there are trials).  Raises ``ValueError`` for ``workers < 1``."""
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, not {workers}")
     stats = PatternStats.from_graph(plan.pattern)
     tasks = [
         (stats, n, C, adversary, trial, plan.seed_base, plan.epsilon)
@@ -209,7 +213,8 @@ def run_sweep(plan: SweepPlan, workers: int = 1) -> SweepResult:
     if workers > 1 and len(tasks) > 1:
         from concurrent.futures import ProcessPoolExecutor  # not at module top: it pulls in multiprocessing
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # Under fork the pool starts all its processes at the first submit.
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             rows = list(pool.map(_run_trial, tasks))
     else:
         rows = [_run_trial(t) for t in tasks]

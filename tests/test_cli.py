@@ -153,6 +153,16 @@ def test_sweep_rejects_a_repeated_host_size(capsys):
     assert captured.err == "error: n_list repeats 30\n"
 
 
+def test_sweep_refuses_fewer_than_one_worker(capsys):
+    code = main([
+        "sweep", "--pattern", "k3", "--n-list", "12", "--c-list", "1", "--epsilon", "0.2",
+        "--workers", "0",
+    ])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "error: workers must be at least 1, not 0\n"
+
+
 @pytest.mark.parametrize("value", ["", ","])
 def test_an_empty_pattern_or_adversary_list_is_a_usage_error(capsys, value):
     """``--pattern ""`` names no pattern and ``--adversaries ""`` no adversary, as ``","``

@@ -422,6 +422,12 @@ def _graph_texts(draw):
 @example("3 2\n0 1 2\n1")
 @example("3 2\n0 1 r 2\n1 b")
 @example("3 1\n9223372036854775808 9999999999999999999")
+@example("3 2\n0 1\n  1 2")
+@example("3 2\n0 1\n\n1 2")
+@example("3 1\n0\t\t1")
+@example("3 2\n0 1 r\n 1 2 b")
+@example("3 2\n0 1 1 2")
+@example("3 2\n0\n1 1 2")
 def test_parser_matches_regex_reference(block, text):
     """The tokenizer accepts and rejects what the regex parser did, with the same graph
     or the same message, also when blocks of 1, 3 or 8 bytes put seams in every line."""

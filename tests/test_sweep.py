@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import dataclasses
 import hashlib
@@ -273,6 +274,47 @@ def test_parallel_matches_serial():
         dataclasses.replace(row, wall_ms=0.0) for row in parallel.rows
     ]
     assert serial.to_csv() == parallel.to_csv()
+
+
+class _StubPool:
+    """Stands in for ``ProcessPoolExecutor``: records its ``max_workers`` and runs the
+    tasks in this process, starting none."""
+
+    def __init__(self, sizes, max_workers):
+        sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The ``max_workers`` of every pool a sweep opens, with ``_StubPool`` patched in."""
+    sizes = []
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", lambda max_workers: _StubPool(sizes, max_workers))
+    return sizes
+
+
+@pytest.mark.parametrize("workers, trials, size", [(5000, 2, 2), (3, 8, 3)])
+def test_the_pool_has_no_more_processes_than_trials(pool_sizes, workers, trials, size):
+    # Under fork a pool starts all max_workers processes at its first submit.
+    plan = _small_plan(n_list=(12,), adversaries=("uniform-random",), trials=trials)
+    result = run_sweep(plan, workers=workers)
+    assert pool_sizes == [size]
+    assert result.to_csv() == run_sweep(plan).to_csv()
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_fewer_than_one_worker_is_refused(pool_sizes, workers):
+    with pytest.raises(ValueError, match=f"workers must be at least 1, not {workers}"):
+        run_sweep(_small_plan(), workers=workers)
+    assert pool_sizes == []
 
 
 def test_cold_import_leaves_networkx_and_the_process_pool_out():
